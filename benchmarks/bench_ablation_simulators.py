@@ -11,9 +11,9 @@ that makes the paper-scale sweeps (M = 1000, N = 10^6) tractable.
 import numpy as np
 
 from repro.meanfield.decision_rule import DecisionRule
-from repro.queueing.clients import sample_client_choices
+from repro.queueing.clients import sample_client_choices_batched
 from repro.queueing.events import simulate_epoch_event_driven
-from repro.queueing.queue_ctmc import simulate_queues_epoch
+from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
 from repro.utils.tables import format_table
 
 from conftest import run_once
@@ -23,10 +23,14 @@ REPS = 150
 
 
 def _epoch_pair(rng, base_states, rule):
-    _, _, committed = sample_client_choices(base_states, N, rule, rng)
+    _, _, (committed,) = sample_client_choices_batched(
+        base_states[None, :], N, rule, rng
+    )
     counts = np.bincount(committed, minlength=M)
     rates = M * LAM * counts / N
-    new_l, d_l = simulate_queues_epoch(base_states, rates, 1.0, DT, B, rng)
+    (new_l,), (d_l,) = simulate_queues_epoch_batched(
+        base_states[None, :], rates[None, :], 1.0, DT, B, rng
+    )
     new_e, d_e = simulate_epoch_event_driven(
         base_states, committed, LAM, 1.0, DT, B, rng
     )
@@ -79,11 +83,11 @@ def test_lockstep_throughput(benchmark):
     """Throughput of the production path at Figure-5 panel scale."""
     rng = np.random.default_rng(1)
     m = 1000
-    states = rng.integers(0, B + 1, size=m)
-    rates = rng.uniform(0, 1.8, size=m)
+    states = rng.integers(0, B + 1, size=(1, m))
+    rates = rng.uniform(0, 1.8, size=(1, m))
 
     def one_epoch():
-        return simulate_queues_epoch(states, rates, 1.0, DT, B, rng)
+        return simulate_queues_epoch_batched(states, rates, 1.0, DT, B, rng)
 
     new, _ = benchmark(one_epoch)
-    assert new.shape == (m,)
+    assert new.shape == (1, m)

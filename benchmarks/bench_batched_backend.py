@@ -1,21 +1,13 @@
 #!/usr/bin/env python3
-"""Batched vs scalar simulation backend: wall-clock and equivalence.
+"""Epoch kernels on the batched simulation path: wall-clock and identity.
 
 Runs a Figure-5-style synchronization-delay sweep (bench scale:
 ``M = 100`` queues, ``N = 4M`` clients, ``Δt ∈ {1..10}``, 32 Monte-Carlo
-replicas, per-packet randomization) twice — once through the lock-step
-:class:`repro.queueing.batched_env.BatchedFiniteSystemEnv` backend and
-once by looping the scalar :class:`repro.queueing.env.FiniteSystemEnv`
-per replica — and reports per-``Δt`` wall-clock plus a statistical
-equivalence check of the drop estimates (both backends simulate the
-same law; see ``docs/scaling.md`` for the scaling regime in which the
-batched path wins and where the two converge).
-
-With ``--backend NAME`` the comparison switches to epoch *kernels*: the
-same batched sweep runs once under the NumPy reference kernel and once
-under the named kernel (e.g. ``numba``), checks bit-identity when the
+replicas in one lock-step chunk, per-packet randomization) once under
+the NumPy reference kernel and once under the kernel named by
+``--backend`` (default ``numba``). It checks bit-identity when the
 kernel preserves the RNG-draw contract (statistical equivalence
-otherwise), and — when the kernel is genuinely JIT-compiled — asserts
+otherwise) and — when the kernel is genuinely JIT-compiled — asserts
 the ≥ ``MIN_SPEEDUP``× wall-clock win. When numba is absent the
 registry falls back to NumPy, the identity checks still run (trivially,
 on identical streams) and the speedup assertion is skipped.
@@ -23,12 +15,11 @@ on identical streams) and the speedup assertion is skipped.
 Runs standalone or under pytest-benchmark:
 
     PYTHONPATH=src python benchmarks/bench_batched_backend.py [--quick]
-    PYTHONPATH=src python benchmarks/bench_batched_backend.py --quick --backend numba
+    PYTHONPATH=src python benchmarks/bench_batched_backend.py --backend numba
     PYTHONPATH=src python -m pytest benchmarks/bench_batched_backend.py
 
-The full sweep asserts the batched backend is at least ``MIN_SPEEDUP``×
-faster; ``--quick`` shrinks the grid for CI smoke and only checks
-equivalence (tiny timings are dominated by noise).
+``--quick`` shrinks the grid for CI smoke and only checks identity
+(tiny timings are dominated by noise).
 """
 
 from __future__ import annotations
@@ -42,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import paper_system_config
+from repro.execution import ExecutionContext
 from repro.experiments.runner import evaluate_policy_finite
 from repro.policies.static import JoinShortestQueuePolicy
 from repro.utils.tables import format_table
@@ -52,8 +44,7 @@ QUICK_DELTA_TS = (2.0, 5.0)
 DEFAULT_JSON = Path("BENCH_batched_backend.json")
 
 
-def run_backend_sweep(
-    backend: str,
+def run_sweep(
     delta_ts=FULL_DELTA_TS,
     num_queues: int = 100,
     clients_per_queue: int = 4,
@@ -61,12 +52,14 @@ def run_backend_sweep(
     seed: int = 0,
     sim_backend: str = "numpy",
 ) -> tuple[dict, float]:
-    """Evaluate JSQ(2) over the delay sweep with one backend.
+    """Evaluate JSQ(2) over the delay sweep under one epoch kernel.
 
-    ``backend`` selects the execution style (``"batched"``/``"scalar"``),
-    ``sim_backend`` the epoch kernel simulating each shard. Returns
+    All replicas of a sweep point run as one lock-step chunk. Returns
     ``(per-Δt MonteCarloResult dict, total wall-clock seconds)``.
     """
+    context = ExecutionContext(
+        sim_backend=sim_backend, max_batch_replicas=num_runs
+    )
     results = {}
     total = 0.0
     for dt in delta_ts:
@@ -84,103 +77,29 @@ def run_backend_sweep(
             num_runs=num_runs,
             num_epochs=num_epochs,
             seed=seed,
-            backend=backend,
-            max_batch_replicas=num_runs,
             env_kwargs={"per_packet_randomization": True},
-            sim_backend=sim_backend,
+            context=context,
         )
         total += time.perf_counter() - start
     return results, total
 
 
-def equivalence_gaps(batched: dict, scalar: dict) -> dict[float, float]:
-    """Per-Δt z-scores of the batched-vs-scalar mean-drop difference.
+def equivalence_gaps(candidate: dict, reference: dict) -> dict[float, float]:
+    """Per-Δt z-scores of the candidate-vs-reference mean-drop difference.
 
-    Both backends sample the same distribution from different streams,
-    so the standardized gap should look standard-normal per Δt.
+    A kernel that breaks the RNG-draw contract samples the same
+    distribution from different streams, so the standardized gap should
+    look standard-normal per Δt.
     """
     gaps = {}
-    for dt, rb in batched.items():
-        rs = scalar[dt]
+    for dt, rc in candidate.items():
+        rr = reference[dt]
         se = np.hypot(
-            rb.drops.std(ddof=1) / np.sqrt(rb.drops.size),
-            rs.drops.std(ddof=1) / np.sqrt(rs.drops.size),
+            rc.drops.std(ddof=1) / np.sqrt(rc.drops.size),
+            rr.drops.std(ddof=1) / np.sqrt(rr.drops.size),
         )
-        gaps[dt] = abs(rb.mean_drops - rs.mean_drops) / max(se, 1e-12)
+        gaps[dt] = abs(rc.mean_drops - rr.mean_drops) / max(se, 1e-12)
     return gaps
-
-
-def run_bench(
-    quick: bool = False, seed: int = 0, json_path: Path | None = DEFAULT_JSON
-) -> dict:
-    delta_ts = QUICK_DELTA_TS if quick else FULL_DELTA_TS
-    num_runs = 16 if quick else 32
-    batched, t_batched = run_backend_sweep(
-        "batched", delta_ts, num_runs=num_runs, seed=seed
-    )
-    scalar, t_scalar = run_backend_sweep(
-        "scalar", delta_ts, num_runs=num_runs, seed=seed
-    )
-    gaps = equivalence_gaps(batched, scalar)
-
-    rows = []
-    for dt in delta_ts:
-        rb, rs = batched[dt], scalar[dt]
-        rows.append(
-            [
-                f"{dt:g}",
-                f"{rb.mean_drops:.2f}±{rb.interval.half_width:.2f}",
-                f"{rs.mean_drops:.2f}±{rs.interval.half_width:.2f}",
-                f"{gaps[dt]:.2f}",
-            ]
-        )
-    speedup = t_scalar / t_batched
-    print(
-        format_table(
-            ["Δt", "batched drops", "scalar drops", "|z|"],
-            rows,
-            title=(
-                f"Batched vs scalar backend — {num_runs} replicas, "
-                "JSQ(2), per-packet randomization"
-            ),
-        )
-    )
-    print(
-        f"\nwall-clock: batched {t_batched:.2f}s, scalar {t_scalar:.2f}s "
-        f"-> {speedup:.1f}x speedup"
-    )
-
-    worst = max(gaps.values())
-    stats = {
-        "benchmark": "batched_backend",
-        "mode": "quick" if quick else "full",
-        "wall_clock_s": {
-            "batched": round(t_batched, 4),
-            "scalar": round(t_scalar, 4),
-        },
-        "speedup": round(speedup, 3),
-        "worst_z": round(worst, 3),
-        "scale": {
-            "num_queues": 100,
-            "num_clients": 400,
-            "num_runs": num_runs,
-            "delta_ts": list(delta_ts),
-        },
-        "min_speedup_asserted": MIN_SPEEDUP if not quick else None,
-    }
-    if json_path is not None:
-        json_path.write_text(json.dumps(stats, indent=2) + "\n")
-        print(f"[json written to {json_path}]")
-
-    # Statistical equivalence: with independent streams the worst |z|
-    # over the grid stays small; 4 SEs is a generous, non-flaky bound.
-    assert worst < 4.0, f"backends disagree: worst |z| = {worst:.2f}"
-    if not quick:
-        assert speedup >= MIN_SPEEDUP, (
-            f"batched backend only {speedup:.1f}x faster "
-            f"(expected >= {MIN_SPEEDUP}x)"
-        )
-    return stats
 
 
 def run_kernel_bench(
@@ -214,18 +133,15 @@ def run_kernel_bench(
         # compilation of every njit loop so timings measure steady state.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            run_backend_sweep(
-                "batched", (2.0,), num_queues=10, num_runs=2, seed=seed,
+            run_sweep(
+                (2.0,), num_queues=10, num_runs=2, seed=seed,
                 sim_backend=kernel_name,
             )
-    reference, t_numpy = run_backend_sweep(
-        "batched", delta_ts, num_runs=num_runs, seed=seed
-    )
+    reference, t_numpy = run_sweep(delta_ts, num_runs=num_runs, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        candidate, t_kernel = run_backend_sweep(
-            "batched", delta_ts, num_runs=num_runs, seed=seed,
-            sim_backend=kernel_name,
+        candidate, t_kernel = run_sweep(
+            delta_ts, num_runs=num_runs, seed=seed, sim_backend=kernel_name
         )
 
     identical = all(
@@ -314,12 +230,12 @@ def run_kernel_bench(
 
 
 def test_batched_backend(benchmark, results_dir):
-    """pytest-benchmark entry point (full sweep)."""
+    """pytest-benchmark entry point (full sweep, numba vs NumPy)."""
     from conftest import run_once
 
-    stats = run_once(benchmark, run_bench, quick=False)
+    stats = run_once(benchmark, run_kernel_bench, "numba", quick=False)
     (results_dir / "batched_backend.txt").write_text(
-        f"speedup={stats['speedup']:.2f}x worst_z={stats['worst_z']:.2f}\n"
+        f"speedup={stats['speedup']:.2f}x bit_identical={stats['bit_identical']}\n"
     )
 
 
@@ -328,15 +244,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small grid, equivalence check only (CI smoke)",
+        help="small grid, identity check only (CI smoke)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--backend",
-        default=None,
+        default="numba",
         metavar="NAME",
-        help="compare this epoch kernel (e.g. 'numba') against the NumPy "
-        "reference instead of the batched-vs-scalar execution styles",
+        help="epoch kernel to compare against the NumPy reference "
+        "(default: numba)",
     )
     parser.add_argument(
         "--json",
@@ -345,13 +261,9 @@ def main(argv=None) -> int:
         help=f"machine-readable output path (default {DEFAULT_JSON})",
     )
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        run_kernel_bench(
-            args.backend, quick=args.quick, seed=args.seed,
-            json_path=args.json,
-        )
-    else:
-        run_bench(quick=args.quick, seed=args.seed, json_path=args.json)
+    run_kernel_bench(
+        args.backend, quick=args.quick, seed=args.seed, json_path=args.json
+    )
     return 0
 
 

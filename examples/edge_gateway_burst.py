@@ -23,7 +23,7 @@ from repro.config import paper_system_config
 from repro.meanfield.mfc_env import MeanFieldEnv
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
 from repro.queueing.arrivals import MarkovModulatedRate
-from repro.queueing.env import FiniteSystemEnv, run_episode
+from repro.queueing.batched_env import BatchedFiniteSystemEnv, run_episodes_batched
 from repro.rl.cem import optimize_constant_rule
 from repro.utils.stats import mean_confidence_interval
 from repro.utils.tables import format_table
@@ -72,16 +72,15 @@ def main() -> None:
         }
         cells = [f"burst λ={burst:g}"]
         for name, policy in policies.items():
-            drops = []
-            for run in range(args.runs):
-                env = FiniteSystemEnv(
-                    config,
-                    arrival_process=build_arrivals(burst, 0.5),
-                    seed=args.seed + run,
-                )
-                drops.append(
-                    run_episode(env, policy, num_epochs, seed=run).total_drops_per_queue
-                )
+            # All runs advance together as lock-step replicas.
+            env = BatchedFiniteSystemEnv(
+                config,
+                num_replicas=args.runs,
+                arrival_process=build_arrivals(burst, 0.5),
+            )
+            drops = run_episodes_batched(
+                env, policy, num_epochs, seed=args.seed
+            ).total_drops_per_queue
             ci = mean_confidence_interval(drops)
             cells.append(f"{ci.mean:.1f}±{ci.half_width:.1f}")
         rows.append(cells)
@@ -89,19 +88,20 @@ def main() -> None:
 
     # Time-resolved single episode at the highest burst level.
     print("\nOne episode, time-resolved (burst λ=1.2, learned policy):")
-    env = FiniteSystemEnv(
-        config, arrival_process=build_arrivals(1.2, 0.5), seed=args.seed
+    env = BatchedFiniteSystemEnv(
+        config, num_replicas=1, arrival_process=build_arrivals(1.2, 0.5)
     )
     env.reset(seed=args.seed)
     print(f"{'epoch':>5} {'mode':>5} {'mean fill':>10} {'drops':>8}")
     for t in range(min(20, num_epochs)):
-        mode = "burst" if env.lam_mode == 0 else "calm"
+        mode = "burst" if env.lam_modes[0] == 0 else "calm"
         _, _, info = env.step_with_policy(
             JoinShortestQueuePolicy(s, d)
         )
         fill = float(env.queue_states.mean())
-        bar = "#" * int(round(info["drops_per_queue"] * 20))
-        print(f"{t:5d} {mode:>5} {fill:10.2f} {info['drops_per_queue']:8.3f} {bar}")
+        drops = float(info["drops_per_queue"][0])
+        bar = "#" * int(round(drops * 20))
+        print(f"{t:5d} {mode:>5} {fill:10.2f} {drops:8.3f} {bar}")
     print(
         "\nDrops cluster in burst epochs; with larger Δt the policy reacts "
         "a full epoch late, which is exactly the regime where learned "

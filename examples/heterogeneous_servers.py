@@ -19,12 +19,11 @@ import argparse
 
 
 from repro.config import paper_system_config
+from repro.queueing.batched_env import run_episodes_batched
 from repro.queueing.heterogeneous import (
-    HeterogeneousFiniteEnv,
+    BatchedHeterogeneousFiniteEnv,
     ServerClassSpec,
-    jsq_rule_heterogeneous,
-    rnd_rule_heterogeneous,
-    sed_rule,
+    sed_policy_suite,
 )
 from repro.utils.stats import mean_confidence_interval
 from repro.utils.tables import format_table
@@ -53,18 +52,14 @@ def main() -> None:
         f"Δt={args.delta_t:g}, N={config.num_clients} dispatchers.\n"
     )
 
-    rules = {
-        "SED(2)": sed_rule(spec, config.buffer_size, config.d),
-        "JSQ(2)": jsq_rule_heterogeneous(spec, config.buffer_size, config.d),
-        "RND": rnd_rule_heterogeneous(spec, config.buffer_size, config.d),
-    }
     num_epochs = config.resolved_eval_length()
     rows = []
-    for name, rule in rules.items():
-        drops = []
-        for run in range(args.runs):
-            env = HeterogeneousFiniteEnv(config, spec, seed=args.seed + run)
-            drops.append(env.run_episode(rule, num_epochs, seed=args.seed + run))
+    for name, policy in sed_policy_suite(spec, config.buffer_size, config.d).items():
+        # All runs advance together as lock-step replicas.
+        env = BatchedHeterogeneousFiniteEnv(config, spec, num_replicas=args.runs)
+        drops = run_episodes_batched(
+            env, policy, num_epochs, seed=args.seed
+        ).total_drops_per_queue
         ci = mean_confidence_interval(drops)
         rows.append([name, f"{ci.mean:.2f}", f"±{ci.half_width:.2f}"])
     rows.sort(key=lambda r: float(r[1]))

@@ -29,10 +29,10 @@ from repro.meanfield import (
     per_state_arrival_rates,
 )
 from repro.queueing import (
-    FiniteSystemEnv,
-    InfiniteClientEnv,
+    BatchedFiniteSystemEnv,
+    BatchedInfiniteClientEnv,
     MarkovModulatedRate,
-    run_episode,
+    run_episodes_batched,
 )
 from repro.policies import (
     ConstantRulePolicy,
@@ -44,7 +44,7 @@ from repro.policies import (
 # Kept in sync with pyproject.toml; also salts the experiment-store
 # cache keys (repro.store.keys.CODE_SALT), so bump it whenever a change
 # alters the simulation random streams.
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "PPOConfig",
@@ -55,10 +55,10 @@ __all__ = [
     "MeanFieldEnv",
     "epoch_update",
     "per_state_arrival_rates",
-    "FiniteSystemEnv",
-    "InfiniteClientEnv",
+    "BatchedFiniteSystemEnv",
+    "BatchedInfiniteClientEnv",
     "MarkovModulatedRate",
-    "run_episode",
+    "run_episodes_batched",
     "ConstantRulePolicy",
     "JoinShortestQueuePolicy",
     "NeuralPolicy",

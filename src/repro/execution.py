@@ -1,16 +1,12 @@
 """One frozen bundle for the execution knobs threaded through the harness.
 
-Every sweep/stream entry point used to take the same four keyword
-arguments — ``workers`` (process count), ``store`` (the
-content-addressed shard cache), ``sim_backend`` (the epoch kernel) and
-``max_batch_replicas`` (the replica chunk size) — repeated through
-:mod:`repro.experiments.runner`, the figure runners,
-:mod:`repro.scenarios.run`, :mod:`repro.serving.engine` and the CLI.
-:class:`ExecutionContext` consolidates them into one frozen dataclass,
-and :func:`resolve_execution_context` is the single resolver every
-entry point calls: pass ``context=ExecutionContext(...)`` going
-forward; the legacy kwargs keep working for one release behind a
-:class:`DeprecationWarning`.
+Every sweep/stream entry point — :mod:`repro.experiments.runner`, the
+figure runners, :mod:`repro.scenarios.run`, :mod:`repro.serving.engine`
+and the CLI — takes its execution knobs as one
+``context=ExecutionContext(...)``: ``workers`` (process count),
+``store`` (the content-addressed shard cache), ``sim_backend`` (the
+epoch kernel), ``max_batch_replicas`` (the replica chunk size) and the
+multi-node ``claim``/``merge_only`` modes.
 
 None of these knobs ever changes a merged result — worker count, cache
 hits and contract-preserving kernels are all bit-identity-preserving —
@@ -20,22 +16,13 @@ fingerprint.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.store.store import ExperimentStore
 
-__all__ = ["ExecutionContext", "resolve_execution_context"]
-
-#: One shared deprecation text so every entry point tells the same story.
-_DEPRECATION = (
-    "passing execution knobs ({names}) as individual keyword arguments is "
-    "deprecated; pass context=ExecutionContext(...) instead (the legacy "
-    "kwargs will be removed in a future release)"
-)
+__all__ = ["ExecutionContext"]
 
 
 @dataclass(frozen=True)
@@ -104,61 +91,3 @@ class ExecutionContext:
         if self.max_batch_replicas is None:
             return int(default)
         return int(self.max_batch_replicas)
-
-
-def resolve_execution_context(
-    context: ExecutionContext | None = None,
-    *,
-    workers: int | None = None,
-    store: "ExperimentStore | None" = None,
-    store_dir: "str | Path | None" = None,
-    sim_backend: str | None = None,
-    max_batch_replicas: int | None = None,
-    stacklevel: int = 3,
-) -> ExecutionContext:
-    """The single resolver behind every entry point's execution knobs.
-
-    Exactly one style may be used per call: either ``context=`` or the
-    legacy keyword arguments (which emit a :class:`DeprecationWarning`
-    naming the offending kwargs). With neither, the defaults of
-    :class:`ExecutionContext` apply. ``store_dir`` (a path) opens an
-    :class:`~repro.store.store.ExperimentStore` rooted there and is
-    mutually exclusive with ``store``.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("workers", workers),
-            ("store", store),
-            ("store_dir", store_dir),
-            ("sim_backend", sim_backend),
-            ("max_batch_replicas", max_batch_replicas),
-        )
-        if value is not None
-    }
-    if context is not None:
-        if legacy:
-            raise TypeError(
-                "pass execution knobs either via context= or via the legacy "
-                f"keyword arguments, not both (got {sorted(legacy)})"
-            )
-        return context
-    if not legacy:
-        return ExecutionContext()
-    warnings.warn(
-        _DEPRECATION.format(names=", ".join(sorted(legacy))),
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if store is not None and store_dir is not None:
-        raise TypeError("store and store_dir are mutually exclusive")
-    if store_dir is not None:
-        from repro.store.store import ExperimentStore
-
-        store = ExperimentStore(Path(store_dir))
-    return ExecutionContext(
-        workers=1 if workers is None else int(workers),
-        store=store,
-        sim_backend="numpy" if sim_backend is None else str(sim_backend),
-        max_batch_replicas=max_batch_replicas,
-    )

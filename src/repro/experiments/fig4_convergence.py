@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import paper_system_config
-from repro.execution import resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.experiments.pretrained import get_mf_policy
 from repro.experiments.runner import MonteCarloResult
 from repro.meanfield.mfc_env import MeanFieldEnv
@@ -25,9 +25,7 @@ from repro.rl.evaluation import evaluate_policy_mfc
 from repro.utils.tables import format_table, series_to_csv
 
 if TYPE_CHECKING:
-    from repro.execution import ExecutionContext
     from repro.policies.base import UpperLevelPolicy
-    from repro.store.store import ExperimentStore
 
 __all__ = ["Fig4Result", "run_fig4"]
 
@@ -91,10 +89,7 @@ def run_fig4(
     clients_of_m=None,
     mf_eval_episodes: int = 50,
     seed: int = 0,
-    workers: int | None = None,
-    store: "ExperimentStore | None" = None,
-    sim_backend: str | None = None,
-    context: "ExecutionContext | None" = None,
+    context: ExecutionContext | None = None,
 ) -> Fig4Result:
     """Regenerate one Figure 4 panel (scaled grid by default).
 
@@ -108,15 +103,11 @@ def run_fig4(
     shard cache (see :mod:`repro.store`) so repeated or overlapping
     panel runs skip already-computed replica chunks. ``sim_backend``
     picks the epoch kernel (``"numpy"``, ``"numba"``, ``"auto"``; see
-    :mod:`repro.queueing.backends`) without changing any statistic. The
-    individual ``workers``/``store``/``sim_backend`` keywords keep
-    working for one release behind a :class:`DeprecationWarning`.
+    :mod:`repro.queueing.backends`) without changing any statistic.
     """
     from repro.experiments.parallel import EvalRequest, SweepExecutor
 
-    ctx = resolve_execution_context(
-        context, workers=workers, store=store, sim_backend=sim_backend
-    )
+    ctx = context if context is not None else ExecutionContext()
 
     if clients_of_m is None:
         clients_of_m = lambda m: m * m  # noqa: E731 - tiny local default

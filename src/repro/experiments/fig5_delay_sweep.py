@@ -17,15 +17,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import paper_system_config
-from repro.execution import resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.experiments.pretrained import get_mf_policy
 from repro.experiments.runner import MonteCarloResult, policy_suite
 from repro.utils.tables import format_table, series_to_csv
 
 if TYPE_CHECKING:
-    from repro.execution import ExecutionContext
     from repro.policies.base import UpperLevelPolicy
-    from repro.store.store import ExperimentStore
 
 __all__ = ["Fig5Result", "run_fig5"]
 
@@ -92,10 +90,7 @@ def run_fig5(
     mf_policies: "dict[float, UpperLevelPolicy] | None" = None,
     per_packet_randomization: bool = True,
     seed: int = 0,
-    workers: int | None = None,
-    store: "ExperimentStore | None" = None,
-    sim_backend: str | None = None,
-    context: "ExecutionContext | None" = None,
+    context: ExecutionContext | None = None,
 ) -> Fig5Result:
     """Regenerate one Figure 5 panel (scaled grid by default).
 
@@ -106,7 +101,8 @@ def run_fig5(
     to False for the committed-choice model of Eq. (5).
 
     The whole ``(Δt × policy)`` grid runs on one
-    :class:`repro.experiments.parallel.SweepExecutor`: with
+    :class:`repro.experiments.parallel.SweepExecutor` configured by
+    ``context`` (an :class:`repro.execution.ExecutionContext`): with
     ``workers > 1`` every replica chunk of every cell competes for the
     same process pool, and the per-cell statistics are bit-identical to
     the in-process ``workers=1`` sweep. ``store`` attaches a
@@ -115,16 +111,10 @@ def run_fig5(
     cells with this grid — are merged from the store instead of
     simulated. ``sim_backend`` picks the epoch kernel (``"numpy"``,
     ``"numba"``, ``"auto"``) without changing any statistic.
-
-    Prefer ``context=ExecutionContext(...)`` for those knobs; the
-    individual keywords keep working for one release behind a
-    :class:`DeprecationWarning`.
     """
     from repro.experiments.parallel import EvalRequest, SweepExecutor
 
-    ctx = resolve_execution_context(
-        context, workers=workers, store=store, sim_backend=sim_backend
-    )
+    ctx = context if context is not None else ExecutionContext()
     if clients_of_m is None:
         clients_of_m = lambda m: m * m  # noqa: E731
         clients_rule = "M^2"

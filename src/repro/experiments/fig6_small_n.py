@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.execution import resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.experiments.fig5_delay_sweep import Fig5Result, run_fig5
 
 if TYPE_CHECKING:
-    from repro.execution import ExecutionContext
     from repro.policies.base import UpperLevelPolicy
-    from repro.store.store import ExperimentStore
 
 __all__ = ["Fig6Result", "run_fig6"]
 
@@ -52,22 +50,15 @@ def run_fig6(
     num_runs: int = 10,
     mf_policies: "dict[float, UpperLevelPolicy] | None" = None,
     seed: int = 0,
-    workers: int | None = None,
-    store: "ExperimentStore | None" = None,
-    sim_backend: str | None = None,
-    context: "ExecutionContext | None" = None,
+    context: ExecutionContext | None = None,
 ) -> Fig6Result:
     """Regenerate both Figure 6 panels (paper uses ``M = 1000``).
 
     ``context`` (an :class:`repro.execution.ExecutionContext`) carries
     the execution knobs — process count, shard cache, epoch kernel —
-    forwarded to each panel's sharded sweep; the individual ``workers``
-    / ``store`` / ``sim_backend`` keywords keep working for one release
-    behind a :class:`DeprecationWarning`.
+    forwarded to each panel's sharded sweep.
     """
-    ctx = resolve_execution_context(
-        context, workers=workers, store=store, sim_backend=sim_backend
-    )
+    ctx = context if context is not None else ExecutionContext()
     panel_a = run_fig5(
         num_queues=num_queues,
         delta_ts=delta_ts,

@@ -12,10 +12,10 @@ worker count or completion order. :class:`SweepExecutor` decomposes every
 :class:`EvalRequest` into the exact same ``(sweep-point × replica-chunk)``
 shards the serial path of
 :func:`repro.experiments.runner.evaluate_policy_finite` iterates over,
-spawns one ``SeedSequence`` child per chunk (batched backend) or per run
-(scalar backend) the same way :func:`repro.utils.rng.spawn_generators`
-does, executes the shards in any order on any number of processes, and
-reassembles the per-replica drops by offset. Consequently::
+spawns one ``SeedSequence`` child per chunk the same way
+:func:`repro.utils.rng.spawn_generators` does, executes the shards in
+any order on any number of processes, and reassembles the per-replica
+drops by offset. Consequently::
 
     SweepExecutor(workers=1).run(reqs)
     == SweepExecutor(workers=4).run(reqs)     # bit-identical
@@ -29,7 +29,7 @@ kwargs, seed material) crosses the process boundary by pickling; the
 policies and environments in this repository are plain
 NumPy-array-holding objects, so this is cheap relative to a shard's
 simulation work. See ``docs/scaling.md`` for guidance on combining
-process-level sharding with the replica-batched backend.
+process-level sharding with replica batching.
 
 Because shard results are a pure function of their request and seed
 material, they are also *cacheable*: pass ``store=`` (a
@@ -54,7 +54,6 @@ from repro.queueing.batched_env import (
     _BatchedQueueSystemBase,
     run_episodes_batched,
 )
-from repro.queueing.env import FiniteSystemEnv, run_episode
 from repro.utils.stats import mean_confidence_interval
 
 if TYPE_CHECKING:
@@ -83,14 +82,10 @@ class EvalRequest:
     the unit whose merged statistics are guaranteed identical no matter
     how many workers execute its shards.
 
-    ``env_cls`` may be a scalar environment class (``backend="scalar"``)
-    or a subclass of the batched queue-system base
-    (``backend="batched"``); ``None`` selects the standard
-    finite-system environment for the chosen backend.
-
-    ``backend`` picks the *execution style* (lock-step replicas vs a
-    scalar loop); ``sim_backend`` independently picks the *epoch kernel*
-    from :mod:`repro.queueing.backends` (``"numpy"``, ``"numba"`` or
+    ``env_cls`` must be a subclass of the batched queue-system base;
+    ``None`` selects the standard finite-system environment.
+    ``sim_backend`` picks the *epoch kernel* from
+    :mod:`repro.queueing.backends` (``"numpy"``, ``"numba"`` or
     ``"auto"``). Kernels that preserve the RNG-draw contract produce
     bit-identical results, so shards cached under one such kernel are
     reused by the others.
@@ -101,16 +96,19 @@ class EvalRequest:
     num_runs: int | None = None
     num_epochs: int | None = None
     seed: "SeedLike" = 0
-    backend: str = "batched"
     max_batch_replicas: int = 64
     env_cls: type | None = None
     env_kwargs: dict[str, Any] = field(default_factory=dict)
     sim_backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("batched", "scalar"):
+        if self.env_cls is not None and not (
+            isinstance(self.env_cls, type)
+            and issubclass(self.env_cls, _BatchedQueueSystemBase)
+        ):
             raise ValueError(
-                f"unknown backend {self.backend!r}; use 'batched' or 'scalar'"
+                "sweeps require a batched environment class, got "
+                f"{self.env_cls!r}"
             )
         if self.sim_backend != "auto" and (
             self.sim_backend not in available_backends()
@@ -131,14 +129,6 @@ class EvalRequest:
             else self.config.monte_carlo_runs
         )
 
-    def uses_batched_backend(self) -> bool:
-        """Batched lock-step path unless a scalar-only env is requested."""
-        if self.backend != "batched":
-            return False
-        return self.env_cls is None or issubclass(
-            self.env_cls, _BatchedQueueSystemBase
-        )
-
 
 @dataclass(frozen=True)
 class _Shard:
@@ -147,9 +137,8 @@ class _Shard:
     request_index: int
     offset: int  # first replica index within the request
     num_runs: int
-    # Batched shards carry one seed (the chunk generator); scalar shards
-    # one seed per run. Entries are SeedSequences (or ints for exotic
-    # generators without a retrievable seed sequence).
+    # The chunk generator's seed: a SeedSequence (or an int for exotic
+    # generators without a retrievable seed sequence), as a 1-tuple.
     seeds: "tuple[SeedMaterial, ...]"
 
 
@@ -180,30 +169,12 @@ def _decompose(requests: Sequence[EvalRequest]) -> list[_Shard]:
     """Split every request into its deterministic replica-chunk shards."""
     shards: list[_Shard] = []
     for index, request in enumerate(requests):
-        runs = request.resolved_runs()
-        if request.uses_batched_backend():
-            sizes = _chunk_sizes(runs, request.max_batch_replicas)
-            children = _spawn_seed_children(request.seed, len(sizes))
-            offset = 0
-            for size, child in zip(sizes, children):
-                shards.append(_Shard(index, offset, size, (child,)))
-                offset += size
-        else:
-            # Scalar path: one generator per run (matching the serial
-            # loop), grouped into chunks so task count stays bounded.
-            children = _spawn_seed_children(request.seed, runs)
-            sizes = _chunk_sizes(runs, request.max_batch_replicas)
-            offset = 0
-            for size in sizes:
-                shards.append(
-                    _Shard(
-                        index,
-                        offset,
-                        size,
-                        tuple(children[offset : offset + size]),
-                    )
-                )
-                offset += size
+        sizes = _chunk_sizes(request.resolved_runs(), request.max_batch_replicas)
+        children = _spawn_seed_children(request.seed, len(sizes))
+        offset = 0
+        for size, child in zip(sizes, children):
+            shards.append(_Shard(index, offset, size, (child,)))
+            offset += size
     return shards
 
 
@@ -219,29 +190,18 @@ def _run_shard(request: EvalRequest, shard: _Shard) -> np.ndarray:
     env_kwargs = dict(request.env_kwargs)
     if request.sim_backend != "numpy":
         env_kwargs.setdefault("backend", request.sim_backend)
-    if request.uses_batched_backend():
-        rng = np.random.default_rng(shard.seeds[0])
-        env_cls = request.env_cls or BatchedFiniteSystemEnv
-        env = env_cls(
-            request.config,
-            num_replicas=shard.num_runs,
-            seed=rng,
-            **env_kwargs,
-        )
-        result = run_episodes_batched(
-            env, request.policy, num_epochs=request.num_epochs, seed=rng
-        )
-        return result.total_drops_per_queue
-    env_cls = request.env_cls or FiniteSystemEnv
-    drops = np.empty(shard.num_runs)
-    for i, child in enumerate(shard.seeds):
-        rng = np.random.default_rng(child)
-        env = env_cls(request.config, seed=rng, **env_kwargs)
-        episode = run_episode(
-            env, request.policy, num_epochs=request.num_epochs, seed=rng
-        )
-        drops[i] = episode.total_drops_per_queue
-    return drops
+    rng = np.random.default_rng(shard.seeds[0])
+    env_cls = request.env_cls or BatchedFiniteSystemEnv
+    env = env_cls(
+        request.config,
+        num_replicas=shard.num_runs,
+        seed=rng,
+        **env_kwargs,
+    )
+    result = run_episodes_batched(
+        env, request.policy, num_epochs=request.num_epochs, seed=rng
+    )
+    return result.total_drops_per_queue
 
 
 class SweepExecutor:

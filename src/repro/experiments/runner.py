@@ -6,16 +6,13 @@ with 95% confidence intervals. :func:`evaluate_policy_finite` is that
 loop; :func:`policy_suite` builds the standard comparison set
 (MF / JSQ(2) / RND) used by Figures 5 and 6.
 
-Since the batched-backend refactor the ``n`` replicas run in lock-step
-through :class:`repro.queueing.batched_env.BatchedFiniteSystemEnv`
-(queue states ``(E, M)``, one kernel call per epoch for the whole
-ensemble) instead of one scalar environment at a time — the Figure 4-6
-seed- and ``N``-sweeps all flow through this path. Replicas are chunked
-(``max_batch_replicas``) so the ``(E, N, d)`` client-sampling buffers
-stay bounded for the paper's largest ``N = 10^6`` settings, and
-``backend="scalar"`` forces the historical per-replica loop (identical
-in distribution; used by the equivalence tests and as a fallback for
-custom scalar-only environments).
+The ``n`` replicas run in lock-step through
+:class:`repro.queueing.batched_env.BatchedFiniteSystemEnv` (queue states
+``(E, M)``, one kernel call per epoch for the whole ensemble) — the
+Figure 4-6 seed- and ``N``-sweeps all flow through this path. Replicas
+are chunked (``max_batch_replicas``) so the ``(E, N, d)``
+client-sampling buffers stay bounded for the paper's largest
+``N = 10^6`` settings.
 """
 
 from __future__ import annotations
@@ -26,12 +23,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.execution import ExecutionContext, resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.utils.stats import ConfidenceInterval
 
 if TYPE_CHECKING:
     from repro.policies.base import UpperLevelPolicy
-    from repro.store.store import ExperimentStore
 
 __all__ = ["MonteCarloResult", "evaluate_policy_finite", "policy_suite"]
 
@@ -58,27 +54,19 @@ def evaluate_policy_finite(
     seed=0,
     env_cls=None,
     env_kwargs: dict | None = None,
-    backend: str = "batched",
-    max_batch_replicas: int | None = None,
-    workers: int | None = None,
-    store: "ExperimentStore | None" = None,
-    sim_backend: str | None = None,
     context: ExecutionContext | None = None,
 ) -> MonteCarloResult:
     """Monte-Carlo estimate of cumulative per-queue drops (Figures 4-6).
 
-    ``backend="batched"`` (default) simulates the runs as lock-step
-    replicas of a :class:`BatchedFiniteSystemEnv` in chunks of at most
-    ``max_batch_replicas``; each chunk draws from its own generator
-    spawned from ``seed``. ``backend="scalar"`` rebuilds one scalar
-    environment per run (one spawned generator each) — the historical
-    path, kept for equivalence testing and for custom scalar ``env_cls``
-    overrides. A batched ``env_cls`` (any
+    The runs are simulated as lock-step replicas of ``env_cls`` (any
     :class:`repro.queueing.batched_env._BatchedQueueSystemBase`
-    subclass, e.g. the heterogeneous-server environment) rides the
-    batched path.
+    subclass, default :class:`BatchedFiniteSystemEnv`) in chunks of at
+    most ``context.max_batch_replicas``; each chunk draws from its own
+    generator spawned from ``seed``.
 
-    ``workers > 1`` shards the replica chunks across a process pool via
+    ``context`` (an :class:`repro.execution.ExecutionContext`) carries
+    the execution knobs. ``workers > 1`` shards the replica chunks
+    across a process pool via
     :class:`repro.experiments.parallel.SweepExecutor`; the random
     streams are a function of ``seed`` and the chunk layout only, so the
     result is bit-identical to ``workers=1`` (which stays entirely
@@ -86,46 +74,32 @@ def evaluate_policy_finite(
     :class:`repro.store.store.ExperimentStore`: previously computed
     replica chunks are reused instead of simulated, and fresh chunks are
     persisted for the next run — merged results stay bit-identical
-    either way.
-
-    ``sim_backend`` selects the epoch kernel from
+    either way. ``sim_backend`` selects the epoch kernel from
     :mod:`repro.queueing.backends` (``"numpy"``, ``"numba"`` or
-    ``"auto"``) independently of the execution style; contract-
-    preserving kernels leave the result bit-identical.
-
-    Prefer bundling the execution knobs into
-    ``context=ExecutionContext(...)``; the individual ``workers`` /
-    ``store`` / ``sim_backend`` / ``max_batch_replicas`` keywords keep
-    working for one release behind a :class:`DeprecationWarning`.
+    ``"auto"``); contract-preserving kernels leave the result
+    bit-identical.
     """
     # Lazy import: parallel builds on this module's result type. The
-    # replica-chunk layout, SeedSequence spawning and both execution
-    # backends live in ONE place (repro.experiments.parallel); the
-    # ``workers=1`` executor is the serial path, not a parallel variant
-    # of it, so there is no second copy of the chunk/seed logic whose
-    # drift could silently break the bit-identity guarantee.
+    # replica-chunk layout and SeedSequence spawning live in ONE place
+    # (repro.experiments.parallel); the ``workers=1`` executor is the
+    # serial path, not a parallel variant of it, so there is no second
+    # copy of the chunk/seed logic whose drift could silently break the
+    # bit-identity guarantee.
     from repro.experiments.parallel import EvalRequest, SweepExecutor
 
-    ctx = resolve_execution_context(
-        context,
-        workers=workers,
-        store=store,
-        sim_backend=sim_backend,
-        max_batch_replicas=max_batch_replicas,
-    )
+    ctx = context if context is not None else ExecutionContext()
     request = EvalRequest(
         config=config,
         policy=policy,
         num_runs=num_runs,
         num_epochs=num_epochs,
         seed=seed,
-        backend=backend,
         max_batch_replicas=ctx.resolved_max_batch_replicas(),
         env_cls=env_cls,
         env_kwargs=env_kwargs or {},
         sim_backend=ctx.sim_backend,
     )
-    return SweepExecutor(workers=ctx.workers, store=ctx.store).run([request])[0]
+    return SweepExecutor(context=ctx).run([request])[0]
 
 
 def policy_suite(

@@ -25,7 +25,10 @@ from typing import TYPE_CHECKING
 from repro.config import SystemConfig
 from repro.meanfield.discretization import epoch_update
 from repro.queueing.arrivals import MarkovModulatedRate, ScriptedRate
-from repro.queueing.env import FiniteSystemEnv, InfiniteClientEnv
+from repro.queueing.batched_env import (
+    BatchedFiniteSystemEnv,
+    BatchedInfiniteClientEnv,
+)
 from repro.utils.rng import as_generator
 
 if TYPE_CHECKING:  # import cycle: policies build on top of the mean-field model
@@ -142,27 +145,28 @@ def trajectory_gap(
         config, policy, mode_sequence[:num_epochs]
     )
 
-    if system == "finite":
-        env: FiniteSystemEnv | InfiniteClientEnv = FiniteSystemEnv(
-            config, arrival_process=scripted, seed=rng
-        )
-    elif system == "infinite-clients":
-        env = InfiniteClientEnv(config, arrival_process=scripted, seed=rng)
-    else:
+    env_cls = {
+        "finite": BatchedFiniteSystemEnv,
+        "infinite-clients": BatchedInfiniteClientEnv,
+    }.get(system)
+    if env_cls is None:
         raise ValueError(
             f"unknown system {system!r}; use 'finite' or 'infinite-clients'"
         )
+    env = env_cls(config, num_replicas=1, arrival_process=scripted, seed=rng)
 
     env.reset(rng)
     l1 = np.empty(num_epochs + 1)
     drop_gaps = np.empty(num_epochs)
     sim_drops = np.empty(num_epochs)
-    l1[0] = float(np.abs(env.empirical_distribution() - nus[0]).sum())
+    l1[0] = float(np.abs(env.empirical_distributions()[0] - nus[0]).sum())
     for t in range(num_epochs):
         _, _, info = env.step_with_policy(policy)
-        sim_drops[t] = info["drops_per_queue"]
+        sim_drops[t] = info["drops_per_queue"][0]
         drop_gaps[t] = abs(sim_drops[t] - mf_drops[t])
-        l1[t + 1] = float(np.abs(env.empirical_distribution() - nus[t + 1]).sum())
+        l1[t + 1] = float(
+            np.abs(env.empirical_distributions()[0] - nus[t + 1]).sum()
+        )
     return TrajectoryGap(
         l1_gaps=l1,
         drop_gaps=drop_gaps,

@@ -16,16 +16,11 @@ from repro.queueing.backends import (
     get_backend,
     runnable_backends,
 )
-from repro.queueing.queue_ctmc import (
-    simulate_queues_epoch,
-    simulate_queues_epoch_batched,
-)
+from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
 from repro.queueing.clients import (
     expected_choice_counts,
-    sample_client_choices,
     sample_client_choices_batched,
 )
-from repro.queueing.env import FiniteSystemEnv, InfiniteClientEnv, run_episode
 from repro.queueing.batched_env import (
     BatchedEpisodeResult,
     BatchedFiniteSystemEnv,
@@ -35,7 +30,6 @@ from repro.queueing.batched_env import (
 from repro.queueing.events import simulate_epoch_event_driven
 from repro.queueing.heterogeneous import (
     BatchedHeterogeneousFiniteEnv,
-    HeterogeneousFiniteEnv,
     ServerClassSpec,
 )
 from repro.queueing.topology import TopologySpec
@@ -91,20 +85,14 @@ __all__ = [
     "FlashCrowdRate",
     "TraceReplayRate",
     "BatchedHeterogeneousFiniteEnv",
-    "HeterogeneousFiniteEnv",
     "ServerClassSpec",
     "MarkovModulatedRate",
     "available_backends",
     "get_backend",
     "runnable_backends",
-    "simulate_queues_epoch",
     "simulate_queues_epoch_batched",
-    "sample_client_choices",
     "sample_client_choices_batched",
     "expected_choice_counts",
-    "FiniteSystemEnv",
-    "InfiniteClientEnv",
-    "run_episode",
     "BatchedFiniteSystemEnv",
     "BatchedInfiniteClientEnv",
     "BatchedEpisodeResult",

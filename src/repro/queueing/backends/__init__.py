@@ -11,9 +11,9 @@ environment families. Two kernels ship built in:
   identical to the reference and ≥5× faster at bench scale; falls back
   to ``"numpy"`` with a ``RuntimeWarning`` when numba is not installed.
 
-Select a backend per environment (``backend="numba"``), per evaluation
-(``evaluate_policy_finite(..., sim_backend="numba")``), per scenario or
-stream run, or on the CLI (``--sim-backend numba``); ``"auto"`` picks
+Select a backend per environment (``backend="numba"``), per sweep,
+scenario or stream run (``context=ExecutionContext(sim_backend="numba")``),
+or on the CLI (``--sim-backend numba``); ``"auto"`` picks
 the fastest backend runnable on the host. The conformance harness that
 gates all of this lives in
 :mod:`repro.queueing.backends.conformance`.

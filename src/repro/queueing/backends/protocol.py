@@ -186,7 +186,7 @@ def draw_uniform_queue_samples(
     One ``rng.integers(0, M, size=(E, N, d))`` call — uniform with
     replacement, exactly Eq. (3) of the paper. Graph environments
     replace this with a neighborhood-restricted draw of the same shape
-    (see :func:`repro.queueing.graph_env._sample_queue_indices`).
+    (see :meth:`repro.queueing.graph_env.BatchedGraphFiniteEnv._sample`).
 
     Returns
     -------

@@ -9,7 +9,7 @@ same array operations: queue states are shaped ``(E, M)``, every replica
 carries its own arrival-mode chain state, and one call into the batched
 client/queue kernels (:mod:`repro.queueing.clients`,
 :mod:`repro.queueing.queue_ctmc`) advances the whole ensemble by one
-decision epoch.
+decision epoch. A single system is the ``E = 1`` special case.
 
 :class:`BatchedFiniteSystemEnv` is the ``E``-replica ``N``-client system
 of Section 2.1; :class:`BatchedInfiniteClientEnv` the ``N → ∞`` system
@@ -17,10 +17,14 @@ of Section 2.2. Both are driven by an
 :class:`repro.policies.base.UpperLevelPolicy` exactly as Figure 2
 prescribes, queried once per replica per epoch (policies that implement
 ``decision_rules_batch`` answer all replicas with one forward pass;
-stationary policies are queried once in total). The scalar environments
-in :mod:`repro.queueing.env` are thin ``E = 1`` wrappers around these
-classes and consume the generator stream identically, so a scalar and an
-``E = 1`` batched simulation with a shared seed are bit-identical.
+stationary policies are queried once in total).
+
+The client sample → choose stage is written once, in
+:meth:`_BatchedQueueSystemBase._frozen_rates`. The environment families
+differ only in three hooks it calls: where clients sample
+(:meth:`~_BatchedQueueSystemBase._sample`), which snapshots they observe
+(:meth:`~_BatchedQueueSystemBase._routing_views`) and how a queue's
+state is encoded (:meth:`~_BatchedQueueSystemBase._encode`).
 
 See ``docs/scaling.md`` for when to prefer the batched path and the
 expected speedups.
@@ -29,7 +33,7 @@ expected speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +63,10 @@ RulesLike = "DecisionRule | Sequence[DecisionRule]"
 
 class _BatchedQueueSystemBase:
     """State/bookkeeping shared by the batched finite/infinite systems."""
+
+    #: Replace the client draws by their conditional expectation
+    #: (Section 2.2); set by the ``N → ∞`` environments.
+    infinite_clients = False
 
     def __init__(
         self,
@@ -172,10 +180,77 @@ class _BatchedQueueSystemBase:
             self._chaos_state = self.chaos.bind(self)
         return self.empirical_distributions()
 
-    # -- template step ----------------------------------------------------
-    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        raise NotImplementedError
+    # -- choose stage -----------------------------------------------------
+    def _sample(self, d: int) -> np.ndarray:
+        """Sample stage: ``d`` queue indices per client, ``(E, N, d)``.
 
+        Uniform over all ``M`` queues with replacement (Eq. 3).
+        """
+        return draw_uniform_queue_samples(
+            self._rng,
+            self.num_replicas,
+            self.config.num_clients,
+            d,
+            self.config.num_queues,
+        )
+
+    def _routing_views(self) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
+        """The ``(weight, states)`` snapshots clients route on this epoch.
+
+        ``weight`` is ``None`` for a single unmixed view; otherwise it
+        holds the per-replica population fractions ``(E,)`` of one view
+        in a per-packet mixture. ``states`` is ``(E, M)``; its first
+        columns are the simulated queues. The default is the live
+        states.
+        """
+        yield None, self._states
+
+    def _encode(self, states: np.ndarray) -> np.ndarray:
+        """Observed state per queue that the decision rules index."""
+        return states
+
+    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
+        """Frozen arrival rates of the simulated queues, ``(E, M_sim)``.
+
+        Committed choice gives ``M λ_t · count_j / N`` (Eq. 5); per-packet
+        randomization gives ``M λ_t · f_j`` with ``f`` the thinned routing
+        fractions, mixed over the views by weight. Infinite clients
+        replace the draws by the expected rates (Eq. 14-15).
+        """
+        e, simulated = self._states.shape
+        if simulated == 0:
+            return np.zeros((e, 0))
+        if self.infinite_clients:
+            return infinite_client_rates_batched(
+                self._encode(self._states), rules, self.current_rates
+            )
+        m = self.config.num_queues
+        n = self.config.num_clients
+        lam = self.current_rates[:, None]
+        probs = stack_rules(rules, e)
+        mixed = None
+        for weight, states in self._routing_views():
+            observed = self._encode(states)
+            sampled = self._sample(probs.ndim - 2)
+            if not self.per_packet_randomization:
+                counts = self.kernel.committed_counts(
+                    observed, sampled, probs, self._rng
+                )
+                return m * lam * counts[:, :simulated].astype(np.float64) / n
+            # Paper remark below Eq. (4): in the experiments every packet
+            # re-samples its slot, so the frozen rate thins over the
+            # clients' full routing distributions instead of commitments.
+            fractions = self.kernel.packet_fractions(
+                observed, sampled, probs, n
+            )
+            if weight is None:
+                return m * lam * fractions[:, :simulated]
+            if mixed is None:
+                mixed = np.zeros((e, m))
+            mixed += weight[:, None] * fractions
+        return m * lam * mixed[:, :simulated]
+
+    # -- template step ----------------------------------------------------
     def _check_rules(self, rules: RulesLike) -> None:
         first = rules if isinstance(rules, DecisionRule) else rules[0]
         if (
@@ -292,34 +367,6 @@ class BatchedFiniteSystemEnv(_BatchedQueueSystemBase):
     kernel call.
     """
 
-    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        lam = self.current_rates[:, None]
-        probs = stack_rules(rules, self.num_replicas)
-        sampled = draw_uniform_queue_samples(
-            self._rng,
-            self.num_replicas,
-            self.config.num_clients,
-            probs.ndim - 2,
-            self.config.num_queues,
-        )
-        if self.per_packet_randomization:
-            # Paper remark below Eq. (4): in the experiments every packet
-            # re-samples its slot, so the frozen rate thins over the
-            # clients' full routing distributions instead of commitments.
-            fractions = self.kernel.packet_fractions(
-                self._states, sampled, probs, self.config.num_clients
-            )
-            return self.config.num_queues * lam * fractions
-        counts = self.kernel.committed_counts(
-            self._states, sampled, probs, self._rng
-        )
-        return (
-            self.config.num_queues
-            * lam
-            * counts.astype(np.float64)
-            / self.config.num_clients
-        )
-
 
 class BatchedInfiniteClientEnv(_BatchedQueueSystemBase):
     """``E`` replicas of the ``N → ∞`` system of Section 2.2.
@@ -330,10 +377,7 @@ class BatchedInfiniteClientEnv(_BatchedQueueSystemBase):
     and is simulated batched.
     """
 
-    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        return infinite_client_rates_batched(
-            self._states, rules, self.current_rates
-        )
+    infinite_clients = True
 
 
 @dataclass
@@ -364,8 +408,7 @@ def run_episodes_batched(
 ) -> BatchedEpisodeResult:
     """Run Algorithm 1 for ``num_epochs`` epochs in all replicas at once.
 
-    The batched counterpart of :func:`repro.queueing.env.run_episode`:
-    returns the cumulative per-queue packet drops of every replica (the
+    Returns the cumulative per-queue packet drops of every replica (the
     quantity on the y-axes of Figures 4-6) and the per-epoch series.
     """
     steps = (

@@ -7,13 +7,11 @@ sampled queues (the *anonymous state* ``z̄_i``), draws a slot
 for the epoch. The per-queue frozen arrival rates then follow Eq. (5):
 ``λ_j = M λ_t · count_j / N``.
 
-Everything is vectorized over clients; for the paper's largest setting
-(``N = 10^6``, ``d = 2``) a full epoch of client decisions is three
-array operations. The ``*_batched`` variants additionally vectorize over
-``E`` independent system replicas (queue states shaped ``(E, M)``, one
-decision rule per replica) so that a whole Monte-Carlo sweep shares the
-same handful of array operations; the scalar functions are the ``E = 1``
-views and consume the generator stream identically.
+Everything is vectorized over clients and over ``E`` independent system
+replicas (queue states shaped ``(E, M)``, one decision rule per
+replica): for the paper's largest setting (``N = 10^6``, ``d = 2``) a
+whole Monte-Carlo sweep's epoch of client decisions is a handful of
+array operations. A single system is the ``E = 1`` case.
 """
 
 from __future__ import annotations
@@ -27,15 +25,9 @@ from repro.meanfield.discretization import per_state_arrival_rates
 from repro.utils.rng import as_generator
 
 __all__ = [
-    "sample_client_choices",
-    "client_choice_counts",
-    "per_packet_rate_fractions",
     "expected_choice_counts",
-    "infinite_client_rates",
     "stack_rules",
     "sample_client_choices_batched",
-    "client_choice_counts_batched",
-    "per_packet_rate_fractions_batched",
     "infinite_client_rates_batched",
     "committed_counts_from_samples",
     "packet_fractions_from_samples",
@@ -152,10 +144,14 @@ def packet_fractions_from_samples(
 ) -> np.ndarray:
     """Per-packet routing fractions given already-sampled queue indices.
 
-    The deterministic *choose* stage under per-packet randomization:
-    every queue accumulates the routing probabilities of every client
-    slot that sampled it (Poisson thinning — no stream consumption).
-    Rows sum to 1.
+    The deterministic *choose* stage under per-packet randomization.
+    The paper's experiments "allow randomization for each packet"
+    (remark below Eq. 4): every packet re-samples its slot
+    ``u ~ h(·|z̄_i)``, so by Poisson thinning queue ``j`` receives the
+    fraction ``(1/N) Σ_i Σ_k 1{x_{i,k}=j} h(k|z̄_i)`` of the offered
+    load — no stream consumption, and no per-client multinomial noise
+    (which matters when ``N`` is *not* much larger than ``M``, paper
+    Figure 6). Rows sum to 1.
 
     Parameters
     ----------
@@ -184,33 +180,6 @@ def packet_fractions_from_samples(
     return fractions / num_clients
 
 
-def sample_client_choices(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rule: DecisionRule,
-    rng=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample every client's queue selection and committed choice.
-
-    Returns
-    -------
-    sampled:
-        ``(N, d)`` array of sampled queue indices (``x`` in the paper;
-        sampling is with replacement, as in Eq. 3 — for ``d ≪ M`` the
-        collision probability is negligible and the paper argues it
-        "makes no difference in sufficiently large systems").
-    slots:
-        ``(N,)`` chosen slot per client (``u``).
-    committed:
-        ``(N,)`` committed queue index per client (``x[u]``).
-    """
-    queue_states = np.asarray(queue_states)
-    sampled, slots, committed = sample_client_choices_batched(
-        queue_states[None, :], num_clients, rule, rng
-    )
-    return sampled[0], slots[0], committed[0]
-
-
 def sample_client_choices_batched(
     queue_states: np.ndarray,
     num_clients: int,
@@ -222,8 +191,9 @@ def sample_client_choices_batched(
     ``queue_states`` has shape ``(E, M)``; ``rules`` is one rule shared by
     all replicas or a sequence of ``E`` per-replica rules. Returns
     ``(sampled, slots, committed)`` shaped ``(E, N, d)`` / ``(E, N)`` /
-    ``(E, N)`` — the per-replica analogues of
-    :func:`sample_client_choices`.
+    ``(E, N)``: the sampled queue indices (``x`` in the paper; sampling
+    is with replacement, as in Eq. 3), the chosen slot per client
+    (``u``) and the committed queue index per client (``x[u]``).
     """
     rng = as_generator(rng)
     queue_states = np.asarray(queue_states)
@@ -241,90 +211,6 @@ def sample_client_choices_batched(
     slots = _batched_sample_slots(rows, rng)
     committed = np.take_along_axis(sampled, slots[..., None], axis=-1)[..., 0]
     return sampled, slots, committed
-
-
-def client_choice_counts(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rule: DecisionRule,
-    rng=None,
-) -> np.ndarray:
-    """Number of clients committed to each queue this epoch (``(M,)``)."""
-    queue_states = np.asarray(queue_states)
-    return client_choice_counts_batched(
-        queue_states[None, :], num_clients, rule, rng
-    )[0]
-
-
-def client_choice_counts_batched(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rules: "DecisionRule | Sequence[DecisionRule]",
-    rng=None,
-) -> np.ndarray:
-    """Per-replica committed-client counts, shape ``(E, M)``."""
-    rng = as_generator(rng)
-    queue_states = np.asarray(queue_states)
-    if queue_states.ndim != 2:
-        raise ValueError("queue_states must have shape (replicas, queues)")
-    e, m = queue_states.shape
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    probs = stack_rules(rules, e)
-    d = probs.ndim - 2
-    sampled = rng.integers(0, m, size=(e, num_clients, d))
-    return committed_counts_from_samples(queue_states, sampled, probs, rng)
-
-
-def per_packet_rate_fractions(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rule: DecisionRule,
-    rng=None,
-) -> np.ndarray:
-    """Per-queue arrival-rate fractions under per-packet randomization.
-
-    The paper's experiments "allow randomization for each packet"
-    (remark below Eq. 4): every packet that reaches client ``i``
-    re-samples its slot ``u ~ h(·|z̄_i)`` instead of using one committed
-    choice for the whole epoch. By Poisson thinning, queue ``j`` then
-    receives rate ``(M λ_t / N) Σ_i Σ_k 1{x_{i,k}=j} h(k|z̄_i)`` — this
-    function returns the fractions ``(1/N) Σ_i Σ_k 1{x_{i,k}=j} h(k|z̄_i)``
-    (which sum to 1 over queues). Compared to the committed-choice
-    counts this removes the per-client multinomial noise, which matters
-    when ``N`` is *not* much larger than ``M`` (paper Figure 6).
-    """
-    queue_states = np.asarray(queue_states)
-    return per_packet_rate_fractions_batched(
-        queue_states[None, :], num_clients, rule, rng
-    )[0]
-
-
-def per_packet_rate_fractions_batched(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rules: "DecisionRule | Sequence[DecisionRule]",
-    rng=None,
-) -> np.ndarray:
-    """Per-replica arrival-rate fractions under per-packet randomization.
-
-    The ``(E, M)`` analogue of :func:`per_packet_rate_fractions`: each
-    replica samples its own ``(N, d)`` queue selections and accumulates
-    its clients' routing probabilities; each row sums to 1.
-    """
-    rng = as_generator(rng)
-    queue_states = np.asarray(queue_states)
-    if queue_states.ndim != 2:
-        raise ValueError("queue_states must have shape (replicas, queues)")
-    e, m = queue_states.shape
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    probs = stack_rules(rules, e)
-    d = probs.ndim - 2
-    sampled = rng.integers(0, m, size=(e, num_clients, d))
-    return packet_fractions_from_samples(
-        queue_states, sampled, probs, num_clients
-    )
 
 
 def expected_choice_counts(
@@ -346,25 +232,6 @@ def expected_choice_counts(
     per_state = per_state_arrival_rates(hist, rule, lam=1.0)
     probs = per_state[queue_states] / m
     return num_clients * probs
-
-
-def infinite_client_rates(
-    queue_states: np.ndarray,
-    rule: DecisionRule,
-    lam: float,
-) -> np.ndarray:
-    """Frozen arrival rates in the ``N → ∞`` (infinite-client) system.
-
-    Eq. (14)-(15): conditional on the queue states, the empirical
-    agent state-action distribution concentrates and queue ``j`` receives
-    ``λ_j = λ_t(H^M_t, z_j)`` — the mean-field rate function evaluated at
-    the *empirical* distribution.
-    """
-    queue_states = np.asarray(queue_states)
-    m = queue_states.size
-    hist = np.bincount(queue_states, minlength=rule.num_states).astype(float) / m
-    per_state = per_state_arrival_rates(hist, rule, lam)
-    return per_state[queue_states]
 
 
 def infinite_client_rates_batched(

@@ -7,8 +7,8 @@ epoch-start states) to a :class:`repro.queueing.delays.DelayModel`:
 each epoch, a fraction of the dispatcher population holds the snapshot
 broadcast ``k`` epochs ago, for ``k = 0..K``.
 
-Mechanically the environment keeps a ring buffer of the last ``K + 1``
-queue-state snapshots per replica. Under per-packet randomization
+Mechanically the environment keeps a :class:`SnapshotRing` of the last
+``K + 1`` queue-state snapshots per replica. Under per-packet randomization
 (the paper's experimental setting and the only mode supported here),
 each arriving packet's dispatcher has snapshot age ``k`` with the
 epoch's population fraction ``w_k``, so by Poisson thinning queue ``j``
@@ -17,11 +17,11 @@ receives the frozen rate
     λ_j = M λ_t · Σ_k w_k · f_k[j]
 
 where ``f_k`` are the per-queue routing fractions computed against the
-age-``k`` snapshot (one call into the standard client kernel per age
-with positive mass). When the delay model is a point mass at age 0 the
-single kernel call consumes the generator stream exactly like the
-undelayed environment — the two are **bit-identical** under a shared
-seed (tested in ``tests/test_delays.py``).
+age-``k`` snapshot (one pass of the shared choose stage per age with
+positive mass). When the delay model is a point mass at age 0 the single
+pass consumes the generator stream exactly like the undelayed
+environment — the two are **bit-identical** under a shared seed (tested
+in ``tests/test_delays.py``).
 
 The upper-level policy is still queried on the *current* broadcast
 (``H_t``): the generalization targets the dispatchers' queue-state
@@ -39,16 +39,108 @@ the generator stream. The matching mean-field propagator is
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator
 
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.queueing.backends import draw_uniform_queue_samples
+
+# Sampling goes through the base class; the name stays importable here
+# because perfbench's traced stream workload wraps this module attribute.
+from repro.queueing.backends import draw_uniform_queue_samples  # noqa: F401
 from repro.queueing.batched_env import _BatchedQueueSystemBase, RulesLike
-from repro.queueing.clients import stack_rules
 from repro.queueing.delays import DelayModel, DeterministicDelay
 
 __all__ = ["BatchedDelayedFiniteEnv"]
+
+
+class SnapshotRing:
+    """Delay-regime chain plus the last ``K + 1`` queue-state snapshots.
+
+    The observation state of every environment whose dispatchers route
+    on stale broadcasts (:class:`BatchedDelayedFiniteEnv` and the
+    delayed :class:`~repro.queueing.hybrid_env.BatchedHybridFleetEnv`):
+    per-replica regime indices of the :class:`DelayModel` chain and a
+    ring of snapshots, newest last, so element ``-1-k`` is the age-``k``
+    snapshot.
+    """
+
+    def __init__(self, delay_model: DelayModel, num_replicas: int) -> None:
+        self.delay_model = delay_model
+        self.regimes = np.zeros(num_replicas, dtype=np.intp)
+        self._snapshots: deque[np.ndarray] = deque(
+            maxlen=delay_model.max_delay + 1
+        )
+
+    def reset(self, states: np.ndarray, rng: np.random.Generator) -> None:
+        """Start synced at ``states`` and draw the initial regimes."""
+        self.rebuild(states)
+        self.regimes = self.delay_model.sample_initial_regimes_batch(
+            self.regimes.size,
+            rng if self.delay_model.num_regimes > 1 else None,
+        )
+
+    def rebuild(self, states: np.ndarray) -> None:
+        """Drop the history and re-seed it with ``states``."""
+        self._snapshots.clear()
+        self._snapshots.append(states.copy())
+
+    def snapshot(self, age: int, num_queues: int) -> np.ndarray:
+        """The age-``age`` snapshot of a fleet of ``num_queues`` queues.
+
+        Before ``age`` epochs have elapsed the oldest available snapshot
+        (the initial state) is returned — the system starts synced.
+        """
+        if not 0 <= age <= self.delay_model.max_delay:
+            raise ValueError(
+                f"age must lie in [0, {self.delay_model.max_delay}]"
+            )
+        if not self._snapshots:
+            raise RuntimeError("environment must be reset before use")
+        snap = self._snapshots[max(len(self._snapshots) - 1 - age, 0)]
+        if snap.shape[1] != num_queues:
+            # The ring still holds snapshots taken before the fleet was
+            # mutated (e.g. resize_queue_fleet changed M) — routing
+            # against a stale-shaped view would corrupt the gather.
+            raise RuntimeError(
+                f"snapshot ring holds {snap.shape[1]}-queue snapshots but "
+                f"the fleet now has {num_queues} queues; call "
+                "rebuild_snapshots() after mutating the fleet geometry"
+            )
+        return snap
+
+    def views(
+        self, live: np.ndarray, num_clients: int, rng: np.random.Generator
+    ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
+        """``(age, weight, states)`` per snapshot clients route on.
+
+        A point mass at age 0 yields the live states unweighted and draws
+        nothing. Otherwise the epoch's dispatcher fractions are drawn
+        first, then every age with positive mass is yielded in order.
+        """
+        if self.delay_model.is_point_mass_at_zero:
+            yield 0, None, live
+            return
+        weights = self.delay_model.sample_fractions_batch(
+            self.regimes, num_clients, rng
+        )
+        for age in range(self.delay_model.max_delay + 1):
+            w = weights[:, age]
+            if np.any(w > 0.0):
+                yield age, w, self.snapshot(age, live.shape[1])
+
+    def advance(
+        self, states: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Append the post-epoch snapshot and step the regime chain.
+
+        Returns the regimes that were in effect during the epoch.
+        """
+        self._snapshots.append(states.copy())
+        used = self.regimes
+        if self.delay_model.num_regimes > 1:
+            self.regimes = self.delay_model.step_regimes_batch(used, rng)
+        return used
 
 
 class BatchedDelayedFiniteEnv(_BatchedQueueSystemBase):
@@ -104,17 +196,12 @@ class BatchedDelayedFiniteEnv(_BatchedQueueSystemBase):
         self.delay_model = (
             delay_model if delay_model is not None else DeterministicDelay(0)
         )
-        self._regimes = np.zeros(self.num_replicas, dtype=np.intp)
-        # Ring buffer of the last K+1 snapshots, newest last; appended
-        # after every epoch so element -1-k is the age-k snapshot.
-        self._snapshots: deque[np.ndarray] = deque(
-            maxlen=self.delay_model.max_delay + 1
-        )
+        self._ring = SnapshotRing(self.delay_model, self.num_replicas)
 
     @property
     def delay_regimes(self) -> np.ndarray:
         """Per-replica delay-regime indices, shape ``(E,)``."""
-        return self._regimes.copy()
+        return self._ring.regimes.copy()
 
     def snapshot(self, age: int) -> np.ndarray:
         """The age-``age`` queue-state snapshot, shape ``(E, M)``.
@@ -122,23 +209,7 @@ class BatchedDelayedFiniteEnv(_BatchedQueueSystemBase):
         Before ``age`` epochs have elapsed the oldest available snapshot
         (the initial state) is returned — the system starts synced.
         """
-        if not 0 <= age <= self.delay_model.max_delay:
-            raise ValueError(
-                f"age must lie in [0, {self.delay_model.max_delay}]"
-            )
-        if not self._snapshots:
-            raise RuntimeError("environment must be reset before use")
-        snap = self._snapshots[max(len(self._snapshots) - 1 - age, 0)]
-        if snap.shape[1] != self.config.num_queues:
-            # The ring still holds snapshots taken before the fleet was
-            # mutated (e.g. resize_queue_fleet changed M) — routing
-            # against a stale-shaped view would corrupt the gather.
-            raise RuntimeError(
-                f"snapshot ring holds {snap.shape[1]}-queue snapshots but "
-                f"the fleet now has {self.config.num_queues} queues; call "
-                "rebuild_snapshots() after mutating the fleet geometry"
-            )
-        return snap
+        return self._ring.snapshot(age, self.config.num_queues)
 
     def rebuild_snapshots(self) -> None:
         """Restart snapshot history from the current state.
@@ -150,51 +221,18 @@ class BatchedDelayedFiniteEnv(_BatchedQueueSystemBase):
         """
         if self._states is None:
             raise RuntimeError("environment must be reset before use")
-        self._snapshots.clear()
-        self._snapshots.append(self._states.copy())
+        self._ring.rebuild(self._states)
 
     def reset(self, seed=None) -> np.ndarray:
         hist = super().reset(seed)
-        self._snapshots.clear()
-        self._snapshots.append(self._states.copy())
-        self._regimes = self.delay_model.sample_initial_regimes_batch(
-            self.num_replicas,
-            self._rng if self.delay_model.num_regimes > 1 else None,
-        )
+        self._ring.reset(self._states, self._rng)
         return hist
 
-    def _sampled_fractions(self, observed: np.ndarray, probs) -> np.ndarray:
-        """One sample-stage draw plus the kernel's per-packet choose pass."""
-        sampled = draw_uniform_queue_samples(
-            self._rng,
-            self.num_replicas,
-            self.config.num_clients,
-            probs.ndim - 2,
-            self.config.num_queues,
-        )
-        return self.kernel.packet_fractions(
-            observed, sampled, probs, self.config.num_clients
-        )
-
-    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        lam = self.current_rates[:, None]
-        probs = stack_rules(rules, self.num_replicas)
-        if self.delay_model.is_point_mass_at_zero:
-            # Paper fast path: one kernel call on the current snapshot,
-            # no extra draws — bit-identical to the undelayed env.
-            fractions = self._sampled_fractions(self._states, probs)
-            return self.config.num_queues * lam * fractions
-        weights = self.delay_model.sample_fractions_batch(
-            self._regimes, self.config.num_clients, self._rng
-        )
-        mixed = np.zeros((self.num_replicas, self.config.num_queues))
-        for age in range(self.delay_model.max_delay + 1):
-            w = weights[:, age]
-            if not np.any(w > 0.0):
-                continue
-            fractions = self._sampled_fractions(self.snapshot(age), probs)
-            mixed += w[:, None] * fractions
-        return self.config.num_queues * lam * mixed
+    def _routing_views(self):
+        for _, weight, states in self._ring.views(
+            self._states, self.config.num_clients, self._rng
+        ):
+            yield weight, states
 
     def step_with_policy(self, policy):
         """Algorithm 1 with the live-age channel for delay-aware policies.
@@ -215,7 +253,7 @@ class BatchedDelayedFiniteEnv(_BatchedQueueSystemBase):
 
             hists = self.empirical_distributions()
             contexts = regime_age_contexts_batch(
-                self.delay_model, self._regimes
+                self.delay_model, self._ring.regimes
             )
             rules = policy.decision_rules_batch(
                 hists, self._lam_modes, self._rng, age_contexts=contexts
@@ -225,10 +263,5 @@ class BatchedDelayedFiniteEnv(_BatchedQueueSystemBase):
 
     def step(self, rules: RulesLike):
         hist, rewards, info = super().step(rules)
-        self._snapshots.append(self._states.copy())
-        info["delay_regimes"] = self._regimes
-        if self.delay_model.num_regimes > 1:
-            self._regimes = self.delay_model.step_regimes_batch(
-                self._regimes, self._rng
-            )
+        info["delay_regimes"] = self._ring.advance(self._states, self._rng)
         return hist, rewards, info

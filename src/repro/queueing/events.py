@@ -42,8 +42,8 @@ def simulate_epoch_event_driven(
         Epoch-start queue states, shape ``(M,)``, entries in
         ``[0, buffer_size]``.
     committed : ndarray
-        Per-client committed queue index, shape ``(N,)`` — output of
-        :func:`repro.queueing.clients.sample_client_choices`.
+        Per-client committed queue index, shape ``(N,)`` — one replica
+        row of :func:`repro.queueing.clients.sample_client_choices_batched`.
     lam : float
         Per-queue arrival intensity ``λ_t`` (system rate is ``M λ_t``).
     service_rates : ndarray or float

@@ -31,147 +31,10 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.queueing.arrivals import MarkovModulatedRate
-from repro.queueing.batched_env import _BatchedQueueSystemBase, RulesLike
-from repro.queueing.clients import (
-    _batched_rule_rows,
-    _batched_sample_slots,
-    committed_counts_from_samples,
-    packet_fractions_from_samples,
-    stack_rules,
-)
+from repro.queueing.batched_env import _BatchedQueueSystemBase
 from repro.queueing.topology import TopologySpec
-from repro.utils.rng import as_generator
 
-__all__ = [
-    "BatchedGraphFiniteEnv",
-    "sample_neighborhood_choices_batched",
-    "neighborhood_choice_counts_batched",
-    "neighborhood_rate_fractions_batched",
-]
-
-
-def _sample_queue_indices(
-    topology: TopologySpec,
-    dispatcher_offsets: np.ndarray,
-    num_replicas: int,
-    d: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Neighborhood-restricted queue samples, shape ``(E, N, d)``.
-
-    ``dispatcher_offsets`` is ``client_dispatchers(N) * degree`` — the
-    per-client row offsets into the flattened neighbor array. The slot
-    draw is the single ``rng.integers`` call of the dense backend with
-    ``M`` replaced by ``degree``; for a full mesh (one dispatcher, the
-    identity neighborhood) the gather returns the slots themselves, so
-    the stream *and* the values match the dense path exactly.
-    """
-    slots = rng.integers(
-        0, topology.degree, size=(num_replicas, dispatcher_offsets.size, d)
-    )
-    return topology.neighbors.take(
-        (slots + dispatcher_offsets[None, :, None]).ravel()
-    ).reshape(slots.shape)
-
-
-def sample_neighborhood_choices_batched(
-    queue_states: np.ndarray,
-    topology: TopologySpec,
-    num_clients: int,
-    rules: RulesLike,
-    rng=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Graph-restricted analogue of
-    :func:`repro.queueing.clients.sample_client_choices_batched`.
-
-    Returns ``(sampled, slots, committed)`` shaped ``(E, N, d)`` /
-    ``(E, N)`` / ``(E, N)`` where every client's ``d`` samples come from
-    its dispatcher's neighborhood.
-    """
-    rng = as_generator(rng)
-    queue_states = np.asarray(queue_states)
-    if queue_states.ndim != 2:
-        raise ValueError("queue_states must have shape (replicas, queues)")
-    e, m = queue_states.shape
-    if m != topology.num_queues:
-        raise ValueError(
-            f"topology covers {topology.num_queues} queues, states have {m}"
-        )
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    probs = stack_rules(rules, e)
-    d = probs.ndim - 2
-    offsets = topology.client_dispatchers(num_clients) * topology.degree
-    sampled = _sample_queue_indices(topology, offsets, e, d, rng)
-    replica_offsets = (np.arange(e, dtype=sampled.dtype) * m)[:, None, None]
-    zbar = queue_states.take(
-        (sampled + replica_offsets).ravel()
-    ).reshape(sampled.shape)
-    rows = _batched_rule_rows(probs, zbar)
-    slots = _batched_sample_slots(rows, rng)
-    committed = np.take_along_axis(sampled, slots[..., None], axis=-1)[..., 0]
-    return sampled, slots, committed
-
-
-def neighborhood_choice_counts_batched(
-    queue_states: np.ndarray,
-    topology: TopologySpec,
-    num_clients: int,
-    rules: RulesLike,
-    rng=None,
-) -> np.ndarray:
-    """Per-replica committed-client counts on the graph, shape ``(E, M)``."""
-    rng = as_generator(rng)
-    queue_states = np.asarray(queue_states)
-    if queue_states.ndim != 2:
-        raise ValueError("queue_states must have shape (replicas, queues)")
-    e, m = queue_states.shape
-    if m != topology.num_queues:
-        raise ValueError(
-            f"topology covers {topology.num_queues} queues, states have {m}"
-        )
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    probs = stack_rules(rules, e)
-    d = probs.ndim - 2
-    offsets = topology.client_dispatchers(num_clients) * topology.degree
-    sampled = _sample_queue_indices(topology, offsets, e, d, rng)
-    return committed_counts_from_samples(queue_states, sampled, probs, rng)
-
-
-def neighborhood_rate_fractions_batched(
-    queue_states: np.ndarray,
-    topology: TopologySpec,
-    num_clients: int,
-    rules: RulesLike,
-    rng=None,
-) -> np.ndarray:
-    """Per-replica arrival-rate fractions under per-packet randomization.
-
-    The graph-restricted analogue of
-    :func:`repro.queueing.clients.per_packet_rate_fractions_batched`:
-    every packet re-samples its slot, so queue ``j`` accumulates the
-    routing probabilities of every client slot that sampled it. Rows sum
-    to 1.
-    """
-    rng = as_generator(rng)
-    queue_states = np.asarray(queue_states)
-    if queue_states.ndim != 2:
-        raise ValueError("queue_states must have shape (replicas, queues)")
-    e, m = queue_states.shape
-    if m != topology.num_queues:
-        raise ValueError(
-            f"topology covers {topology.num_queues} queues, states have {m}"
-        )
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    probs = stack_rules(rules, e)
-    d = probs.ndim - 2
-    offsets = topology.client_dispatchers(num_clients) * topology.degree
-    sampled = _sample_queue_indices(topology, offsets, e, d, rng)
-    return packet_fractions_from_samples(
-        queue_states, sampled, probs, num_clients
-    )
+__all__ = ["BatchedGraphFiniteEnv"]
 
 
 class BatchedGraphFiniteEnv(_BatchedQueueSystemBase):
@@ -221,27 +84,24 @@ class BatchedGraphFiniteEnv(_BatchedQueueSystemBase):
         )
         self.topology = topology
 
-    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        lam = self.current_rates[:, None]
-        probs = stack_rules(rules, self.num_replicas)
+    def _sample(self, d: int) -> np.ndarray:
+        """Neighborhood-restricted queue samples, shape ``(E, N, d)``.
+
+        The slot draw is the single ``rng.integers`` call of the dense
+        sampler with ``M`` replaced by ``degree``, gathered through each
+        client's dispatcher row of the neighbor array; for a full mesh
+        (one dispatcher, the identity neighborhood) the gather returns
+        the slots themselves, so the stream *and* the values match the
+        dense path exactly.
+        """
+        topology = self.topology
         offsets = (
-            self.topology.client_dispatchers(self.config.num_clients)
-            * self.topology.degree
+            topology.client_dispatchers(self.config.num_clients)
+            * topology.degree
         )
-        sampled = _sample_queue_indices(
-            self.topology, offsets, self.num_replicas, probs.ndim - 2, self._rng
+        slots = self._rng.integers(
+            0, topology.degree, size=(self.num_replicas, offsets.size, d)
         )
-        if self.per_packet_randomization:
-            fractions = self.kernel.packet_fractions(
-                self._states, sampled, probs, self.config.num_clients
-            )
-            return self.config.num_queues * lam * fractions
-        counts = self.kernel.committed_counts(
-            self._states, sampled, probs, self._rng
-        )
-        return (
-            self.config.num_queues
-            * lam
-            * counts.astype(np.float64)
-            / self.config.num_clients
-        )
+        return topology.neighbors.take(
+            (slots + offsets[None, :, None]).ravel()
+        ).reshape(slots.shape)

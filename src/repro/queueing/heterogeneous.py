@@ -16,10 +16,8 @@ Simulation runs through the replica-batched backend:
 :class:`BatchedHeterogeneousFiniteEnv` is the ``E``-replica system
 (queue states ``(E, M)``, one kernel pass per epoch — a drop-in
 ``env_cls`` for :func:`repro.experiments.runner.evaluate_policy_finite`
-and the sharded :class:`repro.experiments.parallel.SweepExecutor`), and
-the scalar :class:`HeterogeneousFiniteEnv` is its ``E = 1`` view, the
-same arrangement as :mod:`repro.queueing.env` over
-:mod:`repro.queueing.batched_env`.
+and the sharded :class:`repro.experiments.parallel.SweepExecutor`); a
+single system is its ``E = 1`` case.
 """
 
 from __future__ import annotations
@@ -32,12 +30,7 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.meanfield.decision_rule import DecisionRule
 from repro.queueing.arrivals import MarkovModulatedRate
-from repro.queueing.backends import draw_uniform_queue_samples
 from repro.queueing.batched_env import _BatchedQueueSystemBase
-from repro.queueing.clients import (
-    infinite_client_rates_batched,
-    stack_rules,
-)
 
 __all__ = [
     "ServerClassSpec",
@@ -46,7 +39,6 @@ __all__ = [
     "rnd_rule_heterogeneous",
     "sed_policy_suite",
     "BatchedHeterogeneousFiniteEnv",
-    "HeterogeneousFiniteEnv",
 ]
 
 
@@ -216,7 +208,7 @@ class BatchedHeterogeneousFiniteEnv(_BatchedQueueSystemBase):
         """Flat ``(E, M)`` observed states ``o = z·C + c``."""
         if self._states is None:
             raise RuntimeError("environment must be reset before use")
-        return self.spec.encode(self._states, self.classes[None, :])
+        return self._encode(self._states)
 
     def empirical_distributions(self) -> np.ndarray:
         """Per-replica distribution over ``Z × C``, shape ``(E, S·C)``."""
@@ -238,163 +230,5 @@ class BatchedHeterogeneousFiniteEnv(_BatchedQueueSystemBase):
                 f"got S={first.num_states}, d={first.d})"
             )
 
-    def _frozen_rates(self, rules) -> np.ndarray:
-        observed = self.observed_states()
-        if self.infinite_clients:
-            return infinite_client_rates_batched(
-                observed, rules, self.current_rates
-            )
-        lam = self.current_rates[:, None]
-        probs = stack_rules(rules, self.num_replicas)
-        sampled = draw_uniform_queue_samples(
-            self._rng,
-            self.num_replicas,
-            self.config.num_clients,
-            probs.ndim - 2,
-            self.config.num_queues,
-        )
-        if self.per_packet_randomization:
-            fractions = self.kernel.packet_fractions(
-                observed, sampled, probs, self.config.num_clients
-            )
-            return self.config.num_queues * lam * fractions
-        counts = self.kernel.committed_counts(
-            observed, sampled, probs, self._rng
-        )
-        return (
-            self.config.num_queues
-            * lam
-            * counts.astype(np.float64)
-            / self.config.num_clients
-        )
-
-
-class HeterogeneousFiniteEnv:
-    """Finite ``N, M`` system with ``C`` server classes (``E = 1`` view).
-
-    The API mirrors :class:`repro.queueing.env.FiniteSystemEnv`, but the
-    decision rule operates on observed states ``o = z·C + c`` and the
-    empirical distribution lives on ``Z × C``. All simulation happens in
-    an underlying single-replica :class:`BatchedHeterogeneousFiniteEnv`,
-    so scalar and batched heterogeneous runs with a shared seed are
-    bit-identical.
-    """
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        spec: ServerClassSpec,
-        arrival_process: MarkovModulatedRate | None = None,
-        infinite_clients: bool = False,
-        per_packet_randomization: bool = False,
-        seed=None,
-        backend: str | None = None,
-    ) -> None:
-        self._core = BatchedHeterogeneousFiniteEnv(
-            config,
-            spec,
-            num_replicas=1,
-            arrival_process=arrival_process,
-            infinite_clients=infinite_clients,
-            per_packet_randomization=per_packet_randomization,
-            seed=seed,
-            backend=backend,
-        )
-
-    # -- configuration access -------------------------------------------
-    @property
-    def config(self) -> SystemConfig:
-        return self._core.config
-
-    @property
-    def spec(self) -> ServerClassSpec:
-        return self._core.spec
-
-    @property
-    def arrivals(self) -> MarkovModulatedRate:
-        return self._core.arrivals
-
-    @property
-    def classes(self) -> np.ndarray:
-        return self._core.classes
-
-    @property
-    def service_rates(self) -> np.ndarray:
-        return self._core.service_rates
-
-    @property
-    def infinite_clients(self) -> bool:
-        return self._core.infinite_clients
-
-    @property
-    def batched_core(self) -> BatchedHeterogeneousFiniteEnv:
-        """The underlying ``E = 1`` batched environment."""
-        return self._core
-
-    @property
-    def num_observed_states(self) -> int:
-        return self._core.num_observed_states
-
-    # -- state access ---------------------------------------------------
-    @property
-    def queue_fillings(self) -> np.ndarray:
-        return self._core.queue_states[0]
-
-    @property
-    def lam_mode(self) -> int:
-        return int(self._core.lam_modes[0])
-
-    @property
-    def current_rate(self) -> float:
-        return float(self._core.current_rates[0])
-
-    def observed_states(self) -> np.ndarray:
-        return self._core.observed_states()[0]
-
-    def empirical_distribution(self) -> np.ndarray:
-        """Distribution over the flat ``Z × C`` observed states."""
-        return self._core.empirical_distributions()[0]
-
-    def reset(self, seed=None) -> np.ndarray:
-        return self._core.reset(seed)[0]
-
-    def step(self, rule: DecisionRule) -> tuple[np.ndarray, float, dict]:
-        hists, rewards, info = self._core.step(rule)
-        return (
-            hists[0],
-            float(rewards[0]),
-            {
-                "drops_total": int(info["drops_total"][0]),
-                "drops_per_queue": float(info["drops_per_queue"][0]),
-                "arrival_rates": info["arrival_rates"][0],
-                "t": info["t"],
-            },
-        )
-
-    def step_with_policy(self, policy) -> tuple[np.ndarray, float, dict]:
-        """Compute ``H_t`` on ``Z × C``, query the policy, apply the rule.
-
-        Mirrors :meth:`repro.queueing.env._QueueSystemBase.step_with_policy`
-        so the scalar heterogeneous system is drivable by the generic
-        :func:`repro.queueing.env.run_episode` loop.
-        """
-        hists, rewards, info = self._core.step_with_policy(policy)
-        return (
-            hists[0],
-            float(rewards[0]),
-            {
-                "drops_total": int(info["drops_total"][0]),
-                "drops_per_queue": float(info["drops_per_queue"][0]),
-                "arrival_rates": info["arrival_rates"][0],
-                "t": info["t"],
-            },
-        )
-
-    def run_episode(self, rule: DecisionRule, num_epochs: int, seed=None) -> float:
-        """Cumulative per-queue drops under a constant rule."""
-        self.reset(seed)
-        total = 0.0
-        for _ in range(num_epochs):
-            _, _, info = self.step(rule)
-            total += info["drops_per_queue"]
-        return total
+    def _encode(self, states: np.ndarray) -> np.ndarray:
+        return self.spec.encode(states, self.classes[None, :])

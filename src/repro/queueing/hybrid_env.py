@@ -48,15 +48,12 @@ address physical queue indices, which the field half does not have.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.config import SystemConfig
 from repro.meanfield.hybrid import HybridFieldClosure
-from repro.queueing.backends import draw_uniform_queue_samples
 from repro.queueing.batched_env import RulesLike, _BatchedQueueSystemBase
-from repro.queueing.clients import stack_rules
+from repro.queueing.delayed_env import SnapshotRing
 from repro.queueing.delays import DelayModel
 from repro.utils.rng import as_generator
 
@@ -133,10 +130,12 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         self.delay_model = delay_model
         self._max_delay = 0 if delay_model is None else delay_model.max_delay
         self._closure: HybridFieldClosure | None = None
-        self._regimes = np.zeros(self.num_replicas, dtype=np.intp)
-        # Ring buffer of tracked-state snapshots, newest last (only
-        # maintained when a delay model is attached).
-        self._snapshots: deque[np.ndarray] = deque(maxlen=self._max_delay + 1)
+        # Tracked-state snapshots (only kept when a delay model is attached).
+        self._ring = (
+            None
+            if delay_model is None
+            else SnapshotRing(delay_model, self.num_replicas)
+        )
 
     # -- state access ---------------------------------------------------
     @property
@@ -152,15 +151,9 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
     @property
     def delay_regimes(self) -> np.ndarray:
         """Per-replica delay-regime indices, shape ``(E,)``."""
-        return self._regimes.copy()
-
-    def snapshot(self, age: int) -> np.ndarray:
-        """The age-``age`` tracked-state snapshot, ``(E, M_track)``."""
-        if not 0 <= age <= self._max_delay:
-            raise ValueError(f"age must lie in [0, {self._max_delay}]")
-        if not self._snapshots:
-            raise RuntimeError("environment must be reset before use")
-        return self._snapshots[max(len(self._snapshots) - 1 - age, 0)]
+        if self._ring is None:
+            return np.zeros(self.num_replicas, dtype=np.intp)
+        return self._ring.regimes.copy()
 
     def _tracked_histograms(self, states: np.ndarray) -> np.ndarray:
         """Histogram of a tracked snapshot as per-replica laws, ``(E, S)``."""
@@ -207,13 +200,8 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
             )
         else:
             self._closure = None
-        if self.delay_model is not None:
-            self._snapshots.clear()
-            self._snapshots.append(self._states.copy())
-            self._regimes = self.delay_model.sample_initial_regimes_batch(
-                self.num_replicas,
-                self._rng if self.delay_model.num_regimes > 1 else None,
-            )
+        if self._ring is not None:
+            self._ring.reset(self._states, self._rng)
         return self.empirical_distributions()
 
     # -- coupling -------------------------------------------------------
@@ -224,67 +212,27 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         virtual = self._closure.sample_states(age, self.num_field, self._rng)
         return np.concatenate([tracked, virtual], axis=1)
 
-    def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
-        """Tracked-subsystem frozen rates, shape ``(E, M_track)``.
+    def _routing_views(self):
+        """Full-fleet views: each tracked snapshot plus its virtual field.
 
-        Clients sample over the full fleet index space; the slice keeps
-        every elementwise operation bit-identical to the dense (or
-        delayed) environment when ``M_field = 0``.
+        Clients sample over the full fleet index space; the base class
+        slices the rates back to the tracked queues, which keeps every
+        elementwise operation bit-identical to the dense (or delayed)
+        environment when ``M_field = 0``.
         """
-        if self.num_tracked == 0:
-            return np.zeros((self.num_replicas, 0))
-        lam = self.current_rates[:, None]
-        probs = stack_rules(rules, self.num_replicas)
-        m = self.config.num_queues
-        if self.delay_model is None or self.delay_model.is_point_mass_at_zero:
-            observed = self._observed_states(self._states, 0)
-            sampled = draw_uniform_queue_samples(
-                self._rng,
-                self.num_replicas,
-                self.config.num_clients,
-                probs.ndim - 2,
-                m,
+        if self._ring is None:
+            views = ((0, None, self._states),)
+        else:
+            views = self._ring.views(
+                self._states, self.config.num_clients, self._rng
             )
-            if self.per_packet_randomization:
-                fractions = self.kernel.packet_fractions(
-                    observed, sampled, probs, self.config.num_clients
-                )
-                return m * lam * fractions[:, : self.num_tracked]
-            counts = self.kernel.committed_counts(
-                observed, sampled, probs, self._rng
-            )
-            return (
-                m
-                * lam
-                * counts[:, : self.num_tracked].astype(np.float64)
-                / self.config.num_clients
-            )
-        weights = self.delay_model.sample_fractions_batch(
-            self._regimes, self.config.num_clients, self._rng
-        )
-        mixed = np.zeros((self.num_replicas, m))
-        for age in range(self._max_delay + 1):
-            w = weights[:, age]
-            if not np.any(w > 0.0):
-                continue
-            observed = self._observed_states(self.snapshot(age), age)
-            sampled = draw_uniform_queue_samples(
-                self._rng,
-                self.num_replicas,
-                self.config.num_clients,
-                probs.ndim - 2,
-                m,
-            )
-            fractions = self.kernel.packet_fractions(
-                observed, sampled, probs, self.config.num_clients
-            )
-            mixed += w[:, None] * fractions
-        return m * lam * mixed[:, : self.num_tracked]
+        for age, weight, tracked in views:
+            yield weight, self._observed_states(tracked, age)
 
     def _closure_pmfs(self) -> np.ndarray | None:
         if self.delay_model is None or self._max_delay == 0:
             return None
-        return self.delay_model.pmfs[self._regimes]
+        return self.delay_model.pmfs[self._ring.regimes]
 
     def _closure_tracked_hists(self) -> "list[np.ndarray] | None":
         """Age-indexed epoch-start tracked histograms for the closure."""
@@ -293,7 +241,7 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         if self.delay_model is None or self._max_delay == 0:
             return [self._tracked_histograms(self._states)]
         return [
-            self._tracked_histograms(self.snapshot(age))
+            self._tracked_histograms(self._ring.snapshot(age, self.num_tracked))
             for age in range(self._max_delay + 1)
         ]
 
@@ -356,11 +304,6 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         info["drops_total"] = total_drops
         info["drops_per_queue"] = per_queue_drops
         rewards = -self.config.drop_penalty * per_queue_drops
-        if self.delay_model is not None:
-            self._snapshots.append(self._states.copy())
-            info["delay_regimes"] = self._regimes
-            if self.delay_model.num_regimes > 1:
-                self._regimes = self.delay_model.step_regimes_batch(
-                    self._regimes, self._rng
-                )
+        if self._ring is not None:
+            info["delay_regimes"] = self._ring.advance(self._states, self._rng)
         return self.empirical_distributions(), rewards, info

@@ -18,10 +18,8 @@ The lock-step pass generalizes for free from one ``M``-queue system to
 ``E`` independent replicas (queue states shaped ``(E, M)``):
 :func:`simulate_queues_epoch_batched` advances all ``E·M`` queues with
 the same handful of array operations per event round, which is what the
-batched environments of :mod:`repro.queueing.batched_env` build on.
-:func:`simulate_queues_epoch` is the ``E = 1`` view of the same kernel
-and consumes the generator stream identically, so scalar and batched
-simulations with a shared seed are bit-identical.
+batched environments of :mod:`repro.queueing.batched_env` build on; a
+single system is the ``E = 1`` case.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import numpy as np
 from repro.utils.rng import as_generator
 
 __all__ = [
-    "simulate_queues_epoch",
     "simulate_queues_epoch_batched",
     "simulate_queue_trajectory",
     "validate_epoch_inputs",
@@ -124,55 +121,6 @@ def simulate_queues_epoch_batched(
         z += arrivals & (z < buffer_size)
         z -= departures & (z > 0)
     return z, drops
-
-
-def simulate_queues_epoch(
-    states: np.ndarray,
-    arrival_rates: np.ndarray,
-    service_rates: np.ndarray | float,
-    delta_t: float,
-    buffer_size: int,
-    rng=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance every queue by one epoch of length ``delta_t``.
-
-    The single-replica (``E = 1``) view of
-    :func:`simulate_queues_epoch_batched`; both consume the generator
-    stream identically, so the two paths are interchangeable under a
-    shared seed.
-
-    Parameters
-    ----------
-    states:
-        Integer array ``(M,)`` of current queue fillings in
-        ``{0, ..., buffer_size}``.
-    arrival_rates:
-        Per-queue frozen arrival rates ``λ_j >= 0`` of shape ``(M,)``.
-    service_rates:
-        Scalar or per-queue service rates ``α_j > 0``.
-    delta_t:
-        Epoch length ``Δt > 0``.
-
-    Returns
-    -------
-    ``(new_states, drops)`` — both ``(M,)`` integer arrays; ``drops[j]``
-    counts packets that arrived at queue ``j`` while it was full.
-    """
-    states = np.asarray(states)
-    if states.ndim != 1:
-        raise ValueError("states must be a 1-D integer array")
-    arrival = np.asarray(arrival_rates, dtype=np.float64)
-    if arrival.shape != (states.size,):
-        raise ValueError(f"arrival_rates must have shape ({states.size},)")
-    new_states, drops = simulate_queues_epoch_batched(
-        states[None, :],
-        arrival[None, :],
-        service_rates,
-        delta_t,
-        buffer_size,
-        rng,
-    )
-    return new_states[0], drops[0]
 
 
 def simulate_queue_trajectory(

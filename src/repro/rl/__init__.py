@@ -19,7 +19,7 @@ from repro.rl.nn import (
 from repro.rl.distributions import DiagGaussian, DirichletBlocks
 from repro.rl.optim import Adam, clip_grads_by_global_norm, global_norm
 from repro.rl.gae import compute_gae
-from repro.rl.rollout import RolloutBatch, RolloutCollector
+from repro.rl.rollout import RolloutBatch
 from repro.rl.vector_rollout import VectorRolloutCollector
 from repro.rl.ppo import PPOTrainer, TrainIterationStats
 from repro.rl.ppo_dirichlet import DirichletPPOTrainer
@@ -43,7 +43,6 @@ __all__ = [
     "global_norm",
     "compute_gae",
     "RolloutBatch",
-    "RolloutCollector",
     "VectorRolloutCollector",
     "PPOTrainer",
     "TrainIterationStats",

@@ -34,7 +34,6 @@ from repro.config import PPOConfig
 from repro.rl.distributions import DiagGaussian
 from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
 from repro.rl.optim import Adam, clip_grads_by_global_norm
-from repro.rl.rollout import RolloutCollector
 from repro.rl.vector_rollout import VectorRolloutCollector
 from repro.utils.rng import as_generator
 
@@ -161,8 +160,9 @@ class PPOTrainer:
     num_envs:
         Collect experience from this many environments in lock-step via
         :class:`repro.rl.vector_rollout.VectorRolloutCollector` (one
-        policy/value forward per time slice instead of per step). The
-        extra environments come from ``env_factory`` if given, else from
+        policy/value forward per time slice instead of per step; a
+        single environment is the ``num_envs = 1`` case). The extra
+        environments come from ``env_factory`` if given, else from
         ``env.clone()``. ``train_batch_size`` must be divisible by
         ``num_envs``.
     independent_streams:
@@ -207,32 +207,22 @@ class PPOTrainer:
         self.value = ValueNetwork(
             obs_dim, hidden_sizes=self.config.hidden_sizes, rng=init_rng
         )
-        if num_envs == 1:
-            self.collector = RolloutCollector(
-                env,
-                self.policy,
-                self.value,
-                gamma=self.config.gamma,
-                gae_lambda=self.config.gae_lambda,
-                seed=rollout_rng,
-            )
-        else:
-            if env_factory is None:
-                if not hasattr(env, "clone"):
-                    raise ValueError(
-                        "num_envs > 1 needs env.clone() or an env_factory"
-                    )
-                env_factory = env.clone
-            envs = [env] + [env_factory() for _ in range(num_envs - 1)]
-            self.collector = VectorRolloutCollector(
-                envs,
-                self.policy,
-                self.value,
-                gamma=self.config.gamma,
-                gae_lambda=self.config.gae_lambda,
-                seed=rollout_rng,
-                independent_streams=independent_streams,
-            )
+        if num_envs > 1 and env_factory is None:
+            if not hasattr(env, "clone"):
+                raise ValueError(
+                    "num_envs > 1 needs env.clone() or an env_factory"
+                )
+            env_factory = env.clone
+        envs = [env] + [env_factory() for _ in range(num_envs - 1)]
+        self.collector = VectorRolloutCollector(
+            envs,
+            self.policy,
+            self.value,
+            gamma=self.config.gamma,
+            gae_lambda=self.config.gae_lambda,
+            seed=rollout_rng,
+            independent_streams=independent_streams,
+        )
         self.kl_coeff = self.config.kl_coeff
         self._policy_opt = Adam.for_params(
             self.policy.params, self.config.learning_rate

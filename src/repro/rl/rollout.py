@@ -1,9 +1,9 @@
-"""Experience collection from the MFC MDP (or any gym-like env).
+"""The training batch produced by experience collection.
 
-The collector owns the environment, keeps episodes running across
-batch boundaries (bootstrapping truncated segments with the value
-network) and records completed-episode undiscounted returns — the
-quantity plotted on the paper's Figure 3 training curve.
+:class:`repro.rl.vector_rollout.VectorRolloutCollector` fills one
+:class:`RolloutBatch` per PPO iteration: transitions, GAE advantages
+and value targets, plus the completed-episode undiscounted returns
+plotted on the paper's Figure 3 training curve.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rl.distributions import DiagGaussian
-from repro.rl.gae import compute_gae
-from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
-from repro.utils.rng import as_generator
-
-__all__ = ["RolloutBatch", "RolloutCollector"]
+__all__ = ["RolloutBatch"]
 
 
 @dataclass
@@ -46,116 +41,3 @@ class RolloutBatch:
             perm[start : start + minibatch_size]
             for start in range(0, len(self), minibatch_size)
         ]
-
-
-class RolloutCollector:
-    """Collects fixed-size batches with a Gaussian policy.
-
-    Parameters
-    ----------
-    env:
-        Environment with ``reset() -> obs`` and
-        ``step_raw(action) -> (obs, reward, done, info)``.
-    policy, value:
-        The actor and critic networks being trained.
-    gamma, gae_lambda:
-        Discounting parameters for advantage estimation.
-    """
-
-    def __init__(
-        self,
-        env,
-        policy: GaussianPolicyNetwork,
-        value: ValueNetwork,
-        gamma: float,
-        gae_lambda: float,
-        seed: int | np.random.Generator | None = None,
-    ) -> None:
-        self.env = env
-        self.policy = policy
-        self.value = value
-        self.gamma = gamma
-        self.gae_lambda = gae_lambda
-        self._rng = as_generator(seed)
-        self._obs: np.ndarray | None = None
-        self._episode_return = 0.0
-        self.total_env_steps = 0
-
-    def collect(self, batch_size: int) -> RolloutBatch:
-        """Roll the policy for ``batch_size`` environment steps.
-
-        Episodes that end on the environment's *time limit* (the env
-        signals ``info["truncated"]``) are bootstrapped with the value of
-        the final state: the GAE pass sees ``r + γ·V(s_final)`` at the
-        truncated step. Without this, the critic of an infinite-horizon
-        problem would have to model the remaining episode time, which the
-        observation deliberately does not contain.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self._obs is None:
-            self._obs = self.env.reset(self._rng)
-            self._episode_return = 0.0
-
-        obs_dim = self.policy.obs_dim
-        act_dim = self.policy.action_dim
-        obs_buf = np.empty((batch_size, obs_dim))
-        act_buf = np.empty((batch_size, act_dim))
-        logp_buf = np.empty(batch_size)
-        rew_buf = np.empty(batch_size)
-        gae_rew_buf = np.empty(batch_size)
-        done_buf = np.zeros(batch_size, dtype=bool)
-        val_buf = np.empty(batch_size)
-        episode_returns: list[float] = []
-
-        for t in range(batch_size):
-            obs = np.asarray(self._obs, dtype=np.float64)
-            mu, log_std, _ = self.policy.forward(obs[None, :])
-            action = DiagGaussian.sample(mu, log_std, self._rng)
-            logp = DiagGaussian.log_prob(action, mu, log_std)
-            value = self.value(obs[None, :])
-
-            next_obs, reward, done, info = self.env.step_raw(action[0])
-
-            obs_buf[t] = obs
-            act_buf[t] = action[0]
-            logp_buf[t] = logp[0]
-            rew_buf[t] = reward
-            gae_rew_buf[t] = reward
-            done_buf[t] = done
-            val_buf[t] = value[0]
-            self._episode_return += reward
-            self.total_env_steps += 1
-
-            if done:
-                if info.get("truncated", True):
-                    # Time-limit end: fold the bootstrap into the reward so
-                    # the GAE recursion can treat the step as terminal.
-                    final_value = float(
-                        self.value(np.asarray(next_obs)[None, :])[0]
-                    )
-                    gae_rew_buf[t] += self.gamma * final_value
-                episode_returns.append(self._episode_return)
-                self._episode_return = 0.0
-                self._obs = self.env.reset(self._rng)
-            else:
-                self._obs = next_obs
-
-        if done_buf[-1]:
-            bootstrap = 0.0
-        else:
-            bootstrap = float(self.value(np.asarray(self._obs)[None, :])[0])
-        advantages, targets = compute_gae(
-            gae_rew_buf, val_buf, done_buf, bootstrap, self.gamma, self.gae_lambda
-        )
-        return RolloutBatch(
-            obs=obs_buf,
-            actions=act_buf,
-            log_probs=logp_buf,
-            rewards=rew_buf,
-            dones=done_buf,
-            values=val_buf,
-            advantages=advantages,
-            value_targets=targets,
-            episode_returns=episode_returns,
-        )

@@ -4,15 +4,15 @@
 environments in lock-step: per collected time slice there is exactly one
 policy forward pass and one value forward pass over the stacked
 ``(E, obs_dim)`` observations — ``E×`` fewer Python-level network calls
-than looping :class:`repro.rl.rollout.RolloutCollector` over the same
-environments, which is where single-environment PPO collection spends
-most of its wall-clock (the MFC MDP step itself is a cheap tabulated
-propagator lookup).
+than stepping the same environments one at a time, which is where
+PPO collection spends most of its wall-clock (the MFC MDP step itself
+is a cheap tabulated propagator lookup). A single environment is the
+``E = 1`` case.
 
-Semantics mirror the scalar collector: episodes keep running across
-batch boundaries, time-limit ends (``info["truncated"]``) are
-bootstrapped with the value of the final state, and completed-episode
-undiscounted returns are recorded for the Figure 3 training curve. The
+Episodes keep running across batch boundaries, time-limit ends
+(``info["truncated"]``) are bootstrapped with the value of the final
+state, and completed-episode undiscounted returns are recorded for the
+Figure 3 training curve. The
 returned :class:`repro.rl.rollout.RolloutBatch` is flattened time-major
 (slice ``t`` of all environments precedes slice ``t+1``), so the PPO
 update consumes it unchanged.
@@ -136,8 +136,11 @@ class VectorRolloutCollector:
 
         ``batch_size`` must be divisible by the number of environments;
         each environment contributes ``batch_size / E`` steps. Truncated
-        episode ends are bootstrapped exactly as in the scalar collector:
+        episode ends are bootstrapped with the value of the final state:
         the GAE pass sees ``r + γ·V(s_final)`` at the truncated step.
+        Without this, the critic of an infinite-horizon problem would
+        have to model the remaining episode time, which the observation
+        deliberately does not contain.
         """
         e = self.num_envs
         if batch_size < 1:

@@ -15,16 +15,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.execution import resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.experiments.parallel import EvalRequest, SweepExecutor
 from repro.scenarios.registry import ScenarioSpec, get_scenario
 from repro.utils.tables import format_table, series_to_csv
 
 if TYPE_CHECKING:
-    from repro.execution import ExecutionContext
     from repro.experiments.runner import MonteCarloResult
     from repro.queueing.chaos import DegradationSchedule
-    from repro.store.store import ExperimentStore
 
 __all__ = ["ScenarioSweepResult", "run_scenario"]
 
@@ -88,11 +86,8 @@ def run_scenario(
     delta_ts: tuple[float, ...] | None = None,
     num_queues: int | None = None,
     num_runs: int | None = None,
-    workers: int | None = None,
     seed: int = 0,
-    store: "ExperimentStore | None" = None,
-    sim_backend: str | None = None,
-    context: "ExecutionContext | None" = None,
+    context: ExecutionContext | None = None,
     chaos: "DegradationSchedule | None" = None,
 ) -> ScenarioSweepResult:
     """Evaluate one registered scenario over its delay grid.
@@ -125,18 +120,13 @@ def run_scenario(
         cell; contract-preserving kernels never change the statistics)
         and ``max_batch_replicas`` (defaults to the spec's registered
         chunk size).
-    workers, store, sim_backend:
-        Deprecated individual forms of the same knobs; they keep
-        working for one release behind a :class:`DeprecationWarning`.
 
     Raises
     ------
     KeyError
         If ``name`` is not registered (the message lists the catalogue).
     """
-    ctx = resolve_execution_context(
-        context, workers=workers, store=store, sim_backend=sim_backend
-    )
+    ctx = context if context is not None else ExecutionContext()
     spec: ScenarioSpec = get_scenario(name)
     grid = tuple(delta_ts) if delta_ts else spec.delta_ts
     runs = int(num_runs) if num_runs is not None else spec.num_runs
@@ -163,7 +153,6 @@ def run_scenario(
                     num_runs=runs,
                     num_epochs=config.resolved_eval_length(),
                     seed=seed,
-                    backend="batched",
                     max_batch_replicas=ctx.resolved_max_batch_replicas(
                         spec.max_batch_replicas
                     ),

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.execution import ExecutionContext, resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
     _BatchedQueueSystemBase,
@@ -52,7 +52,6 @@ from repro.utils.tables import format_table, series_to_csv
 if TYPE_CHECKING:
     from repro.policies.base import UpperLevelPolicy
     from repro.queueing.chaos import DegradationSchedule
-    from repro.store.store import ExperimentStore
 
 __all__ = [
     "StreamRequest",
@@ -365,8 +364,6 @@ def _shard_layout(request: StreamRequest) -> list[tuple[int, int]]:
 
 def run_stream_request(
     request: StreamRequest,
-    workers: int | None = None,
-    store: "ExperimentStore | None" = None,
     context: ExecutionContext | None = None,
 ) -> StreamResult:
     """Execute one streaming request, sharded over replica chunks.
@@ -378,16 +375,13 @@ def run_stream_request(
         ``max_batch_replicas`` — those are request properties here
         because they shape the cacheable shard payloads).
     context : ExecutionContext, optional
-        Execution knobs (worker count, shard store); the context's
-        ``sim_backend``/``max_batch_replicas`` are ignored in favor of
-        the request's.
-    workers, store :
-        Deprecated — pass ``context=ExecutionContext(...)`` instead.
-        ``workers`` is the process count (``1`` stays in-process;
-        never changes the merged result); ``store`` the
+        Execution knobs: ``workers`` is the process count (``1`` stays
+        in-process; never changes the merged result); ``store`` the
         content-addressed shard cache (chunks already streamed by a
         previous, possibly killed, run are merged from the store
-        instead of simulated, bit-identically).
+        instead of simulated, bit-identically). The context's
+        ``sim_backend``/``max_batch_replicas`` are ignored in favor of
+        the request's.
 
     Returns
     -------
@@ -397,7 +391,7 @@ def run_stream_request(
     from repro.experiments.parallel import _spawn_seed_children
     from repro.store.keys import stream_shard_key
 
-    ctx = resolve_execution_context(context, workers=workers, store=store)
+    ctx = context if context is not None else ExecutionContext()
     workers = ctx.workers
     store = ctx.store
     layout = _shard_layout(request)
@@ -504,11 +498,8 @@ def run_stream_scenario(
     num_queues: int | None = None,
     num_replicas: int = 4,
     policy: str | None = None,
-    workers: int | None = None,
     seed: int = 0,
-    store: "ExperimentStore | None" = None,
     max_windows: int = DEFAULT_MAX_WINDOWS,
-    sim_backend: str | None = None,
     controller: str | None = None,
     context: ExecutionContext | None = None,
     chaos: "DegradationSchedule | None" = None,
@@ -552,8 +543,6 @@ def run_stream_scenario(
     context : ExecutionContext, optional
         Execution knobs (workers, store; a context ``sim_backend``
         other than ``"numpy"`` is forwarded to the request).
-    workers, store, sim_backend :
-        Deprecated — pass ``context=ExecutionContext(...)`` instead.
 
     Raises
     ------
@@ -564,9 +553,7 @@ def run_stream_scenario(
     """
     from repro.scenarios.registry import get_scenario
 
-    ctx = resolve_execution_context(
-        context, workers=workers, store=store, sim_backend=sim_backend
-    )
+    ctx = context if context is not None else ExecutionContext()
     spec = get_scenario(name)
     dt = float(delta_t) if delta_t is not None else spec.delta_ts[0]
     config = spec.config_for(dt, num_queues=num_queues)

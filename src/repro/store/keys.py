@@ -6,7 +6,7 @@ function of
 * the :class:`~repro.config.SystemConfig` dataclass,
 * the policy object (its parameter arrays, not its identity),
 * the environment class and construction kwargs,
-* the resolved execution backend and episode length,
+* the episode length,
 * the shard's replica count and its ``SeedSequence`` material.
 
 :func:`shard_key` feeds exactly those inputs — plus :data:`CODE_SALT`,
@@ -203,9 +203,6 @@ def shard_key(request: "EvalRequest", shard: "_Shard") -> str:
         "policy": request.policy,
         "policy_name": request.policy.name,
         "num_epochs": request.num_epochs,
-        "backend": (
-            "batched" if request.uses_batched_backend() else "scalar"
-        ),
         "env_cls": request.env_cls,
         "env_kwargs": request.env_kwargs,
         "shard_runs": shard.num_runs,

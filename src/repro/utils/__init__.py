@@ -1,4 +1,4 @@
-"""Shared utilities: seeding, statistics, tables, serialization, logging."""
+"""Shared utilities: seeding, statistics, tables, serialization."""
 
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
 from repro.utils.stats import (
@@ -9,7 +9,6 @@ from repro.utils.stats import (
 )
 from repro.utils.tables import format_table, series_to_csv
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
-from repro.utils.logging import ExperimentLogger
 
 __all__ = [
     "RngFactory",
@@ -23,5 +22,4 @@ __all__ = [
     "series_to_csv",
     "load_npz_checkpoint",
     "save_npz_checkpoint",
-    "ExperimentLogger",
 ]

@@ -200,38 +200,6 @@ class TestFamilyConformance:
         assert_traces_equal(actual, expected)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_scalar_wrapper_bit_identity(backend):
-    """``E = 1`` scalar wrappers consume the stream exactly like the
-    batched cores under every backend."""
-    from repro.queueing.batched_env import BatchedFiniteSystemEnv
-    from repro.queueing.env import FiniteSystemEnv
-
-    policy = JoinShortestQueuePolicy(CONFIG.num_queue_states, CONFIG.d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        scalar = FiniteSystemEnv(
-            CONFIG, per_packet_randomization=True, backend=backend
-        )
-        batched = BatchedFiniteSystemEnv(
-            CONFIG,
-            num_replicas=1,
-            per_packet_randomization=True,
-            backend=backend,
-        )
-    scalar.reset(SEED)
-    batched.reset(SEED)
-    for _ in range(EPOCHS):
-        hist_s, reward_s, info_s = scalar.step_with_policy(policy)
-        hist_b, rewards_b, info_b = batched.step_with_policy(policy)
-        np.testing.assert_array_equal(hist_s, hist_b[0])
-        assert reward_s == float(rewards_b[0])
-        assert info_s["drops_total"] == int(info_b["drops_total"][0])
-        np.testing.assert_array_equal(
-            scalar.queue_states, batched.queue_states[0]
-        )
-
-
 class TestPurePythonNumbaLoops:
     """Pin the numba loop *algorithm* against the reference kernel.
 
@@ -425,31 +393,31 @@ def test_hybrid_chunk_merge_invariance(backend):
 
 
 def test_heterogeneous_scalar_run_episode_records_observed_widths():
-    """Regression (Z-width bug class): ``run_episode`` sized its
+    """Regression (Z-width bug class): the episode runner sized its
     distribution buffer from ``config.num_queue_states`` even for
-    environments that observe S·C states — the heterogeneous scalar
-    wrapper crashed (or silently truncated) with
+    environments that observe S·C states — a single heterogeneous
+    system crashed (or silently truncated) with
     ``record_distributions=True``."""
-    from repro.queueing.env import run_episode
+    from repro.queueing.batched_env import run_episodes_batched
     from repro.queueing.heterogeneous import (
-        HeterogeneousFiniteEnv,
+        BatchedHeterogeneousFiniteEnv,
         ServerClassSpec,
         sed_policy_suite,
     )
 
     spec = ServerClassSpec(service_rates=(0.5, 2.0), fractions=(0.5, 0.5))
-    env = HeterogeneousFiniteEnv(
-        CONFIG, spec, per_packet_randomization=True, seed=SEED
+    env = BatchedHeterogeneousFiniteEnv(
+        CONFIG, spec, num_replicas=1, per_packet_randomization=True, seed=SEED
     )
     policy = sed_policy_suite(spec, CONFIG.buffer_size, CONFIG.d)[
         f"SED({CONFIG.d})"
     ]
-    result = run_episode(
+    result = run_episodes_batched(
         env, policy, num_epochs=EPOCHS, seed=SEED, record_distributions=True
     )
     width = spec.num_observed_states(CONFIG.buffer_size)
     assert width == CONFIG.num_queue_states * spec.num_classes
-    assert result.empirical_distributions.shape == (EPOCHS + 1, width)
+    assert result.empirical_distributions.shape == (1, EPOCHS + 1, width)
     np.testing.assert_allclose(
-        result.empirical_distributions.sum(axis=1), 1.0
+        result.empirical_distributions.sum(axis=2), 1.0
     )

@@ -3,26 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.execution import ExecutionContext
 from repro.meanfield.decision_rule import DecisionRule
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
-from repro.queueing.arrivals import ScriptedRate
+from repro.queueing.arrivals import MarkovModulatedRate, ScriptedRate
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
     BatchedInfiniteClientEnv,
     run_episodes_batched,
 )
+from repro.queueing.backends import draw_uniform_queue_samples, get_backend
 from repro.queueing.clients import (
-    client_choice_counts,
-    client_choice_counts_batched,
-    per_packet_rate_fractions,
-    per_packet_rate_fractions_batched,
+    committed_counts_from_samples,
+    infinite_client_rates_batched,
+    packet_fractions_from_samples,
+    sample_client_choices_batched,
     stack_rules,
 )
-from repro.queueing.env import FiniteSystemEnv, InfiniteClientEnv, run_episode
-from repro.queueing.queue_ctmc import (
-    simulate_queues_epoch,
-    simulate_queues_epoch_batched,
-)
+from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
 
 
 class TestGeometry:
@@ -90,45 +88,79 @@ class TestGeometry:
             )
 
 
-class TestScalarEquivalence:
-    """E = 1 batched simulation is bit-identical to the scalar wrapper."""
+def _reference_episode(config, policy, num_epochs, seed, mode):
+    """One system stepped by hand from the kernel primitives.
 
-    def test_kernel_bit_identical(self, rng):
-        states = rng.integers(0, 6, size=20)
-        rates = rng.uniform(0.1, 2.0, size=20)
-        s1, d1 = simulate_queues_epoch(
-            states, rates, 1.0, 2.0, 5, np.random.default_rng(7)
+    ``mode`` is ``"committed"``, ``"per-packet"`` or ``"infinite"``.
+    Mirrors Algorithm 1 for a single system: reset, then per epoch query
+    the policy, sample and choose (Eq. 3-5, or Eq. 14-15 without client
+    draws), serve for ``Δt`` and advance the arrival mode.
+    """
+    rng = np.random.default_rng(seed)
+    arrivals = MarkovModulatedRate.from_config(config)
+    m, n, s = config.num_queues, config.num_clients, config.num_queue_states
+    states = np.full((1, m), config.initial_state, dtype=np.int64)
+    modes = arrivals.sample_initial_modes_batch(1, rng)
+    drops = np.empty(num_epochs)
+    for t in range(num_epochs):
+        hist = np.bincount(states[0], minlength=s) / m
+        rule = policy.decision_rule(hist, int(modes[0]), rng)
+        lam = arrivals.levels[modes][:, None]
+        if mode == "infinite":
+            rates = infinite_client_rates_batched(states, rule, lam[:, 0])
+        else:
+            sampled = draw_uniform_queue_samples(rng, 1, n, config.d, m)
+            probs = stack_rules(rule, 1)
+            if mode == "per-packet":
+                rates = m * lam * packet_fractions_from_samples(
+                    states, sampled, probs, n
+                )
+            else:
+                counts = committed_counts_from_samples(states, sampled, probs, rng)
+                rates = m * lam * counts.astype(np.float64) / n
+        states, dropped = simulate_queues_epoch_batched(
+            states,
+            rates,
+            np.full(m, config.service_rate),
+            config.delta_t,
+            config.buffer_size,
+            rng,
         )
-        s2, d2 = simulate_queues_epoch_batched(
-            states[None, :], rates[None, :], 1.0, 2.0, 5, np.random.default_rng(7)
-        )
-        assert np.array_equal(s1, s2[0])
-        assert np.array_equal(d1, d2[0])
+        modes = arrivals.step_modes_batch(modes, rng)
+        drops[t] = dropped.sum() / m
+    return drops
+
+
+class TestScalarEquivalence:
+    """The single-system case (``E = 1``) of the batched environments is
+    bit-identical to the same system stepped by hand from the kernel
+    primitives."""
 
     def test_client_kernels_bit_identical(self, rng):
-        states = rng.integers(0, 6, size=20)
+        """The epoch kernel's choose stage commits the clients exactly like
+        the per-client reference sampler that feeds the event-driven
+        cross-check."""
+        states = rng.integers(0, 6, size=(1, 20))
         rule = DecisionRule.join_shortest(6, 2)
-        counts = client_choice_counts(states, 100, rule, np.random.default_rng(3))
-        counts_b = client_choice_counts_batched(
-            states[None, :], 100, rule, np.random.default_rng(3)
+        _, _, committed = sample_client_choices_batched(
+            states, 100, rule, np.random.default_rng(3)
         )
-        assert np.array_equal(counts, counts_b[0])
-        frac = per_packet_rate_fractions(states, 100, rule, np.random.default_rng(3))
-        frac_b = per_packet_rate_fractions_batched(
-            states[None, :], 100, rule, np.random.default_rng(3)
+        kernel_rng = np.random.default_rng(3)
+        sampled = draw_uniform_queue_samples(kernel_rng, 1, 100, 2, 20)
+        counts = get_backend("numpy").committed_counts(
+            states, sampled, stack_rules(rule, 1), kernel_rng
         )
-        assert np.array_equal(frac, frac_b[0])
+        assert np.array_equal(counts[0], np.bincount(committed[0], minlength=20))
 
     @pytest.mark.parametrize("per_packet", [False, True])
     def test_finite_episode_bit_identical(self, small_config, per_packet):
         policy = JoinShortestQueuePolicy(6, 2)
-        scalar = run_episode(
-            FiniteSystemEnv(
-                small_config, per_packet_randomization=per_packet, seed=0
-            ),
+        reference = _reference_episode(
+            small_config,
             policy,
             num_epochs=20,
             seed=42,
+            mode="per-packet" if per_packet else "committed",
         )
         batched = run_episodes_batched(
             BatchedFiniteSystemEnv(
@@ -141,12 +173,12 @@ class TestScalarEquivalence:
             num_epochs=20,
             seed=42,
         )
-        assert np.array_equal(scalar.per_epoch_drops, batched.per_epoch_drops[0])
+        assert np.array_equal(reference, batched.per_epoch_drops[0])
 
     def test_infinite_episode_bit_identical(self, small_config):
         policy = RandomPolicy(6, 2)
-        scalar = run_episode(
-            InfiniteClientEnv(small_config, seed=0), policy, num_epochs=20, seed=5
+        reference = _reference_episode(
+            small_config, policy, num_epochs=20, seed=5, mode="infinite"
         )
         batched = run_episodes_batched(
             BatchedInfiniteClientEnv(small_config, num_replicas=1, seed=0),
@@ -154,7 +186,7 @@ class TestScalarEquivalence:
             num_epochs=20,
             seed=5,
         )
-        assert np.array_equal(scalar.per_epoch_drops, batched.per_epoch_drops[0])
+        assert np.array_equal(reference, batched.per_epoch_drops[0])
 
 
 class TestBatchedDynamics:
@@ -212,8 +244,9 @@ class TestBatchedDynamics:
         assert total[:2].sum() < total[2:].sum()
 
     def test_statistical_equivalence_with_scalar(self, small_config):
-        """Batched E-replica drops match the scalar per-run loop in
-        distribution (z-test on the mean, generous bound)."""
+        """Lock-step E-replica drops match E independent single-system
+        (E = 1) runs in distribution (z-test on the mean, generous
+        bound)."""
         policy = RandomPolicy(6, 2)
         runs = 24
         batched = run_episodes_batched(
@@ -222,10 +255,12 @@ class TestBatchedDynamics:
             num_epochs=25,
             seed=0,
         ).total_drops_per_queue
-        scalar = np.asarray(
+        scalar = np.concatenate(
             [
-                run_episode(
-                    FiniteSystemEnv(small_config, seed=100 + i),
+                run_episodes_batched(
+                    BatchedFiniteSystemEnv(
+                        small_config, num_replicas=1, seed=100 + i
+                    ),
                     policy,
                     num_epochs=25,
                     seed=200 + i,
@@ -241,16 +276,18 @@ class TestBatchedDynamics:
 
 class TestRunnerBackends:
     def test_backends_agree_in_distribution(self, small_config):
+        """One lock-step chunk of 16 replicas and 16 single-replica
+        chunks draw different streams but the same law."""
         from repro.experiments.runner import evaluate_policy_finite
 
         policy = RandomPolicy(6, 2)
         a = evaluate_policy_finite(
             small_config, policy, num_runs=16, num_epochs=15, seed=0,
-            backend="batched",
+            context=ExecutionContext(max_batch_replicas=16),
         )
         b = evaluate_policy_finite(
             small_config, policy, num_runs=16, num_epochs=15, seed=0,
-            backend="scalar",
+            context=ExecutionContext(max_batch_replicas=1),
         )
         se = np.hypot(
             a.drops.std(ddof=1) / 4.0, b.drops.std(ddof=1) / 4.0
@@ -261,23 +298,27 @@ class TestRunnerBackends:
         from repro.experiments.runner import evaluate_policy_finite
 
         policy = RandomPolicy(6, 2)
+        context = ExecutionContext(max_batch_replicas=3)
         result = evaluate_policy_finite(
             small_config, policy, num_runs=7, num_epochs=5, seed=3,
-            backend="batched", max_batch_replicas=3,
+            context=context,
         )
         assert result.drops.shape == (7,)
         repeat = evaluate_policy_finite(
             small_config, policy, num_runs=7, num_epochs=5, seed=3,
-            backend="batched", max_batch_replicas=3,
+            context=context,
         )
         assert np.array_equal(result.drops, repeat.drops)
 
     def test_unknown_backend_rejected(self, small_config):
-        from repro.experiments.runner import evaluate_policy_finite
+        from repro.experiments.parallel import EvalRequest
 
-        with pytest.raises(ValueError):
-            evaluate_policy_finite(
-                small_config, RandomPolicy(6, 2), num_runs=2, backend="turbo"
+        with pytest.raises(ValueError, match="turbo"):
+            EvalRequest(
+                config=small_config,
+                policy=RandomPolicy(6, 2),
+                num_runs=2,
+                sim_backend="turbo",
             )
 
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
+from repro.execution import ExecutionContext
 from repro.policies.static import JoinShortestQueuePolicy
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
@@ -472,8 +473,12 @@ class TestSweepIntegration:
     _KW = dict(delta_ts=(2.0,), num_queues=10, num_runs=2, seed=SEED)
 
     def test_outage_recovery_worker_count_invariant(self):
-        serial = run_scenario("outage-recovery", workers=1, **self._KW)
-        pooled = run_scenario("outage-recovery", workers=2, **self._KW)
+        serial = run_scenario(
+            "outage-recovery", context=ExecutionContext(workers=1), **self._KW
+        )
+        pooled = run_scenario(
+            "outage-recovery", context=ExecutionContext(workers=2), **self._KW
+        )
         for name in serial.results:
             np.testing.assert_array_equal(
                 serial.mean_series(name), pooled.mean_series(name)
@@ -483,9 +488,13 @@ class TestSweepIntegration:
         from repro.store import ExperimentStore
 
         store = ExperimentStore(tmp_path / "store")
-        fresh = run_scenario("capacity-flap", store=store, **self._KW)
+        fresh = run_scenario(
+            "capacity-flap", context=ExecutionContext(store=store), **self._KW
+        )
         assert store.stats.writes > 0
-        warm = run_scenario("capacity-flap", store=store, **self._KW)
+        warm = run_scenario(
+            "capacity-flap", context=ExecutionContext(store=store), **self._KW
+        )
         assert warm.results.keys() == fresh.results.keys()
         for name in fresh.results:
             np.testing.assert_array_equal(
@@ -496,14 +505,17 @@ class TestSweepIntegration:
         from repro.store import ExperimentStore
 
         store = ExperimentStore(tmp_path / "store")
-        run_scenario("overload", store=store, **self._KW)
+        run_scenario("overload", context=ExecutionContext(store=store), **self._KW)
         writes = store.stats.writes
         assert writes > 0
         schedule = DegradationSchedule(
             (ServerOutage(epoch=3, fraction=0.2),)
         )
         chaos = run_scenario(
-            "overload", store=store, chaos=schedule, **self._KW
+            "overload",
+            context=ExecutionContext(store=store),
+            chaos=schedule,
+            **self._KW,
         )
         # The schedule fingerprints into the shard keys: nothing reused.
         assert store.stats.writes == 2 * writes
@@ -513,7 +525,9 @@ class TestSweepIntegration:
         )
 
     def test_link_failure_scenario_runs_on_graph(self):
-        result = run_scenario("link-failure-local", workers=1, **self._KW)
+        result = run_scenario(
+            "link-failure-local", context=ExecutionContext(workers=1), **self._KW
+        )
         assert result.num_queues == 10
         for series in result.results.values():
             assert len(series) == 1

@@ -5,12 +5,39 @@ import pytest
 
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import per_state_arrival_rates
+from repro.queueing.backends import draw_uniform_queue_samples
 from repro.queueing.clients import (
-    client_choice_counts,
+    committed_counts_from_samples,
     expected_choice_counts,
-    infinite_client_rates,
-    sample_client_choices,
+    infinite_client_rates_batched,
+    sample_client_choices_batched,
+    stack_rules,
 )
+
+
+def sample_choices(queue_states, num_clients, rule, rng):
+    """``(sampled, slots, committed)`` of one replica."""
+    sampled, slots, committed = sample_client_choices_batched(
+        queue_states[None, :], num_clients, rule, rng
+    )
+    return sampled[0], slots[0], committed[0]
+
+
+def choice_counts(queue_states, num_clients, rule, rng):
+    """Committed-client counts of one replica: sample, then choose."""
+    sampled = draw_uniform_queue_samples(
+        rng, 1, num_clients, rule.d, queue_states.size
+    )
+    return committed_counts_from_samples(
+        queue_states[None, :], sampled, stack_rules(rule, 1), rng
+    )[0]
+
+
+def infinite_rates(queue_states, rule, lam):
+    """Frozen ``N → ∞`` rates of one replica."""
+    return infinite_client_rates_batched(
+        queue_states[None, :], rule, np.array([lam])
+    )[0]
 
 
 @pytest.fixture
@@ -21,7 +48,7 @@ def queue_states(rng):
 class TestSampling:
     def test_shapes(self, queue_states, rng):
         rule = DecisionRule.uniform(6, 2)
-        sampled, slots, committed = sample_client_choices(queue_states, 500, rule, rng)
+        sampled, slots, committed = sample_choices(queue_states, 500, rule, rng)
         assert sampled.shape == (500, 2)
         assert slots.shape == (500,)
         assert committed.shape == (500,)
@@ -30,31 +57,31 @@ class TestSampling:
 
     def test_committed_consistent_with_slots(self, queue_states, rng):
         rule = DecisionRule.join_shortest(6, 2)
-        sampled, slots, committed = sample_client_choices(queue_states, 200, rule, rng)
+        sampled, slots, committed = sample_choices(queue_states, 200, rule, rng)
         assert np.array_equal(committed, sampled[np.arange(200), slots])
 
     def test_jsq_commits_to_shorter_sample(self, queue_states, rng):
         rule = DecisionRule.join_shortest(6, 2)
-        sampled, slots, committed = sample_client_choices(queue_states, 500, rule, rng)
+        sampled, slots, committed = sample_choices(queue_states, 500, rule, rng)
         z = queue_states[sampled]
         chosen_state = queue_states[committed]
         assert np.all(chosen_state == z.min(axis=1))
 
     def test_counts_sum_to_num_clients(self, queue_states, rng):
         rule = DecisionRule.uniform(6, 2)
-        counts = client_choice_counts(queue_states, 777, rule, rng)
+        counts = choice_counts(queue_states, 777, rule, rng)
         assert counts.shape == (30,)
         assert counts.sum() == 777
 
     def test_rejects_zero_clients(self, queue_states, rng):
         with pytest.raises(ValueError):
-            sample_client_choices(queue_states, 0, DecisionRule.uniform(6, 2), rng)
+            sample_choices(queue_states, 0, DecisionRule.uniform(6, 2), rng)
 
     def test_uniform_rule_spreads_choices(self, rng):
         """Under RND the committed queue is uniform over all M queues."""
         states = rng.integers(0, 6, size=10)
         rule = DecisionRule.uniform(6, 2)
-        counts = client_choice_counts(states, 100_000, rule, rng)
+        counts = choice_counts(states, 100_000, rule, rng)
         assert np.allclose(counts / 100_000, 0.1, atol=0.01)
 
 
@@ -71,7 +98,7 @@ class TestExpectedCounts:
         acc = np.zeros(queue_states.size)
         reps = 300
         for _ in range(reps):
-            acc += client_choice_counts(queue_states, n, rule, rng)
+            acc += choice_counts(queue_states, n, rule, rng)
         emp = acc / reps
         # standard error of a binomial count with p ~ expected/n
         sem = np.sqrt(np.maximum(expected, 1.0) / reps)
@@ -90,7 +117,7 @@ class TestInfiniteClientRates:
         """λ_j = λ_t(H, z_j) — Eq. (14)-(15) / proof of Theorem 1."""
         rule = DecisionRule.join_shortest(6, 2)
         lam = 0.9
-        rates = infinite_client_rates(queue_states, rule, lam)
+        rates = infinite_rates(queue_states, rule, lam)
         hist = np.bincount(queue_states, minlength=6) / queue_states.size
         per_state = per_state_arrival_rates(hist, rule, lam)
         assert np.allclose(rates, per_state[queue_states])
@@ -98,7 +125,7 @@ class TestInfiniteClientRates:
     def test_total_rate_is_m_lambda(self, queue_states):
         """Σ_j λ_j = M·λ — no arrival mass is lost."""
         rule = DecisionRule.join_shortest(6, 2)
-        rates = infinite_client_rates(queue_states, rule, 0.7)
+        rates = infinite_rates(queue_states, rule, 0.7)
         assert rates.sum() == pytest.approx(queue_states.size * 0.7)
 
     def test_finite_client_rates_converge_to_infinite(self, queue_states, rng):
@@ -106,12 +133,12 @@ class TestInfiniteClientRates:
         rule = DecisionRule.join_shortest(6, 2)
         lam = 0.9
         m = queue_states.size
-        target = infinite_client_rates(queue_states, rule, lam)
+        target = infinite_rates(queue_states, rule, lam)
         n = 2_000_000
-        counts = client_choice_counts(queue_states, n, rule, rng)
+        counts = choice_counts(queue_states, n, rule, rng)
         finite = m * lam * counts / n
         assert np.abs(finite - target).max() < 0.05
 
     def test_rnd_gives_lambda_everywhere(self, queue_states):
-        rates = infinite_client_rates(queue_states, DecisionRule.uniform(6, 2), 0.8)
+        rates = infinite_rates(queue_states, DecisionRule.uniform(6, 2), 0.8)
         assert np.allclose(rates, 0.8)

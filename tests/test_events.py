@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from repro.meanfield.decision_rule import DecisionRule
-from repro.queueing.clients import sample_client_choices
+from repro.queueing.clients import sample_client_choices_batched
 from repro.queueing.events import simulate_epoch_event_driven
-from repro.queueing.queue_ctmc import simulate_queues_epoch
+from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
+
+
+def sample_choices(queue_states, num_clients, rule, rng):
+    """``(sampled, slots, committed)`` of one replica."""
+    sampled, slots, committed = sample_client_choices_batched(
+        queue_states[None, :], num_clients, rule, rng
+    )
+    return sampled[0], slots[0], committed[0]
 
 
 class TestValidation:
@@ -49,7 +57,7 @@ class TestAgreementWithLockstep:
         ev_drops = 0.0
         ls_drops = 0.0
         for _ in range(reps):
-            _, _, committed = sample_client_choices(base_states, n, rule, rng)
+            _, _, committed = sample_choices(base_states, n, rule, rng)
             counts = np.bincount(committed, minlength=m)
             # event-driven with job-level arrivals
             new_e, d_e = simulate_epoch_event_driven(
@@ -57,8 +65,8 @@ class TestAgreementWithLockstep:
             )
             # frozen-rate lock-step with Eq. (5) rates
             rates = m * lam * counts / n
-            new_l, d_l = simulate_queues_epoch(
-                base_states, rates, 1.0, dt, buffer_size, rng
+            (new_l,), (d_l,) = simulate_queues_epoch_batched(
+                base_states[None, :], rates[None, :], 1.0, dt, buffer_size, rng
             )
             ev_sum += new_e
             ls_sum += new_l
@@ -122,7 +130,7 @@ class TestAgreementWithLockstep:
         sum_committed = np.zeros(m)
         sum_perpacket = np.zeros(m)
         for _ in range(reps):
-            sampled, _, committed = sample_client_choices(base_states, n, rule, rng)
+            sampled, _, committed = sample_choices(base_states, n, rule, rng)
             new_c, _ = simulate_epoch_event_driven(
                 base_states, committed, lam, 1.0, dt, 5, rng
             )

@@ -1,18 +1,19 @@
 """Tests for the consolidated execution knobs (`repro.execution`).
 
-The redesign's migration contract: ``context=ExecutionContext(...)`` is
-the one way to pass workers/store/sim_backend/max_batch_replicas going
-forward; the legacy kwargs still work for one release behind a
-``DeprecationWarning``, and mixing the two styles is a ``TypeError``.
+``context=ExecutionContext(...)`` is the one way to pass
+workers/store/sim_backend/max_batch_replicas to an entry point; the
+individual keyword arguments of earlier releases are gone and raise a
+``TypeError``.
 """
 
 from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
-from repro.execution import ExecutionContext, resolve_execution_context
+from repro.execution import ExecutionContext
 from repro.store import ExperimentStore
 
 
@@ -45,48 +46,65 @@ class TestExecutionContext:
         assert ExecutionContext(sim_backend="auto").sim_backend == "auto"
 
 
+def _tiny_sweep():
+    from repro.config import paper_system_config
+    from repro.experiments.runner import policy_suite
+
+    config = paper_system_config(num_queues=8).with_updates(
+        episode_length=4, monte_carlo_runs=2
+    )
+    return config, policy_suite(config)["RND"]
+
+
 class TestResolver:
+    """How entry points resolve their execution context."""
+
     def test_no_arguments_yields_defaults(self):
+        from repro.experiments.runner import evaluate_policy_finite
+
+        config, policy = _tiny_sweep()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # must not warn
-            ctx = resolve_execution_context()
-        assert ctx == ExecutionContext()
+            default = evaluate_policy_finite(config, policy, seed=3)
+        explicit = evaluate_policy_finite(
+            config, policy, seed=3, context=ExecutionContext()
+        )
+        np.testing.assert_array_equal(default.drops, explicit.drops)
 
     def test_context_passes_through_untouched(self):
-        ctx = ExecutionContext(workers=3, sim_backend="auto")
+        from repro.serving.engine import run_stream_scenario
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_execution_context(ctx) is ctx
-
-    def test_legacy_kwargs_warn_and_resolve(self):
-        with pytest.warns(DeprecationWarning, match="sim_backend, workers"):
-            ctx = resolve_execution_context(workers=4, sim_backend="auto")
-        assert ctx.workers == 4
-        assert ctx.sim_backend == "auto"
-        assert ctx.store is None
+            result = run_stream_scenario(
+                "flash-crowd",
+                horizon=4,
+                num_replicas=1,
+                num_queues=10,
+                context=ExecutionContext(workers=3),
+            )
+        assert result.workers == 3
 
     def test_mixing_context_and_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both.*workers"):
-            resolve_execution_context(ExecutionContext(), workers=2)
+        from repro.scenarios import run_scenario
+
+        with pytest.raises(TypeError, match="workers"):
+            run_scenario("paper-baseline", workers=2, context=ExecutionContext())
 
     def test_store_dir_opens_a_store(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="store_dir"):
-            ctx = resolve_execution_context(store_dir=tmp_path / "cache")
+        from repro.experiments.cli import _execution_context, build_parser
+
+        args = build_parser().parse_args(
+            ["fig5", "--store-dir", str(tmp_path / "cache")]
+        )
+        ctx = _execution_context(args)
         assert isinstance(ctx.store, ExperimentStore)
         assert (tmp_path / "cache").is_dir()
-
-    def test_store_and_store_dir_are_exclusive(self, tmp_path):
-        store = ExperimentStore(tmp_path / "a")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="mutually exclusive"):
-                resolve_execution_context(
-                    store=store, store_dir=tmp_path / "b"
-                )
 
 
 class TestEntryPointThreading:
     """The harness entry points accept context= without warning and
-    reject mixed styles."""
+    reject the removed individual keywords."""
 
     def test_sweep_executor_rejects_mixed_styles(self):
         from repro.experiments.parallel import SweepExecutor
@@ -131,20 +149,41 @@ class TestEntryPointThreading:
 
         config = paper_system_config(num_queues=8)
         policy = policy_suite(config)["RND"]
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="workers"):
             evaluate_policy_finite(
                 config, policy, workers=2, context=ExecutionContext()
             )
 
-    def test_run_stream_scenario_legacy_workers_warn(self):
-        from repro.serving.engine import run_stream_scenario
+    @pytest.mark.parametrize(
+        "entry_point, removed",
+        [
+            ("evaluate_policy_finite", ("backend", "max_batch_replicas",
+                                        "workers", "store", "sim_backend")),
+            ("run_fig4", ("workers", "store", "sim_backend")),
+            ("run_fig5", ("workers", "store", "sim_backend")),
+            ("run_fig6", ("workers", "store", "sim_backend")),
+            ("run_scenario", ("workers", "store", "sim_backend")),
+            ("run_stream_scenario", ("workers", "store", "sim_backend")),
+            ("run_stream_request", ("workers", "store")),
+        ],
+    )
+    def test_removed_keywords_are_gone(self, entry_point, removed):
+        import inspect
 
-        with pytest.warns(DeprecationWarning, match="workers"):
-            result = run_stream_scenario(
-                "flash-crowd",
-                horizon=4,
-                num_replicas=1,
-                num_queues=10,
-                workers=1,
+        from repro.experiments.fig4_convergence import run_fig4
+        from repro.experiments.fig5_delay_sweep import run_fig5
+        from repro.experiments.fig6_small_n import run_fig6
+        from repro.experiments.runner import evaluate_policy_finite
+        from repro.scenarios.run import run_scenario
+        from repro.serving.engine import run_stream_request, run_stream_scenario
+
+        fn = {
+            f.__name__: f
+            for f in (
+                evaluate_policy_finite, run_fig4, run_fig5, run_fig6,
+                run_scenario, run_stream_scenario, run_stream_request,
             )
-        assert result.horizon == 4
+        }[entry_point]
+        params = inspect.signature(fn).parameters
+        assert "context" in params
+        assert not set(removed) & set(params)

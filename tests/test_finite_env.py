@@ -1,4 +1,4 @@
-"""Tests for the finite-system environments (Algorithm 1)."""
+"""Tests for the finite-system environments (Algorithm 1) at ``E = 1``."""
 
 import numpy as np
 import pytest
@@ -6,36 +6,50 @@ import pytest
 from repro.meanfield.decision_rule import DecisionRule
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
 from repro.queueing.arrivals import ScriptedRate
-from repro.queueing.env import FiniteSystemEnv, InfiniteClientEnv, run_episode
+from repro.queueing.batched_env import (
+    BatchedFiniteSystemEnv,
+    BatchedInfiniteClientEnv,
+    run_episodes_batched,
+)
+
+
+def finite_env(config, **kwargs):
+    """One replica of the ``N``-client system."""
+    return BatchedFiniteSystemEnv(config, num_replicas=1, **kwargs)
+
+
+def infinite_env(config, **kwargs):
+    """One replica of the ``N → ∞`` system."""
+    return BatchedInfiniteClientEnv(config, num_replicas=1, **kwargs)
 
 
 class TestLifecycle:
     def test_requires_reset(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = finite_env(small_config, seed=0)
         with pytest.raises(RuntimeError):
-            env.empirical_distribution()
+            env.empirical_distributions()
         with pytest.raises(RuntimeError):
             env.step(DecisionRule.uniform(6, 2))
 
     def test_reset_initial_state(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
-        hist = env.reset(seed=1)
+        env = finite_env(small_config, seed=0)
+        hist = env.reset(seed=1)[0]
         assert hist[small_config.initial_state] == pytest.approx(1.0)
         assert env.t == 0
-        assert env.lam_mode in (0, 1)
+        assert env.lam_modes[0] in (0, 1)
 
     def test_step_returns_valid_distribution(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = finite_env(small_config, seed=0)
         env.reset(seed=1)
-        hist, reward, info = env.step(DecisionRule.uniform(6, 2))
-        assert hist.shape == (6,)
-        assert hist.sum() == pytest.approx(1.0)
-        assert reward <= 0
-        assert info["drops_total"] >= 0
+        hists, rewards, info = env.step(DecisionRule.uniform(6, 2))
+        assert hists.shape == (1, 6)
+        assert hists.sum() == pytest.approx(1.0)
+        assert rewards[0] <= 0
+        assert info["drops_total"][0] >= 0
         assert info["t"] == 1
 
     def test_rule_geometry_validated(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = finite_env(small_config, seed=0)
         env.reset(seed=1)
         with pytest.raises(ValueError):
             env.step(DecisionRule.uniform(4, 2))
@@ -43,7 +57,7 @@ class TestLifecycle:
             env.step(DecisionRule.uniform(6, 3))
 
     def test_states_remain_in_buffer_range(self, small_config, rng):
-        env = FiniteSystemEnv(small_config, seed=rng)
+        env = finite_env(small_config, seed=rng)
         env.reset(rng)
         rule = DecisionRule.join_shortest(6, 2)
         for _ in range(20):
@@ -55,18 +69,18 @@ class TestLifecycle:
     def test_reproducibility(self, small_config):
         results = []
         for _ in range(2):
-            env = FiniteSystemEnv(small_config)
+            env = finite_env(small_config)
             env.reset(seed=42)
             rule = DecisionRule.uniform(6, 2)
-            drops = [env.step(rule)[2]["drops_total"] for _ in range(10)]
+            drops = [int(env.step(rule)[2]["drops_total"][0]) for _ in range(10)]
             results.append(drops)
         assert results[0] == results[1]
 
     def test_service_rate_override_validated(self, small_config):
         with pytest.raises(ValueError):
-            FiniteSystemEnv(small_config, service_rates=np.ones(3))
+            finite_env(small_config, service_rates=np.ones(3))
         with pytest.raises(ValueError):
-            FiniteSystemEnv(
+            finite_env(
                 small_config,
                 service_rates=np.zeros(small_config.num_queues),
             )
@@ -75,20 +89,18 @@ class TestLifecycle:
 class TestFrozenRates:
     def test_finite_rates_scale(self, small_config):
         """Total frozen rate = M·λ_t exactly (counts sum to N)."""
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = finite_env(small_config, seed=0)
         env.reset(seed=3)
         _, _, info = env.step(DecisionRule.uniform(6, 2))
-        rates = info["arrival_rates"]
-        lam = 0.9 if env.arrivals.rate(0) else 0.6  # rate at decision time unknown
-        total = rates.sum()
+        total = info["arrival_rates"].sum()
         m = small_config.num_queues
         assert total == pytest.approx(m * 0.9) or total == pytest.approx(m * 0.6)
 
     def test_infinite_client_rates_deterministic(self, small_config):
-        """Given the same states/mode, InfiniteClientEnv rates are exact."""
+        """Given the same states/mode, infinite-client rates are exact."""
         scripted = ScriptedRate([0.9, 0.6], [0] * 10)
-        env_a = InfiniteClientEnv(small_config, arrival_process=scripted, seed=0)
-        env_b = InfiniteClientEnv(small_config, arrival_process=scripted, seed=99)
+        env_a = infinite_env(small_config, arrival_process=scripted, seed=0)
+        env_b = infinite_env(small_config, arrival_process=scripted, seed=99)
         env_a.reset(seed=1)
         env_b.reset(seed=2)
         rule = DecisionRule.join_shortest(6, 2)
@@ -102,8 +114,8 @@ class TestFrozenRates:
         scripted_modes = [0] * 6
         rule = DecisionRule.join_shortest(6, 2)
 
-        def rate_spread(env_cls, seed):
-            env = env_cls(
+        def rate_spread(make_env, seed):
+            env = make_env(
                 small_config,
                 arrival_process=ScriptedRate([0.9, 0.6], scripted_modes),
                 seed=seed,
@@ -117,7 +129,7 @@ class TestFrozenRates:
             return np.mean(spreads)
 
         few_clients = small_config.with_updates(num_clients=30)
-        env_finite = FiniteSystemEnv(
+        env_finite = finite_env(
             few_clients,
             arrival_process=ScriptedRate([0.9, 0.6], scripted_modes),
             seed=5,
@@ -127,37 +139,37 @@ class TestFrozenRates:
         finite_spread = np.mean(
             [env_finite.step(rule)[2]["arrival_rates"].std() for _ in range(4)]
         )
-        infinite_spread = rate_spread(InfiniteClientEnv, 5)
+        infinite_spread = rate_spread(infinite_env, 5)
         # the finite 30-client system has lumpy rates; the limit is smooth
         assert finite_spread > infinite_spread
 
 
 class TestRunEpisode:
     def test_episode_result_fields(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
+        env = finite_env(small_config, seed=0)
         policy = RandomPolicy(6, 2)
-        result = run_episode(env, policy, num_epochs=15, seed=4)
+        result = run_episodes_batched(env, policy, num_epochs=15, seed=4)
         assert result.num_epochs == 15
-        assert result.per_epoch_drops.shape == (15,)
-        assert result.total_drops_per_queue == pytest.approx(
+        assert result.per_epoch_drops.shape == (1, 15)
+        assert result.total_drops_per_queue[0] == pytest.approx(
             result.per_epoch_drops.sum()
         )
-        assert result.total_drops_per_queue >= 0
+        assert result.total_drops_per_queue[0] >= 0
 
     def test_default_epochs_follow_paper_rule(self, small_config):
         cfg = small_config.with_updates(delta_t=10.0)
-        env = FiniteSystemEnv(cfg, seed=0)
-        result = run_episode(env, RandomPolicy(6, 2), seed=4)
+        env = finite_env(cfg, seed=0)
+        result = run_episodes_batched(env, RandomPolicy(6, 2), seed=4)
         assert result.num_epochs == 50  # round(500/10)
 
     def test_record_distributions(self, small_config):
-        env = FiniteSystemEnv(small_config, seed=0)
-        result = run_episode(
+        env = finite_env(small_config, seed=0)
+        result = run_episodes_batched(
             env, JoinShortestQueuePolicy(6, 2), num_epochs=5, seed=4,
             record_distributions=True,
         )
-        assert result.empirical_distributions.shape == (6, 6)
-        assert np.allclose(result.empirical_distributions.sum(axis=1), 1.0)
+        assert result.empirical_distributions.shape == (1, 6, 6)
+        assert np.allclose(result.empirical_distributions.sum(axis=2), 1.0)
 
     def test_jsq_beats_rnd_at_small_delay(self, small_config):
         """At Δt=1 JSQ(2) should clearly dominate RND (paper Figure 5)."""
@@ -169,8 +181,10 @@ class TestRunEpisode:
         ]:
             total = 0.0
             for seed in range(3):
-                env = FiniteSystemEnv(cfg, seed=seed)
-                total += run_episode(env, policy, num_epochs=60, seed=seed).total_drops_per_queue
+                env = finite_env(cfg, seed=seed)
+                total += run_episodes_batched(
+                    env, policy, num_epochs=60, seed=seed
+                ).mean_total_drops
             drops[name] = total
         assert drops["jsq"] < drops["rnd"]
 
@@ -180,7 +194,7 @@ class TestPerPacketRandomization:
         from repro.queueing.arrivals import ScriptedRate
 
         cfg = small_config.with_updates(num_clients=small_config.num_queues)
-        env = FiniteSystemEnv(
+        env = finite_env(
             cfg,
             arrival_process=ScriptedRate([0.9, 0.6], [0] * 5),
             per_packet_randomization=True,
@@ -201,7 +215,7 @@ class TestPerPacketRandomization:
         def mean_rate_std(per_packet, seeds=5):
             stds = []
             for seed in range(seeds):
-                env = FiniteSystemEnv(
+                env = finite_env(
                     cfg, per_packet_randomization=per_packet, seed=seed
                 )
                 env.reset(seed=seed)
@@ -221,12 +235,12 @@ class TestPerPacketRandomization:
         def mean_drops(per_packet, seeds=6):
             total = 0.0
             for seed in range(seeds):
-                env = FiniteSystemEnv(
+                env = finite_env(
                     cfg, per_packet_randomization=per_packet, seed=seed
                 )
-                total += run_episode(
+                total += run_episodes_batched(
                     env, JoinShortestQueuePolicy(6, 2), num_epochs=25, seed=seed
-                ).total_drops_per_queue
+                ).mean_total_drops
             return total / seeds
 
         a = mean_drops(True)

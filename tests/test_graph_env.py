@@ -13,12 +13,12 @@ from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
     run_episodes_batched,
 )
-from repro.queueing.graph_env import (
-    BatchedGraphFiniteEnv,
-    neighborhood_choice_counts_batched,
-    neighborhood_rate_fractions_batched,
-    sample_neighborhood_choices_batched,
+from repro.queueing.clients import (
+    committed_counts_from_samples,
+    packet_fractions_from_samples,
+    stack_rules,
 )
+from repro.queueing.graph_env import BatchedGraphFiniteEnv
 from repro.queueing.topology import TopologySpec
 
 
@@ -57,30 +57,45 @@ class TestConstruction:
         assert np.array_equal(env.service_rates, rates)
 
 
+def _graph_samples(config, top, num_clients, num_replicas, seed):
+    """The graph env's sample stage: ``(E, N, d)`` neighborhood draws."""
+    env = BatchedGraphFiniteEnv(
+        config.with_updates(num_clients=num_clients),
+        top,
+        num_replicas=num_replicas,
+        seed=seed,
+    )
+    return env._sample(config.d)
+
+
 class TestSamplingKernels:
     def test_samples_stay_in_neighborhood(self, graph_config, rng):
         top = TopologySpec.ring(12, radius=1)
         states = rng.integers(0, 6, size=(2, 12))
         rule = DecisionRule.join_shortest(6, 2)
-        sampled, slots, committed = sample_neighborhood_choices_batched(
-            states, top, 60, rule, np.random.default_rng(0)
-        )
+        sampled = _graph_samples(graph_config, top, 60, 2, seed=0)
         assert sampled.shape == (2, 60, 2)
-        assert slots.shape == (2, 60)
         disp = top.client_dispatchers(60)
         allowed = top.neighbors[disp]  # (N, degree)
         for e in range(2):
             for i in range(60):
                 assert set(sampled[e, i]) <= set(allowed[i])
-                assert committed[e, i] in sampled[e, i]
+        counts = committed_counts_from_samples(
+            states, sampled, stack_rules(rule, 2), np.random.default_rng(0)
+        )
+        assert np.array_equal(counts.sum(axis=1), [60, 60])
+        for e in range(2):
+            # Every commitment lands on a queue the replica sampled.
+            assert set(np.flatnonzero(counts[e])) <= set(sampled[e].ravel())
 
     def test_degree_one_routes_every_client_home(self, graph_config):
         """Radius-0 ring: every client can only reach its own node's queue."""
         top = TopologySpec.ring(12, radius=0)
         states = np.zeros((1, 12), dtype=np.int64)
         rule = DecisionRule.uniform(6, 2)
-        counts = neighborhood_choice_counts_batched(
-            states, top, 120, rule, np.random.default_rng(1)
+        sampled = _graph_samples(graph_config, top, 120, 1, seed=1)
+        counts = committed_counts_from_samples(
+            states, sampled, stack_rules(rule, 1), np.random.default_rng(1)
         )
         disp = top.client_dispatchers(120)
         expected = np.bincount(top.neighbors[disp, 0], minlength=12)
@@ -90,28 +105,13 @@ class TestSamplingKernels:
         top = TopologySpec.random_regular(12, 4, seed=0)
         states = rng.integers(0, 6, size=(3, 12))
         rule = DecisionRule.join_shortest(6, 2)
-        fractions = neighborhood_rate_fractions_batched(
-            states, top, 200, rule, np.random.default_rng(2)
+        sampled = _graph_samples(graph_config, top, 200, 3, seed=2)
+        fractions = packet_fractions_from_samples(
+            states, sampled, stack_rules(rule, 3), 200
         )
         assert fractions.shape == (3, 12)
         assert np.allclose(fractions.sum(axis=1), 1.0)
         assert fractions.min() >= 0
-
-    def test_kernels_validate_shapes(self, graph_config):
-        top = TopologySpec.ring(12, radius=1)
-        rule = DecisionRule.uniform(6, 2)
-        with pytest.raises(ValueError, match="replicas, queues"):
-            sample_neighborhood_choices_batched(
-                np.zeros(12, dtype=int), top, 10, rule
-            )
-        with pytest.raises(ValueError, match="topology covers"):
-            neighborhood_rate_fractions_batched(
-                np.zeros((1, 8), dtype=int), top, 10, rule
-            )
-        with pytest.raises(ValueError, match="num_clients"):
-            neighborhood_choice_counts_batched(
-                np.zeros((1, 12), dtype=int), top, 0, rule
-            )
 
 
 class TestFullMeshEquivalence:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.meanfield.decision_rule import DecisionRule
+from repro.policies.static import ConstantRulePolicy
+from repro.queueing.batched_env import run_episodes_batched
 from repro.queueing.heterogeneous import (
-    HeterogeneousFiniteEnv,
+    BatchedHeterogeneousFiniteEnv,
     ServerClassSpec,
     jsq_rule_heterogeneous,
     rnd_rule_heterogeneous,
@@ -16,6 +18,11 @@ from repro.queueing.heterogeneous import (
 @pytest.fixture
 def spec():
     return ServerClassSpec(service_rates=(0.5, 2.0), fractions=(0.5, 0.5))
+
+
+def one_replica(config, spec, **kwargs):
+    """One replica of the heterogeneous system."""
+    return BatchedHeterogeneousFiniteEnv(config, spec, num_replicas=1, **kwargs)
 
 
 class TestServerClassSpec:
@@ -102,29 +109,29 @@ class TestRules:
 
 class TestHeterogeneousEnv:
     def test_reset_and_step(self, small_config, spec):
-        env = HeterogeneousFiniteEnv(small_config, spec, seed=0)
+        env = one_replica(small_config, spec, seed=0)
         hist = env.reset(seed=1)
-        assert hist.shape == (12,)
+        assert hist.shape == (1, 12)
         assert hist.sum() == pytest.approx(1.0)
         rule = sed_rule(spec, small_config.buffer_size, small_config.d)
-        hist2, reward, info = env.step(rule)
+        hist2, rewards, info = env.step(rule)
         assert hist2.sum() == pytest.approx(1.0)
-        assert reward <= 0
-        assert info["drops_total"] >= 0
+        assert rewards[0] <= 0
+        assert info["drops_total"][0] >= 0
 
     def test_rule_geometry_enforced(self, small_config, spec):
-        env = HeterogeneousFiniteEnv(small_config, spec, seed=0)
+        env = one_replica(small_config, spec, seed=0)
         env.reset(seed=1)
         with pytest.raises(ValueError):
             env.step(DecisionRule.uniform(6, 2))  # homogeneous rule
 
     def test_requires_reset(self, small_config, spec):
-        env = HeterogeneousFiniteEnv(small_config, spec, seed=0)
+        env = one_replica(small_config, spec, seed=0)
         with pytest.raises(RuntimeError):
             env.observed_states()
 
     def test_service_rates_assigned_by_class(self, small_config, spec):
-        env = HeterogeneousFiniteEnv(small_config, spec, seed=0)
+        env = one_replica(small_config, spec, seed=0)
         assert np.all(np.isin(env.service_rates, [0.5, 2.0]))
         assert (env.service_rates == 0.5).sum() == small_config.num_queues // 2
 
@@ -138,17 +145,21 @@ class TestHeterogeneousEnv:
         jsq = jsq_rule_heterogeneous(spec, cfg.buffer_size, cfg.d)
         sed_drops, jsq_drops = 0.0, 0.0
         for seed in range(4):
-            env = HeterogeneousFiniteEnv(cfg, spec, seed=seed)
-            sed_drops += env.run_episode(sed, num_epochs=40, seed=seed)
-            env2 = HeterogeneousFiniteEnv(cfg, spec, seed=seed + 100)
-            jsq_drops += env2.run_episode(jsq, num_epochs=40, seed=seed)
+            env = one_replica(cfg, spec, seed=seed)
+            sed_drops += run_episodes_batched(
+                env, ConstantRulePolicy(sed), num_epochs=40, seed=seed
+            ).mean_total_drops
+            env2 = one_replica(cfg, spec, seed=seed + 100)
+            jsq_drops += run_episodes_batched(
+                env2, ConstantRulePolicy(jsq), num_epochs=40, seed=seed
+            ).mean_total_drops
         assert sed_drops < jsq_drops
 
     def test_infinite_client_mode_conserves_arrival_mass(self, small_config, spec):
         from repro.queueing.arrivals import ScriptedRate
 
         scripted = ScriptedRate([0.9, 0.6], [0] * 10)
-        env = HeterogeneousFiniteEnv(
+        env = one_replica(
             small_config, spec, arrival_process=scripted,
             infinite_clients=True, seed=0,
         )

@@ -7,9 +7,11 @@ from repro.config import SystemConfig
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import epoch_update
 from repro.meanfield.heterogeneous import HeterogeneousMeanFieldModel
+from repro.policies.static import ConstantRulePolicy
 from repro.queueing.arrivals import ScriptedRate
+from repro.queueing.batched_env import run_episodes_batched
 from repro.queueing.heterogeneous import (
-    HeterogeneousFiniteEnv,
+    BatchedHeterogeneousFiniteEnv,
     ServerClassSpec,
     jsq_rule_heterogeneous,
     rnd_rule_heterogeneous,
@@ -125,14 +127,19 @@ class TestFiniteSystemConvergence:
             )
             totals = []
             for seed in range(seeds):
-                env = HeterogeneousFiniteEnv(
+                env = BatchedHeterogeneousFiniteEnv(
                     cfg,
                     mixed_spec,
+                    num_replicas=1,
                     arrival_process=ScriptedRate([0.9, 0.6], [0] * epochs),
                     seed=seed,
                 )
                 rule = sed_rule(mixed_spec, cfg.buffer_size, cfg.d)
-                totals.append(env.run_episode(rule, epochs, seed=seed))
+                totals.append(
+                    run_episodes_batched(
+                        env, ConstantRulePolicy(rule), epochs, seed=seed
+                    ).mean_total_drops
+                )
             return float(np.mean(totals))
 
         cfg = SystemConfig(delta_t=2.0, num_queues=40, num_clients=1600)

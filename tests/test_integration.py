@@ -14,7 +14,7 @@ from repro.experiments.pretrained import get_mf_policy
 from repro.meanfield.convergence import trajectory_gap
 from repro.meanfield.mfc_env import MeanFieldEnv
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
-from repro.queueing.env import FiniteSystemEnv, run_episode
+from repro.queueing.batched_env import BatchedFiniteSystemEnv, run_episodes_batched
 from repro.rl.evaluation import evaluate_policies_mfc
 
 
@@ -48,10 +48,10 @@ class TestPretrainedPolicyQuality:
         cfg = SystemConfig(
             num_clients=900, num_queues=30, delta_t=5.0, monte_carlo_runs=2
         )
-        env = FiniteSystemEnv(cfg, seed=0)
-        result = run_episode(env, mf_policy_dt5, num_epochs=30, seed=2)
-        assert np.isfinite(result.total_drops_per_queue)
-        assert result.total_drops_per_queue >= 0
+        env = BatchedFiniteSystemEnv(cfg, num_replicas=1, seed=0)
+        result = run_episodes_batched(env, mf_policy_dt5, num_epochs=30, seed=2)
+        assert np.isfinite(result.total_drops_per_queue).all()
+        assert result.total_drops_per_queue[0] >= 0
 
     def test_mf_beats_jsq_in_finite_system_at_dt5(self, mf_policy_dt5):
         """Figure 5's claim transported to the finite system (small M)."""
@@ -66,10 +66,10 @@ class TestPretrainedPolicyQuality:
         }
         for name, policy in policies.items():
             for seed in range(4):
-                env = FiniteSystemEnv(cfg, seed=seed)
-                totals[name] += run_episode(
+                env = BatchedFiniteSystemEnv(cfg, num_replicas=1, seed=seed)
+                totals[name] += run_episodes_batched(
                     env, policy, num_epochs=50, seed=seed
-                ).total_drops_per_queue
+                ).mean_total_drops
         assert totals["MF"] < totals["JSQ"]
         assert totals["MF"] < totals["RND"]
 

@@ -2,20 +2,25 @@
 
 The contract under test: merged Monte-Carlo statistics are a pure
 function of the master seed and the replica-chunk layout — never of the
-worker count, the execution backend's process topology, or shard
-completion order.
+worker count, the process topology, or shard completion order.
 """
 
 import numpy as np
 import pytest
 
+from repro.execution import ExecutionContext
 from repro.experiments.parallel import (
     EvalRequest,
     SweepExecutor,
     _decompose,
+    _spawn_seed_children,
 )
 from repro.experiments.runner import evaluate_policy_finite
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
+from repro.queueing.batched_env import (
+    BatchedFiniteSystemEnv,
+    run_episodes_batched,
+)
 from repro.queueing.heterogeneous import (
     BatchedHeterogeneousFiniteEnv,
     ServerClassSpec,
@@ -44,7 +49,7 @@ def _request(config, policy, **overrides):
 class TestEvalRequest:
     def test_backend_validated(self, small_config, jsq):
         with pytest.raises(ValueError):
-            _request(small_config, jsq, backend="gpu")
+            _request(small_config, jsq, sim_backend="gpu")
 
     def test_chunk_size_validated(self, small_config, jsq):
         with pytest.raises(ValueError):
@@ -58,21 +63,24 @@ class TestEvalRequest:
         req = _request(small_config, jsq, num_runs=None)
         assert req.resolved_runs() == small_config.monte_carlo_runs
 
-    def test_backend_resolution(self, small_config, jsq):
-        assert _request(small_config, jsq).uses_batched_backend()
-        assert not _request(
-            small_config, jsq, backend="scalar"
-        ).uses_batched_backend()
-        # A batched env subclass stays on the batched path...
-        assert _request(
+    def test_env_cls_must_be_batched(self, small_config, jsq):
+        # Any batched env subclass is accepted...
+        request = _request(
             small_config, jsq, env_cls=BatchedHeterogeneousFiniteEnv
-        ).uses_batched_backend()
-        # ...while a scalar-only class falls back to the scalar loop.
-        from repro.queueing.env import FiniteSystemEnv
+        )
+        assert request.env_cls is BatchedHeterogeneousFiniteEnv
 
-        assert not _request(
-            small_config, jsq, env_cls=FiniteSystemEnv
-        ).uses_batched_backend()
+        # ...anything else fails at construction, naming the class,
+        # instead of inside a worker.
+        class SingleQueueSystem:
+            pass
+
+        with pytest.raises(ValueError, match="SingleQueueSystem"):
+            _request(small_config, jsq, env_cls=SingleQueueSystem)
+        with pytest.raises(ValueError, match="batched environment class"):
+            _request(small_config, jsq, env_cls=BatchedFiniteSystemEnv(
+                small_config, num_replicas=1
+            ))
 
 
 class TestDecomposition:
@@ -81,15 +89,7 @@ class TestDecomposition:
         assert [(s.offset, s.num_runs) for s in shards] == [
             (0, 2), (2, 2), (4, 2),
         ]
-        assert all(len(s.seeds) == 1 for s in shards)  # batched: 1 per chunk
-
-    def test_scalar_shards_carry_per_run_seeds(self, small_config, jsq):
-        shards = _decompose(
-            [_request(small_config, jsq, backend="scalar", num_runs=5,
-                      max_batch_replicas=3)]
-        )
-        assert [(s.offset, s.num_runs) for s in shards] == [(0, 3), (3, 2)]
-        assert [len(s.seeds) for s in shards] == [3, 2]
+        assert all(len(s.seeds) == 1 for s in shards)  # one per chunk
 
     def test_layout_independent_of_worker_count(self, small_config, jsq):
         # Decomposition never consults the executor, only the request.
@@ -110,48 +110,49 @@ class TestDeterminism:
     def test_sharded_matches_serial_batched(self, small_config, jsq):
         serial = evaluate_policy_finite(
             small_config, jsq, num_runs=6, num_epochs=4, seed=7,
-            max_batch_replicas=2,
+            context=ExecutionContext(max_batch_replicas=2),
         )
         sharded = SweepExecutor(workers=2).run([_request(small_config, jsq)])[0]
         assert np.array_equal(serial.drops, sharded.drops)
 
-    def test_sharded_matches_serial_scalar(self, small_config, jsq):
-        serial = evaluate_policy_finite(
-            small_config, jsq, num_runs=5, num_epochs=4, seed=11,
-            backend="scalar",
-        )
-        sharded = SweepExecutor(workers=2).run(
-            [_request(small_config, jsq, backend="scalar", num_runs=5,
-                      seed=11, max_batch_replicas=2)]
-        )[0]
-        assert np.array_equal(serial.drops, sharded.drops)
-
     def test_scalar_batched_sharded_triple_identity(self, small_config, jsq):
-        """Same master seed ⇒ identical results across all three execution
-        styles (scalar loop, single-replica batched chunks, process pool)."""
-        scalar = evaluate_policy_finite(
-            small_config, jsq, num_runs=4, num_epochs=4, seed=3,
-            backend="scalar",
+        """Same master seed ⇒ identical results across three ways to run
+        single-system (E = 1) replicas: one environment per spawned
+        seed, in-process unit chunks, and a process pool."""
+        children = _spawn_seed_children(3, 4)
+        scalar = np.concatenate(
+            [
+                run_episodes_batched(
+                    BatchedFiniteSystemEnv(
+                        small_config,
+                        num_replicas=1,
+                        seed=np.random.default_rng(child),
+                    ),
+                    jsq,
+                    num_epochs=4,
+                ).total_drops_per_queue
+                for child in children
+            ]
         )
         batched = evaluate_policy_finite(
             small_config, jsq, num_runs=4, num_epochs=4, seed=3,
-            backend="batched", max_batch_replicas=1,
+            context=ExecutionContext(max_batch_replicas=1),
         )
         sharded = SweepExecutor(workers=2).run(
             [_request(small_config, jsq, num_runs=4, seed=3,
                       max_batch_replicas=1)]
         )[0]
-        assert np.array_equal(scalar.drops, batched.drops)
-        assert np.array_equal(scalar.drops, sharded.drops)
+        assert np.array_equal(scalar, batched.drops)
+        assert np.array_equal(scalar, sharded.drops)
 
     def test_evaluate_policy_finite_workers_param(self, small_config, jsq):
         serial = evaluate_policy_finite(
             small_config, jsq, num_runs=6, num_epochs=4, seed=7,
-            max_batch_replicas=2,
+            context=ExecutionContext(max_batch_replicas=2),
         )
         pooled = evaluate_policy_finite(
             small_config, jsq, num_runs=6, num_epochs=4, seed=7,
-            max_batch_replicas=2, workers=2,
+            context=ExecutionContext(max_batch_replicas=2, workers=2),
         )
         assert np.array_equal(serial.drops, pooled.drops)
 
@@ -172,7 +173,9 @@ class TestDeterminism:
             serial = evaluate_policy_finite(
                 req.config, req.policy, num_runs=req.num_runs,
                 num_epochs=req.num_epochs, seed=req.seed,
-                max_batch_replicas=req.max_batch_replicas,
+                context=ExecutionContext(
+                    max_batch_replicas=req.max_batch_replicas
+                ),
             )
             assert np.array_equal(serial.drops, res.drops)
 
@@ -185,11 +188,15 @@ class TestDeterminism:
             num_runs=4, num_epochs=4, seed=5,
             env_cls=BatchedHeterogeneousFiniteEnv,
             env_kwargs={"spec": spec},
-            max_batch_replicas=2,
         )
-        serial = evaluate_policy_finite(small_config, sed, **kwargs)
+        serial = evaluate_policy_finite(
+            small_config, sed,
+            context=ExecutionContext(max_batch_replicas=2), **kwargs
+        )
         pooled = evaluate_policy_finite(
-            small_config, sed, workers=2, **kwargs
+            small_config, sed,
+            context=ExecutionContext(max_batch_replicas=2, workers=2),
+            **kwargs,
         )
         assert np.array_equal(serial.drops, pooled.drops)
 
@@ -289,8 +296,8 @@ class TestFigureWorkers:
             mf_policies={5.0: RandomPolicy(6, 2)},
             seed=0,
         )
-        serial = run_fig5(workers=1, **kwargs)
-        pooled = run_fig5(workers=2, **kwargs)
+        serial = run_fig5(context=ExecutionContext(workers=1), **kwargs)
+        pooled = run_fig5(context=ExecutionContext(workers=2), **kwargs)
         for name in serial.results:
             for a, b in zip(serial.results[name], pooled.results[name]):
                 assert np.array_equal(a.drops, b.drops)
@@ -306,8 +313,8 @@ class TestFigureWorkers:
             mf_eval_episodes=2,
             seed=0,
         )
-        serial = run_fig4(workers=1, **kwargs)
-        pooled = run_fig4(workers=2, **kwargs)
+        serial = run_fig4(context=ExecutionContext(workers=1), **kwargs)
+        pooled = run_fig4(context=ExecutionContext(workers=2), **kwargs)
         for a, b in zip(serial.results, pooled.results):
             assert np.array_equal(a.drops, b.drops)
         assert serial.mean_field_value == pooled.mean_field_value

@@ -20,7 +20,7 @@ from repro.meanfield.discretization import (
 from repro.meanfield.stationary import stationary_distribution
 from repro.queueing.clients import (
     expected_choice_counts,
-    infinite_client_rates,
+    infinite_client_rates_batched,
 )
 
 S, D = 4, 2
@@ -117,7 +117,7 @@ def test_drops_additive_along_frozen_path(lam, dt1, dt2):
 def test_infinite_client_rates_conserve_mass(raw, states):
     rule = DecisionRule.from_raw(raw, S, D)
     lam = 0.7
-    rates = infinite_client_rates(states, rule, lam)
+    rates = infinite_client_rates_batched(states[None, :], rule, np.array([lam]))
     assert rates.sum() == pytest.approx(states.size * lam, rel=1e-9)
     assert rates.min() >= -1e-12
 
@@ -243,68 +243,62 @@ def test_graph_full_mesh_bit_identical_to_dense(params, num_replicas):
     assert np.array_equal(dense.lam_modes, graph.lam_modes)
 
 
-@given(params=BATCH_CONFIGS, env_kind=st.sampled_from(["dense", "graph"]))
-@settings(max_examples=10, deadline=None)
-def test_scalar_vs_batched_bit_identity_at_unit_chunks(params, env_kind):
-    """The scalar backend and the batched backend chunked at
-    max_batch_replicas=1 spawn the same per-run generators, so their
-    per-replica drops are bit-identical — including for graph envs."""
-    from repro.experiments.runner import evaluate_policy_finite
-    from repro.policies.static import JoinShortestQueuePolicy
-    from repro.queueing.graph_env import BatchedGraphFiniteEnv
-    from repro.queueing.topology import TopologySpec
+@given(
+    params=BATCH_CONFIGS,
+    num_replicas=st.integers(1, 3),
+    policy_name=st.sampled_from(["JSQ(2)", "RND"]),
+    infinite_clients=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_heterogeneous_one_class_bit_identical_to_dense(
+    params, num_replicas, policy_name, infinite_clients
+):
+    """With one server class the observed-state encoding ``z·C + c`` is
+    the identity, so BatchedHeterogeneousFiniteEnv consumes the random
+    stream exactly like BatchedFiniteSystemEnv (committed and per-packet
+    mode) and, with ``infinite_clients=True``, like
+    BatchedInfiniteClientEnv: drops, histograms, state trajectories and
+    arrival modes are bit-identical."""
+    from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
+    from repro.queueing.batched_env import (
+        BatchedFiniteSystemEnv,
+        BatchedInfiniteClientEnv,
+        run_episodes_batched,
+    )
+    from repro.queueing.heterogeneous import (
+        BatchedHeterogeneousFiniteEnv,
+        ServerClassSpec,
+    )
 
     config = _batch_config(params)
-    policy = JoinShortestQueuePolicy(config.num_queue_states, config.d)
-    if env_kind == "graph":
-        env_cls: type | None = BatchedGraphFiniteEnv
-        env_kwargs = {
-            "topology": TopologySpec.ring(
-                config.num_queues,
-                radius=min(2, (config.num_queues - 1) // 2),
-            ),
-            "per_packet_randomization": params["per_packet"],
-        }
-        scalar_kwargs = None  # graph envs have no scalar twin
-    else:
-        env_cls = None
-        env_kwargs = {"per_packet_randomization": params["per_packet"]}
-        scalar_kwargs = env_kwargs
-    batched = evaluate_policy_finite(
-        config,
-        policy,
-        num_runs=3,
-        num_epochs=4,
-        seed=params["seed"],
-        env_cls=env_cls,
-        env_kwargs=env_kwargs,
-        backend="batched",
-        max_batch_replicas=1,
-    )
-    if scalar_kwargs is not None:
-        scalar = evaluate_policy_finite(
-            config,
-            policy,
-            num_runs=3,
-            num_epochs=4,
-            seed=params["seed"],
-            env_kwargs=scalar_kwargs,
-            backend="scalar",
+    policy_cls = {"JSQ(2)": JoinShortestQueuePolicy, "RND": RandomPolicy}
+    policy = policy_cls[policy_name](config.num_queue_states, config.d)
+    if infinite_clients:
+        dense = BatchedInfiniteClientEnv(
+            config, num_replicas=num_replicas, seed=params["seed"]
         )
-        assert np.array_equal(batched.drops, scalar.drops)
-    # E=1-per-chunk graph runs must also be reproducible call-to-call.
-    again = evaluate_policy_finite(
+    else:
+        dense = BatchedFiniteSystemEnv(
+            config,
+            num_replicas=num_replicas,
+            per_packet_randomization=params["per_packet"],
+            seed=params["seed"],
+        )
+    hetero = BatchedHeterogeneousFiniteEnv(
         config,
-        policy,
-        num_runs=3,
-        num_epochs=4,
+        ServerClassSpec((config.service_rate,), (1.0,)),
+        num_replicas=num_replicas,
+        infinite_clients=infinite_clients,
+        per_packet_randomization=params["per_packet"],
         seed=params["seed"],
-        env_cls=env_cls,
-        env_kwargs=env_kwargs,
-        backend="batched",
-        max_batch_replicas=1,
     )
-    assert np.array_equal(batched.drops, again.drops)
+    kwargs = {"num_epochs": 5, "seed": params["seed"], "record_distributions": True}
+    a = run_episodes_batched(dense, policy, **kwargs)
+    b = run_episodes_batched(hetero, policy, **kwargs)
+    assert np.array_equal(a.per_epoch_drops, b.per_epoch_drops)
+    assert np.array_equal(a.empirical_distributions, b.empirical_distributions)
+    assert np.array_equal(dense.queue_states, hetero.queue_states)
+    assert np.array_equal(dense.lam_modes, hetero.lam_modes)
 
 
 @given(

@@ -1,10 +1,16 @@
-"""Rollout-collector tests (batching, episode handling, bootstrapping)."""
+"""Single-environment rollout collection (batching, episode handling,
+bootstrapping): the ``E = 1`` case of the vectorized collector."""
 
 import numpy as np
 import pytest
 
 from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
-from repro.rl.rollout import RolloutCollector
+from repro.rl.vector_rollout import VectorRolloutCollector
+
+
+def single_env_collector(env, policy, value, gamma, gae_lambda, seed=None):
+    """A collector over the single environment ``env``."""
+    return VectorRolloutCollector([env], policy, value, gamma, gae_lambda, seed=seed)
 
 
 class CountingEnv:
@@ -44,7 +50,7 @@ def nets(rng):
 class TestCollect:
     def test_batch_shapes(self, nets):
         policy, value = nets
-        collector = RolloutCollector(CountingEnv(), policy, value, 0.9, 1.0, seed=0)
+        collector = single_env_collector(CountingEnv(), policy, value, 0.9, 1.0, seed=0)
         batch = collector.collect(12)
         assert len(batch) == 12
         assert batch.obs.shape == (12, 2)
@@ -55,7 +61,7 @@ class TestCollect:
 
     def test_episode_returns_recorded(self, nets):
         policy, value = nets
-        collector = RolloutCollector(CountingEnv(), policy, value, 0.9, 1.0, seed=0)
+        collector = single_env_collector(CountingEnv(), policy, value, 0.9, 1.0, seed=0)
         batch = collector.collect(12)  # covers two full episodes (5+5) + 2
         assert batch.episode_returns == [-5.0, -5.0]
         assert collector.total_env_steps == 12
@@ -63,7 +69,7 @@ class TestCollect:
     def test_episodes_continue_across_batches(self, nets):
         policy, value = nets
         env = CountingEnv()
-        collector = RolloutCollector(env, policy, value, 0.9, 1.0, seed=0)
+        collector = single_env_collector(env, policy, value, 0.9, 1.0, seed=0)
         collector.collect(3)
         batch = collector.collect(3)  # completes the first episode at step 5
         assert batch.episode_returns == [-5.0]
@@ -71,7 +77,7 @@ class TestCollect:
 
     def test_dones_at_episode_boundaries(self, nets):
         policy, value = nets
-        collector = RolloutCollector(CountingEnv(), policy, value, 0.9, 1.0, seed=0)
+        collector = single_env_collector(CountingEnv(), policy, value, 0.9, 1.0, seed=0)
         batch = collector.collect(10)
         assert np.array_equal(
             batch.dones,
@@ -89,7 +95,7 @@ class TestCollect:
 
         def targets(truncated_flag, seed=3):
             env = CountingEnv(truncated_flag=truncated_flag)
-            collector = RolloutCollector(env, policy, value, 0.9, 1.0, seed=seed)
+            collector = single_env_collector(env, policy, value, 0.9, 1.0, seed=seed)
             return collector.collect(5).value_targets
 
     # same policy seed -> same actions/rewards; only bootstrapping differs
@@ -101,13 +107,13 @@ class TestCollect:
 
     def test_invalid_batch_size(self, nets):
         policy, value = nets
-        collector = RolloutCollector(CountingEnv(), policy, value, 0.9, 1.0)
+        collector = single_env_collector(CountingEnv(), policy, value, 0.9, 1.0)
         with pytest.raises(ValueError):
             collector.collect(0)
 
     def test_minibatch_indices_cover_batch(self, nets, rng):
         policy, value = nets
-        collector = RolloutCollector(CountingEnv(), policy, value, 0.9, 1.0, seed=0)
+        collector = single_env_collector(CountingEnv(), policy, value, 0.9, 1.0, seed=0)
         batch = collector.collect(10)
         blocks = batch.minibatch_indices(4, rng)
         assert sorted(np.concatenate(blocks).tolist()) == list(range(10))

@@ -5,9 +5,9 @@ import pytest
 
 from repro.config import SystemConfig, paper_system_config
 from repro.queueing.arrivals import ScriptedRate
+from repro.execution import ExecutionContext
 from repro.queueing.heterogeneous import (
     BatchedHeterogeneousFiniteEnv,
-    HeterogeneousFiniteEnv,
     ServerClassSpec,
     sed_policy_suite,
     sed_rule,
@@ -110,8 +110,12 @@ class TestRunScenario:
         kwargs = dict(
             delta_ts=(5.0,), num_queues=10, num_runs=3, seed=0
         )
-        serial = run_scenario("bursty-mmpp", workers=1, **kwargs)
-        pooled = run_scenario("bursty-mmpp", workers=2, **kwargs)
+        serial = run_scenario(
+            "bursty-mmpp", context=ExecutionContext(workers=1), **kwargs
+        )
+        pooled = run_scenario(
+            "bursty-mmpp", context=ExecutionContext(workers=2), **kwargs
+        )
         for name in serial.results:
             assert np.array_equal(
                 serial.results[name][0].drops, pooled.results[name][0].drops
@@ -123,7 +127,7 @@ class TestRunScenario:
             delta_ts=(3.0, 7.0),
             num_queues=10,
             num_runs=2,
-            workers=2,
+            context=ExecutionContext(workers=2),
             seed=0,
         )
         assert set(result.results) == {"SED(2)", "JSQ(2)", "RND"}
@@ -151,8 +155,12 @@ class TestRunScenario:
         """The packaged NeuralPolicy must pickle into pool workers
         (regression: the MLP once held unpicklable activation lambdas)."""
         kwargs = dict(delta_ts=(5.0,), num_queues=10, num_runs=2, seed=0)
-        serial = run_scenario("paper-baseline", workers=1, **kwargs)
-        pooled = run_scenario("paper-baseline", workers=2, **kwargs)
+        serial = run_scenario(
+            "paper-baseline", context=ExecutionContext(workers=1), **kwargs
+        )
+        pooled = run_scenario(
+            "paper-baseline", context=ExecutionContext(workers=2), **kwargs
+        )
         assert np.array_equal(
             serial.results["MF"][0].drops, pooled.results["MF"][0].drops
         )
@@ -183,22 +191,6 @@ class TestBatchedHeterogeneousEnv:
         env.reset(seed=1)
         with pytest.raises(ValueError, match="heterogeneous"):
             env.step(DecisionRule.uniform(6, 2))  # homogeneous geometry
-
-    def test_scalar_wrapper_matches_batched_core(self, small_config, spec):
-        """An independently built E = 1 batched env consumes the stream
-        exactly like the scalar wrapper (bit-identical episodes)."""
-        rule = sed_rule(spec, small_config.buffer_size, small_config.d)
-        scalar = HeterogeneousFiniteEnv(small_config, spec, seed=0)
-        total_scalar = scalar.run_episode(rule, num_epochs=6, seed=9)
-        batched = BatchedHeterogeneousFiniteEnv(
-            small_config, spec, num_replicas=1, seed=0
-        )
-        batched.reset(seed=9)
-        total_batched = 0.0
-        for _ in range(6):
-            _, _, info = batched.step(rule)
-            total_batched += float(info["drops_per_queue"][0])
-        assert total_scalar == total_batched
 
     def test_infinite_clients_conserve_arrival_mass(self, small_config, spec):
         scripted = ScriptedRate([0.9, 0.6], [0] * 10)
@@ -271,8 +263,12 @@ class TestGraphScenarios:
         kwargs = dict(
             delta_ts=(2.0,), num_queues=10, num_runs=3, seed=4
         )
-        serial = run_scenario("random-regular", workers=1, **kwargs)
-        sharded = run_scenario("random-regular", workers=2, **kwargs)
+        serial = run_scenario(
+            "random-regular", context=ExecutionContext(workers=1), **kwargs
+        )
+        sharded = run_scenario(
+            "random-regular", context=ExecutionContext(workers=2), **kwargs
+        )
         for name in serial.results:
             assert np.array_equal(
                 serial.results[name][0].drops,
@@ -352,8 +348,12 @@ class TestStreamingScenarioSweeps:
 
     def test_stochastic_delay_worker_invariance(self):
         kwargs = dict(delta_ts=(2.0,), num_queues=8, num_runs=4, seed=1)
-        serial = run_scenario("stochastic-delay", workers=1, **kwargs)
-        pooled = run_scenario("stochastic-delay", workers=2, **kwargs)
+        serial = run_scenario(
+            "stochastic-delay", context=ExecutionContext(workers=1), **kwargs
+        )
+        pooled = run_scenario(
+            "stochastic-delay", context=ExecutionContext(workers=2), **kwargs
+        )
         for policy in serial.results:
             assert np.array_equal(
                 serial.results[policy][0].drops,
@@ -366,9 +366,13 @@ class TestStreamingScenarioSweeps:
         store = ExperimentStore(tmp_path / "store")
         kwargs = dict(delta_ts=(2.0,), num_queues=8, num_runs=2, seed=0)
         cold = run_scenario("diurnal-stream", **kwargs)
-        fresh = run_scenario("diurnal-stream", store=store, **kwargs)
+        fresh = run_scenario(
+            "diurnal-stream", context=ExecutionContext(store=store), **kwargs
+        )
         assert store.stats.writes > 0
-        warm = run_scenario("diurnal-stream", store=store, **kwargs)
+        warm = run_scenario(
+            "diurnal-stream", context=ExecutionContext(store=store), **kwargs
+        )
         assert store.stats.hits >= store.stats.writes
         for policy in cold.results:
             assert np.array_equal(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import paper_system_config
+from repro.execution import ExecutionContext
 from repro.policies.static import JoinShortestQueuePolicy
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
@@ -312,8 +313,8 @@ class TestStreamRequest:
             env_kwargs={"per_packet_randomization": True},
             max_batch_replicas=2,
         )
-        serial = run_stream_request(request, workers=1)
-        pooled = run_stream_request(request, workers=2)
+        serial = run_stream_request(request, context=ExecutionContext(workers=1))
+        pooled = run_stream_request(request, context=ExecutionContext(workers=2))
         assert np.array_equal(serial.summaries, pooled.summaries)
         assert np.allclose(serial.window_rows, pooled.window_rows)
 
@@ -358,10 +359,10 @@ class TestStreamRequest:
         )
         cold = run_stream_request(request)
         store = ExperimentStore(tmp_path / "store")
-        fresh = run_stream_request(request, store=store)
+        fresh = run_stream_request(request, context=ExecutionContext(store=store))
         assert store.stats.writes == 2
         assert store.stats.hits == 0
-        warm = run_stream_request(request, store=store)
+        warm = run_stream_request(request, context=ExecutionContext(store=store))
         assert store.stats.hits == 2
         assert np.array_equal(cold.summaries, fresh.summaries)
         assert np.array_equal(cold.summaries, warm.summaries)
@@ -389,10 +390,10 @@ class TestStreamRequest:
             },
         )
         store = ExperimentStore(tmp_path / "store")
-        first = run_stream_request(request, store=store)
+        first = run_stream_request(request, context=ExecutionContext(store=store))
         assert store.stats.writes == 1
         # The shared arrival process now carries a non-zero cursor.
-        second = run_stream_request(request, store=store)
+        second = run_stream_request(request, context=ExecutionContext(store=store))
         assert store.stats.hits == 1
         assert np.array_equal(first.summaries, second.summaries)
 
@@ -435,7 +436,7 @@ class TestStreamRequest:
                 seed=0,
                 env_kwargs={"per_packet_randomization": True},
             )
-            return run_stream_request(request, store=store)
+            return run_stream_request(request, context=ExecutionContext(store=store))
 
         a = run(3)
         b = run(12)

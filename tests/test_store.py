@@ -26,6 +26,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.experiments.parallel import EvalRequest, SweepExecutor, _decompose
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
+from repro.queueing.batched_env import BatchedInfiniteClientEnv
 from repro.store import (
     ArtifactSpec,
     ExperimentStore,
@@ -172,7 +173,7 @@ class TestShardKeys:
         [
             {"seed": 8},
             {"num_epochs": 5},
-            {"backend": "scalar"},
+            {"env_cls": BatchedInfiniteClientEnv},
             {"env_kwargs": {"per_packet_randomization": False}},
         ],
     )
@@ -313,7 +314,8 @@ class TestExecutorCaching:
         assert delta.hits == 3 and delta.misses == 3
 
     def test_scalar_backend_shards_cache_too(self, config, jsq, store):
-        requests = [_request(config, jsq, backend="scalar")]
+        """Single-system (E = 1) shards cache like lock-step chunks."""
+        requests = [_request(config, jsq, max_batch_replicas=1)]
         cold = self._cold(requests)
         SweepExecutor(workers=1, store=store).run_drops(requests)
         before = store.stats.snapshot()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.logging import ExperimentLogger
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
 from repro.utils.stats import (
@@ -207,32 +206,3 @@ class TestSerialization:
             tmp_path / "deep" / "dir" / "z.npz", {"a": np.ones(1)}
         )
         assert path.exists()
-
-
-class TestLogger:
-    def test_series_accumulate(self):
-        logger = ExperimentLogger()
-        logger.log("loss", 0, 1.0)
-        logger.log("loss", 1, 0.5)
-        logger.log_many(2, {"loss": 0.25, "kl": 0.1})
-        assert logger.series("loss") == [(0, 1.0), (1, 0.5), (2, 0.25)]
-        assert logger.last("loss") == 0.25
-        assert "kl" in logger
-        assert logger.names() == ["kl", "loss"]
-
-    def test_unknown_series_raises(self):
-        with pytest.raises(KeyError):
-            ExperimentLogger().series("nope")
-
-    def test_csv_export(self):
-        logger = ExperimentLogger()
-        logger.log("r", 0, 1.5)
-        assert logger.to_csv("r").splitlines() == ["step,r", "0,1.5"]
-
-    def test_echo_stream(self, capsys):
-        import sys
-
-        logger = ExperimentLogger(echo=True, stream=sys.stdout)
-        logger.log("x", 3, 2.0)
-        out = capsys.readouterr().out
-        assert "x step=3" in out

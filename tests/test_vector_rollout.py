@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
-from repro.rl.rollout import RolloutCollector
 from repro.rl.vector_rollout import VectorRolloutCollector
 
 
@@ -86,30 +85,6 @@ class TestCollect:
         dones = batch.dones.reshape(10, 2)
         # Both envs end their 5-step episodes at slices 4 and 9.
         assert np.array_equal(dones.all(axis=1), np.arange(10) % 5 == 4)
-
-    def test_single_env_matches_scalar_collector(self, small_config):
-        """E = 1 lock-step collection is bit-identical to RolloutCollector."""
-        from repro.meanfield.mfc_env import MeanFieldEnv
-
-        def collect(cls, wrap):
-            env = MeanFieldEnv(small_config, horizon=7, seed=0)
-            policy = GaussianPolicyNetwork(
-                env.observation_size, env.action_size, (8,), rng=1
-            )
-            value = ValueNetwork(env.observation_size, (8,), rng=2)
-            target = [env] if wrap else env
-            collector = cls(target, policy, value, 0.99, 0.95, seed=5)
-            return collector.collect(21)
-
-        scalar = collect(RolloutCollector, wrap=False)
-        vector = collect(VectorRolloutCollector, wrap=True)
-        assert np.array_equal(scalar.obs, vector.obs)
-        assert np.array_equal(scalar.actions, vector.actions)
-        assert np.array_equal(scalar.rewards, vector.rewards)
-        assert np.array_equal(scalar.dones, vector.dones)
-        assert np.allclose(scalar.advantages, vector.advantages)
-        assert np.allclose(scalar.value_targets, vector.value_targets)
-        assert scalar.episode_returns == vector.episode_returns
 
     def test_fixed_seed_regression_batch_statistics(self, small_config):
         """Same seed -> identical batches; distinct seeds -> distinct."""
