@@ -18,7 +18,8 @@ from repro.queueing.backends import (
 )
 from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
 from repro.queueing.clients import (
-    expected_choice_counts,
+    choice_probabilities,
+    committed_counts_multinomial,
     sample_client_choices_batched,
 )
 from repro.queueing.batched_env import (
@@ -91,8 +92,9 @@ __all__ = [
     "get_backend",
     "runnable_backends",
     "simulate_queues_epoch_batched",
+    "choice_probabilities",
+    "committed_counts_multinomial",
     "sample_client_choices_batched",
-    "expected_choice_counts",
     "BatchedFiniteSystemEnv",
     "BatchedInfiniteClientEnv",
     "BatchedEpisodeResult",

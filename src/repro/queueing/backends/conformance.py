@@ -132,6 +132,11 @@ class CountingGenerator(np.random.Generator):
     def poisson(self, *args, **kwargs):
         return self._log("poisson", super().poisson(*args, **kwargs))
 
+    def multinomial(self, *args, **kwargs):
+        return self._log(
+            "multinomial", super().multinomial(*args, **kwargs)
+        )
+
     def exponential(self, *args, **kwargs):
         return self._log(
             "exponential", super().exponential(*args, **kwargs)

@@ -14,8 +14,13 @@ What the fusion buys (see ``docs/scaling.md`` for measurements):
 * the serve stage visits each queue cell once and performs only its
   *actual* ``num_events[e, m]`` events, instead of ``max_events`` full
   ``(E, M)`` array rounds with their ~8 temporaries each;
-* the choose stage walks clients in one pass with no ``(E, N, d)``
-  gather/cdf/one-hot temporaries.
+* the per-packet choose stage walks clients in one pass with no
+  ``(E, N, d)`` gather/one-hot temporaries.
+
+Committed routing needs no compiled loop: the environments draw its
+counts with one host-side multinomial
+(:func:`repro.queueing.clients.committed_counts_multinomial`), and
+:meth:`NumbaEpochKernel.committed_counts` is the shared NumPy reference.
 
 The one buffer the serve stage still allocates is the pre-drawn
 ``(max_events, E, M)`` uniform block — drawing it in one host call
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.queueing.clients import committed_counts_from_samples
 from repro.queueing.queue_ctmc import validate_epoch_inputs
 
 __all__ = ["NUMBA_AVAILABLE", "NumbaEpochKernel", "numba_available"]
@@ -73,34 +79,6 @@ def _rule_tables(probs: np.ndarray) -> np.ndarray:
     if probs.strides[0] == 0:
         return np.ascontiguousarray(probs[0]).reshape(1, s**d, d)
     return np.ascontiguousarray(probs).reshape(probs.shape[0], s**d, d)
-
-
-@njit(cache=True)
-def _committed_counts_loop(observed, sampled, table, num_states, uniforms, counts):
-    num_replicas, num_clients, d = sampled.shape
-    num_tables = table.shape[0]
-    for e in range(num_replicas):
-        rows = table[e % num_tables]
-        for n in range(num_clients):
-            flat = observed[e, sampled[e, n, 0]]
-            for k in range(1, d):
-                flat = flat * num_states + observed[e, sampled[e, n, k]]
-            # Sequential cdf with the final value forced to exactly 1.0
-            # (the reference backend's round-off guard), then count
-            # strict exceedances of the uniform — replicates
-            # np.cumsum + (u > cdf).sum() bit-for-bit.
-            u = uniforms[e, n]
-            cumulative = 0.0
-            slot = 0
-            for k in range(d):
-                if k == d - 1:
-                    edge = 1.0
-                else:
-                    cumulative += rows[flat, k]
-                    edge = cumulative
-                if u > edge:
-                    slot += 1
-            counts[e, sampled[e, n, slot]] += 1
 
 
 @njit(cache=True)
@@ -172,20 +150,9 @@ class NumbaEpochKernel:
         probs: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        e, m = observed.shape
-        # Contract item (b): the slot draw happens at the same stream
-        # position as the reference backend's _batched_sample_slots.
-        uniforms = rng.random(sampled.shape[:-1])
-        counts = np.zeros((e, m), dtype=np.int64)
-        _committed_counts_loop(
-            np.ascontiguousarray(observed, dtype=np.int64),
-            np.ascontiguousarray(sampled, dtype=np.int64),
-            _rule_tables(probs),
-            np.int64(probs.shape[1]),
-            uniforms,
-            counts,
-        )
-        return counts
+        # The per-client reference stage only: the environments draw
+        # committed counts from their multinomial law on the host.
+        return committed_counts_from_samples(observed, sampled, probs, rng)
 
     def packet_fractions(
         self,

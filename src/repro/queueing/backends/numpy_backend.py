@@ -6,7 +6,10 @@ uniformization pass of :mod:`repro.queueing.queue_ctmc` — exactly the
 code paths the environments ran before the backend protocol existed, so
 adopting the protocol changed no random stream and no golden trace.
 Every other backend is gated against this kernel by the conformance
-harness (:mod:`repro.queueing.backends.conformance`).
+harness (:mod:`repro.queueing.backends.conformance`). Its
+``committed_counts`` is the per-client reference only: environments draw
+committed counts with
+:func:`repro.queueing.clients.committed_counts_multinomial`.
 """
 
 from __future__ import annotations

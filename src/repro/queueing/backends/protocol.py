@@ -11,12 +11,19 @@ stages over ``E`` replicas, ``N`` clients and ``d`` samples per client
    call of the dense system.
 2. **choose** — each client looks up its decision-rule row on the
    observed states of its samples and either commits one choice for the
-   epoch (:meth:`EpochKernel.committed_counts`) or contributes its full
-   routing distribution under per-packet randomization
-   (:meth:`EpochKernel.packet_fractions`).
+   epoch or contributes its full routing distribution under per-packet
+   randomization (:meth:`EpochKernel.packet_fractions`).
 3. **serve** — every queue runs its frozen-rate birth-death chain for
    ``Δt`` time units via uniformization
    (:meth:`EpochKernel.serve_epoch`).
+
+Committed routing skips the per-client sample and choose stages: given
+the observed states the clients of a dispatcher choose independently
+and identically, so the environments draw the per-queue counts from
+their exact ``Multinomial(n_k, p_k)`` law on the host
+(:func:`repro.queueing.clients.committed_counts_multinomial`).
+:meth:`EpochKernel.committed_counts` keeps the per-client choose stage
+as the reference that law is tested against.
 
 Backends implement the **choose** and **serve** stages; they receive the
 sample-stage output as input.
@@ -24,20 +31,29 @@ sample-stage output as input.
 RNG-draw contract
 -----------------
 All randomness is drawn from the *host-side*
-:class:`numpy.random.Generator` in one canonical per-epoch order:
+:class:`numpy.random.Generator` in one canonical per-epoch order. The
+routing draw is one of:
 
-(a) one ``rng.integers(0, high, size=(E, N, d))`` queue-sample draw
-    (``high = M`` dense, ``high = degree`` on graphs) — made by the
-    environment, per decision-rule application;
-(b) one ``rng.random((E, N))`` slot-selection draw inside
-    ``committed_counts`` (skipped entirely under per-packet
-    randomization, which consumes no stream);
+(a) per-packet routing: one ``rng.integers(0, high, size=(E, N, d))``
+    queue-sample draw (``high = M`` dense, ``high = degree`` on graphs)
+    — made by the environment, per snapshot view it routes on; the
+    choose stage ``packet_fractions`` consumes no stream;
+(b) committed routing: one ``rng.multinomial`` draw over every
+    replica's ``M`` queues, shape ``(E, 1, M)`` — the one-dispatcher
+    case of the graph shape ``(E, G, degree)`` with one row per distinct
+    dispatcher neighborhood — made by the environment.
+
+Then the serve stage draws:
+
 (c) one ``rng.poisson(total_rate · Δt)`` draw of shape ``(E, M)``
     inside ``serve_epoch``;
 (d) ``max_events`` rounds of ``rng.random((E, M))`` event-type draws
     inside ``serve_epoch`` — equivalently one ``(max_events, E, M)``
     draw, which yields the identical byte stream because NumPy fills
     uniform doubles sequentially in C order.
+
+The reference ``committed_counts`` stage, which no environment calls,
+consumes one ``rng.random((E, N))`` slot-selection draw.
 
 A backend that keeps this call sequence — same methods, same argument
 shapes, same order — and computes everything between draws with exact
@@ -56,10 +72,11 @@ Floating-point contract
 Two reductions in the choose stage are order-sensitive and therefore
 normative:
 
-* slot selection computes the cdf by *sequential left-to-right
-  addition* over the ``d`` slots with the final cumulative value forced
-  to exactly ``1.0`` (the round-off guard of the reference
-  implementation), then counts strict exceedances of one uniform;
+* slot selection (the reference ``committed_counts``) computes the cdf
+  by *sequential left-to-right addition* over the ``d`` slots with the
+  final cumulative value forced to exactly ``1.0`` (the round-off guard
+  of the reference implementation), then counts strict exceedances of
+  one uniform;
 * per-packet accumulation adds each client-slot weight into its queue
   cell in ``(e, n, k)`` row-major order — the accumulation order of
   ``numpy.bincount`` with weights.
@@ -111,7 +128,11 @@ class EpochKernel(Protocol):
         probs: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Choose stage, committed mode: per-queue committed-client counts.
+        """Per-client reference of the committed choose stage.
+
+        Environments draw committed counts from their exact multinomial
+        law instead (RNG-contract item *b*); this stage samples every
+        client and is what that law is tested against.
 
         Parameters
         ----------
@@ -125,8 +146,7 @@ class EpochKernel(Protocol):
             :func:`repro.queueing.clients.stack_rules`; a zero replica
             stride marks the shared-rule (stationary) fast path.
         rng : numpy.random.Generator
-            Consumes exactly one ``rng.random((E, N))`` draw (contract
-            item *b*).
+            Consumes exactly one ``rng.random((E, N))`` draw.
 
         Returns
         -------
@@ -181,7 +201,8 @@ def draw_uniform_queue_samples(
     d: int,
     num_queues: int,
 ) -> np.ndarray:
-    """Sample stage of the dense environments (RNG-contract item *a*).
+    """Per-packet sample stage of the dense environments (RNG-contract
+    item *a*).
 
     One ``rng.integers(0, M, size=(E, N, d))`` call — uniform with
     replacement, exactly Eq. (3) of the paper. Graph environments

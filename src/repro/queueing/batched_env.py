@@ -19,12 +19,16 @@ prescribes, queried once per replica per epoch (policies that implement
 ``decision_rules_batch`` answer all replicas with one forward pass;
 stationary policies are queried once in total).
 
-The client sample → choose stage is written once, in
-:meth:`_BatchedQueueSystemBase._frozen_rates`. The environment families
-differ only in three hooks it calls: where clients sample
-(:meth:`~_BatchedQueueSystemBase._sample`), which snapshots they observe
-(:meth:`~_BatchedQueueSystemBase._routing_views`) and how a queue's
-state is encoded (:meth:`~_BatchedQueueSystemBase._encode`).
+The client choose stage is written once, in
+:meth:`_BatchedQueueSystemBase._frozen_rates`. Committed routing draws
+each dispatcher's per-queue counts from their exact multinomial law in
+``O(E·M)``; per-packet routing samples every client. The environment
+families differ only in the hooks it calls: where clients sample
+(:meth:`~_BatchedQueueSystemBase._dispatchers` for committed routing,
+:meth:`~_BatchedQueueSystemBase._sample` for per-packet routing), which
+snapshots they observe (:meth:`~_BatchedQueueSystemBase._routing_views`)
+and how a queue's state is encoded
+(:meth:`~_BatchedQueueSystemBase._encode`).
 
 See ``docs/scaling.md`` for when to prefer the batched path and the
 expected speedups.
@@ -42,6 +46,7 @@ from repro.meanfield.decision_rule import DecisionRule
 from repro.queueing.arrivals import MarkovModulatedRate
 from repro.queueing.backends import draw_uniform_queue_samples, get_backend
 from repro.queueing.clients import (
+    committed_counts_multinomial,
     infinite_client_rates_batched,
     stack_rules,
 )
@@ -181,8 +186,16 @@ class _BatchedQueueSystemBase:
         return self.empirical_distributions()
 
     # -- choose stage -----------------------------------------------------
+    def _dispatchers(self) -> tuple[np.ndarray | None, "int | np.ndarray"]:
+        """Dispatcher neighborhoods ``(K, degree)`` and their client counts.
+
+        ``None`` is one dispatcher whose ``N`` clients sample all ``M``
+        queues (Eq. 3).
+        """
+        return None, self.config.num_clients
+
     def _sample(self, d: int) -> np.ndarray:
-        """Sample stage: ``d`` queue indices per client, ``(E, N, d)``.
+        """Sample stage of per-packet routing: ``(E, N, d)`` queue indices.
 
         Uniform over all ``M`` queues with replacement (Eq. 3).
         """
@@ -212,10 +225,12 @@ class _BatchedQueueSystemBase:
     def _frozen_rates(self, rules: RulesLike) -> np.ndarray:
         """Frozen arrival rates of the simulated queues, ``(E, M_sim)``.
 
-        Committed choice gives ``M λ_t · count_j / N`` (Eq. 5); per-packet
+        Committed choice gives ``M λ_t · count_j / N`` (Eq. 5), with the
+        counts drawn from their exact multinomial law; per-packet
         randomization gives ``M λ_t · f_j`` with ``f`` the thinned routing
-        fractions, mixed over the views by weight. Infinite clients
-        replace the draws by the expected rates (Eq. 14-15).
+        fractions of sampled clients, mixed over the views by weight.
+        Infinite clients replace the draws by the expected rates
+        (Eq. 14-15).
         """
         e, simulated = self._states.shape
         if simulated == 0:
@@ -231,17 +246,17 @@ class _BatchedQueueSystemBase:
         mixed = None
         for weight, states in self._routing_views():
             observed = self._encode(states)
-            sampled = self._sample(probs.ndim - 2)
             if not self.per_packet_randomization:
-                counts = self.kernel.committed_counts(
-                    observed, sampled, probs, self._rng
+                neighborhoods, clients = self._dispatchers()
+                counts = committed_counts_multinomial(
+                    observed, probs, clients, self._rng, neighborhoods
                 )
                 return m * lam * counts[:, :simulated].astype(np.float64) / n
             # Paper remark below Eq. (4): in the experiments every packet
             # re-samples its slot, so the frozen rate thins over the
             # clients' full routing distributions instead of commitments.
             fractions = self.kernel.packet_fractions(
-                observed, sampled, probs, n
+                observed, self._sample(probs.ndim - 2), probs, n
             )
             if weight is None:
                 return m * lam * fractions[:, :simulated]
@@ -363,8 +378,8 @@ class BatchedFiniteSystemEnv(_BatchedQueueSystemBase):
     Every epoch, each replica's ``N`` clients sample ``d`` queues, commit
     a choice via that replica's decision rule, and queue ``j`` receives
     Poisson arrivals at the frozen rate ``λ_j = M λ_t · count_j / N``
-    (Eq. 5) for ``Δt`` time units; all replicas advance in one batched
-    kernel call.
+    (Eq. 5) for ``Δt`` time units; the counts are drawn from their exact
+    multinomial law and all replicas advance in one batched kernel call.
     """
 
 

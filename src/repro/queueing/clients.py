@@ -7,11 +7,19 @@ sampled queues (the *anonymous state* ``z̄_i``), draws a slot
 for the epoch. The per-queue frozen arrival rates then follow Eq. (5):
 ``λ_j = M λ_t · count_j / N``.
 
-Everything is vectorized over clients and over ``E`` independent system
-replicas (queue states shaped ``(E, M)``, one decision rule per
-replica): for the paper's largest setting (``N = 10^6``, ``d = 2``) a
-whole Monte-Carlo sweep's epoch of client decisions is a handful of
-array operations. A single system is the ``E = 1`` case.
+Given the queue states the clients choose independently, each joining
+queue ``j`` with probability ``λ_t(H, z_j) / (M λ_t)`` (the identity in
+the proof of Theorem 1), so the counts are exactly
+``Multinomial(N, p)``. The environments draw them that way
+(:func:`committed_counts_multinomial`, ``O(E·M)`` per epoch); the
+per-client sampler (:func:`sample_client_choices_batched`,
+:func:`committed_counts_from_samples`) stays as the reference the law
+tests compare against. Per-packet routing
+(:func:`packet_fractions_from_samples`) still samples every client.
+
+Everything is vectorized over ``E`` independent system replicas (queue
+states shaped ``(E, M)``, one decision rule per replica); a single
+system is the ``E = 1`` case.
 """
 
 from __future__ import annotations
@@ -21,14 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.meanfield.decision_rule import DecisionRule
-from repro.meanfield.discretization import per_state_arrival_rates
 from repro.utils.rng import as_generator
 
 __all__ = [
-    "expected_choice_counts",
     "stack_rules",
-    "sample_client_choices_batched",
+    "choice_probabilities",
+    "committed_counts_multinomial",
     "infinite_client_rates_batched",
+    "sample_client_choices_batched",
     "committed_counts_from_samples",
     "packet_fractions_from_samples",
 ]
@@ -100,11 +108,12 @@ def committed_counts_from_samples(
 ) -> np.ndarray:
     """Committed-choice counts given already-sampled queue indices.
 
-    The *choose* stage of the epoch-kernel contract (see
-    :mod:`repro.queueing.backends.protocol`): each client observes the
-    states of its ``d`` sampled queues, draws one slot from its rule row
-    (one ``rng.random((E, N))`` call — the only stream consumption of
-    this stage) and commits to the chosen queue.
+    The per-client reference of the committed *choose* stage
+    (:meth:`~repro.queueing.backends.protocol.EpochKernel.committed_counts`):
+    each client observes the states of its ``d`` sampled queues, draws
+    one slot from its rule row (one ``rng.random((E, N))`` call) and
+    commits to the chosen queue. The environments draw the same law
+    with :func:`committed_counts_multinomial`.
 
     Parameters
     ----------
@@ -213,25 +222,132 @@ def sample_client_choices_batched(
     return sampled, slots, committed
 
 
-def expected_choice_counts(
-    queue_states: np.ndarray,
-    num_clients: int,
-    rule: DecisionRule,
-) -> np.ndarray:
-    """Expected per-queue client counts ``N · P(client commits to j)``.
+#: ``numpy.einsum`` letters for the rule's state axes; ``e`` (replica)
+#: and ``k`` (dispatcher) label the batch axes.
+_STATE_AXES = "abcdfghijlmnopqrstuvwxyz"
 
-    By the computation in the proof of Theorem 1,
-    ``P(client -> j) = λ_t(H, z_j) / (M λ_t)`` where ``H`` is the
-    empirical state distribution — so the expected counts are independent
-    of the arrival intensity. Used for variance-reduction checks and the
-    infinite-client system.
+
+def _unit_choice_rates(hists: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Eq. (22) at unit intensity, batched over replicas and dispatchers.
+
+    ``hists`` holds state distributions ``ν`` shaped ``(E, K, S)`` and
+    ``probs`` a stacked rule table ``(E, S, ..., S, d)`` from
+    :func:`stack_rules`. Returns ``g[e, k, z] = λ_t(ν_ek, z) / λ_t`` in the
+    shape of ``hists``: per slot ``u``, one :func:`numpy.einsum`
+    contracts ``h_e(u | ·)`` with ``ν_ek`` along every state axis except
+    ``u``, and the slots add up in order.
     """
-    queue_states = np.asarray(queue_states)
-    m = queue_states.size
-    hist = np.bincount(queue_states, minlength=rule.num_states).astype(float) / m
-    per_state = per_state_arrival_rates(hist, rule, lam=1.0)
-    probs = per_state[queue_states] / m
-    return num_clients * probs
+    d = probs.ndim - 2
+    if d == 1:
+        # A single sample is always joined: g(z) = h(0 | z) = 1.
+        return np.broadcast_to(probs[:, None, :, 0], hists.shape).copy()
+    axes = _STATE_AXES[:d]
+    total = None
+    for u in range(d):
+        others = ["ek" + axes[i] for i in range(d) if i != u]
+        term = np.einsum(
+            ",".join(["e" + axes, *others]) + "->ek" + axes[u],
+            probs[..., u],
+            *[hists] * (d - 1),
+        )
+        total = term if total is None else total + term
+    return total
+
+
+def choice_probabilities(
+    observed: np.ndarray,
+    probs: np.ndarray,
+    neighborhoods: np.ndarray | None = None,
+) -> np.ndarray:
+    """Probability that one client commits to each queue (Eq. 3-4).
+
+    A client samples ``d`` queues uniformly with replacement from its
+    dispatcher's neighborhood and routes by the rule. By the computation
+    in the proof of Theorem 1 it commits to neighborhood queue ``j`` with
+    probability ``λ_t(H, z_j) / (degree · λ_t)``, where ``H`` is the state
+    distribution over the neighborhood: the same for every client of the
+    dispatcher and independent of the arrival intensity.
+
+    Parameters
+    ----------
+    observed : numpy.ndarray
+        Per-queue observed states, shape ``(E, M)``.
+    probs : numpy.ndarray
+        Stacked rule table from :func:`stack_rules`,
+        shape ``(E, S, ..., S, d)``.
+    neighborhoods : numpy.ndarray, optional
+        Queue indices ``(K, degree)`` each dispatcher samples from;
+        ``None`` is one dispatcher sampling all ``M`` queues.
+
+    Returns
+    -------
+    numpy.ndarray
+        Shape ``(E, M)`` without neighborhoods, else ``(E, K, degree)``
+        over each dispatcher's neighborhood; every row sums to 1.
+    """
+    observed = np.asarray(observed)
+    e, m = observed.shape
+    dense = neighborhoods is None
+    if dense:
+        neighborhoods = np.arange(m)[None, :]
+    k, degree = neighborhoods.shape
+    s = probs.shape[1]
+    seen = observed[:, neighborhoods]
+    offsets = np.arange(e * k, dtype=seen.dtype).reshape(e, k, 1) * s
+    hists = np.bincount(
+        (seen + offsets).ravel(), minlength=e * k * s
+    ).reshape(e, k, s) / degree
+    rates = np.take_along_axis(_unit_choice_rates(hists, probs), seen, axis=-1)
+    # Normalizing, rather than dividing by the degree, absorbs the row-sum
+    # round-off a valid rule may carry, so the probabilities sum to 1.
+    p = rates / rates.sum(axis=-1, keepdims=True)
+    return p[:, 0] if dense else p
+
+
+def committed_counts_multinomial(
+    observed: np.ndarray,
+    probs: np.ndarray,
+    num_clients: "int | np.ndarray",
+    rng: np.random.Generator,
+    neighborhoods: np.ndarray | None = None,
+) -> np.ndarray:
+    """Committed-client counts per queue, drawn from their exact law.
+
+    Given the observed states the clients of one dispatcher choose
+    independently with the probabilities of :func:`choice_probabilities`,
+    so its per-queue counts are ``Multinomial(n_k, p_k)`` and the counts
+    of a replica are the sum over dispatchers. One ``rng.multinomial``
+    call of shape ``(E, K, degree)`` draws them all: ``O(E·K·degree)``
+    work, where sampling every client is ``O(E·N·d)``.
+
+    Parameters
+    ----------
+    observed : numpy.ndarray
+        Per-queue observed states, shape ``(E, M)``.
+    probs : numpy.ndarray
+        Stacked rule table from :func:`stack_rules`.
+    num_clients : int or numpy.ndarray
+        ``N``, or the client count ``(K,)`` of every dispatcher.
+    rng : numpy.random.Generator
+        Consumes exactly one ``rng.multinomial`` call.
+    neighborhoods : numpy.ndarray, optional
+        Dispatcher neighborhoods ``(K, degree)`` with distinct queues per
+        row; ``None`` is one dispatcher over all ``M`` queues.
+
+    Returns
+    -------
+    numpy.ndarray
+        Integer counts, shape ``(E, M)``, summing to ``N`` per row.
+    """
+    e, m = observed.shape
+    if neighborhoods is None:
+        neighborhoods = np.arange(m)[None, :]
+    p = choice_probabilities(observed, probs, neighborhoods)
+    draws = rng.multinomial(num_clients, p)
+    flat = (neighborhoods + (np.arange(e) * m)[:, None, None]).ravel()
+    return np.bincount(
+        flat, weights=draws.ravel(), minlength=e * m
+    ).reshape(e, m).astype(np.int64)
 
 
 def infinite_client_rates_batched(
@@ -241,10 +357,9 @@ def infinite_client_rates_batched(
 ) -> np.ndarray:
     """Frozen ``N → ∞`` arrival rates for ``E`` replicas, shape ``(E, M)``.
 
-    ``lams`` holds each replica's current arrival intensity. The
-    per-state rate function (a handful of ``S``-sized tensor
-    contractions) is evaluated per replica; the per-queue gather is
-    vectorized.
+    ``lams`` holds each replica's current arrival intensity. Client
+    randomness averages out, so queue ``j`` receives its expected share
+    ``M λ_t · P(client → j)`` of the offered load (Eq. 14-15).
     """
     queue_states = np.asarray(queue_states)
     if queue_states.ndim != 2:
@@ -253,16 +368,5 @@ def infinite_client_rates_batched(
     lams = np.asarray(lams, dtype=np.float64)
     if lams.shape != (e,):
         raise ValueError(f"lams must have shape ({e},)")
-    rule_list = [rules] * e if isinstance(rules, DecisionRule) else list(rules)
-    if len(rule_list) != e:
-        raise ValueError(f"need {e} rules (one per replica), got {len(rule_list)}")
-    num_states = rule_list[0].num_states
-    offsets = np.arange(e, dtype=queue_states.dtype)[:, None] * num_states
-    hists = np.bincount(
-        (queue_states + offsets).ravel(), minlength=e * num_states
-    ).reshape(e, num_states) / m
-    rates = np.empty((e, m))
-    for i, (rule, lam) in enumerate(zip(rule_list, lams)):
-        per_state = per_state_arrival_rates(hists[i], rule, float(lam))
-        rates[i] = per_state[queue_states[i]]
-    return rates
+    probs = stack_rules(rules, e)
+    return m * lams[:, None] * choice_probabilities(queue_states, probs)

@@ -10,18 +10,22 @@ decision rules on the sampled states, frozen per-queue Poisson rates,
 the lock-step uniformization kernel, per-replica arrival-mode chains —
 is inherited unchanged from the dense batched machinery.
 
-The hot path stays a vectorized NumPy gather: clients draw *slot*
-indices ``u ~ Unif{0..degree-1}`` in one ``(E, N, d)`` call and the
-sampled queue indices are one flat ``take`` into the precomputed
-``(num_dispatchers, degree)`` neighbor array. No per-node Python loops.
+The hot path stays vectorized with no per-node Python loops. Under
+committed routing each dispatcher's clients draw their per-queue counts
+from one multinomial over its neighborhood (``O(E·K·degree)``, with the
+probabilities from that neighborhood's state histogram). Under per-packet
+routing clients draw *slot* indices ``u ~ Unif{0..degree-1}`` in one
+``(E, N, d)`` call and the sampled queue indices are one flat ``take``
+into the precomputed ``(num_dispatchers, degree)`` neighbor array.
 
-Determinism contract: on a full-mesh topology the slot draw is
-``rng.integers(0, M, size=(E, N, d))`` — the *same call with the same
-arguments* the dense backend makes — and the identity neighbor gather
-maps slots to themselves, so a full-mesh graph simulation is
-bit-identical to :class:`BatchedFiniteSystemEnv` under a shared seed
-(property-tested in ``tests/test_properties.py``). Environments are
-plain NumPy-holding objects and pickle through the multiprocess
+Determinism contract: on a full-mesh topology both routing modes make
+the *same call with the same arguments* the dense backend makes (one
+multinomial over all ``M`` queues in index order, or the slot draw
+``rng.integers(0, M, size=(E, N, d))`` whose identity gather maps slots
+to themselves), so a full-mesh graph simulation is bit-identical to
+:class:`BatchedFiniteSystemEnv` under a shared seed (property-tested in
+``tests/test_properties.py``). Environments are plain NumPy-holding
+objects and pickle through the multiprocess
 :class:`repro.experiments.parallel.SweepExecutor` unchanged.
 """
 
@@ -83,6 +87,27 @@ class BatchedGraphFiniteEnv(_BatchedQueueSystemBase):
             chaos=chaos,
         )
         self.topology = topology
+
+    def _dispatchers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct neighborhoods and the clients of each, ``(G, degree)``
+        and ``(G,)``.
+
+        Dispatchers that reach the same queue set give their clients the
+        same choice probabilities, and independent multinomials with
+        equal probabilities add up to one, so each distinct neighborhood
+        (rows sorted) needs a single draw. A full mesh is one group over
+        all queues in index order: the dense system's draw exactly.
+        """
+        topology = self.topology
+        groups, owner = np.unique(
+            np.sort(topology.neighbors, axis=1), axis=0, return_inverse=True
+        )
+        clients = np.bincount(
+            owner.ravel(),
+            weights=topology.dispatcher_loads(self.config.num_clients),
+            minlength=len(groups),
+        )
+        return groups, clients.astype(np.int64)
 
     def _sample(self, d: int) -> np.ndarray:
         """Neighborhood-restricted queue samples, shape ``(E, N, d)``.

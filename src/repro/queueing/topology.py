@@ -175,6 +175,16 @@ class TopologySpec:
             raise ValueError("num_clients must be >= 1")
         return np.arange(num_clients, dtype=np.int64) % self.num_dispatchers
 
+    def dispatcher_loads(self, num_clients: int) -> np.ndarray:
+        """Clients per dispatcher node under :meth:`client_dispatchers`,
+        shape ``(K,)``, without materializing the ``N`` assignments."""
+        if num_clients < 1:
+            raise ValueError("num_clients must be >= 1")
+        k = self.num_dispatchers
+        loads = np.full(k, num_clients // k, dtype=np.int64)
+        loads[: num_clients % k] += 1
+        return loads
+
     def memory_bytes(self) -> int:
         """Size of the neighbor array (the only O(K·degree) state)."""
         return int(self.neighbors.nbytes)

@@ -200,13 +200,78 @@ class TestFamilyConformance:
         assert_traces_equal(actual, expected)
 
 
+def _committed_env(kind: str):
+    """One committed-routing environment of each family."""
+    from repro.queueing.batched_env import BatchedFiniteSystemEnv
+    from repro.queueing.graph_env import BatchedGraphFiniteEnv
+    from repro.queueing.heterogeneous import (
+        BatchedHeterogeneousFiniteEnv,
+        ServerClassSpec,
+        sed_policy_suite,
+    )
+    from repro.queueing.hybrid_env import BatchedHybridFleetEnv
+    from repro.queueing.topology import TopologySpec
+
+    jsq = JoinShortestQueuePolicy(CONFIG.num_queue_states, CONFIG.d)
+    if kind == "dense":
+        return BatchedFiniteSystemEnv(CONFIG, num_replicas=2), jsq
+    if kind == "graph":
+        ring = TopologySpec.ring(CONFIG.num_queues, radius=1)
+        return BatchedGraphFiniteEnv(CONFIG, ring, num_replicas=2), jsq
+    if kind == "heterogeneous":
+        spec = ServerClassSpec(service_rates=(0.5, 2.0), fractions=(0.5, 0.5))
+        sed = sed_policy_suite(spec, CONFIG.buffer_size, CONFIG.d)["SED(2)"]
+        return BatchedHeterogeneousFiniteEnv(CONFIG, spec, num_replicas=2), sed
+    return (
+        BatchedHybridFleetEnv(
+            CONFIG, num_replicas=2, num_tracked=CONFIG.num_queues // 2
+        ),
+        jsq,
+    )
+
+
+class TestCommittedDrawContract:
+    """RNG-contract item (b): a committed epoch routes with exactly one
+    host-side ``multinomial`` draw, made right before the serve stage's
+    ``poisson``, and samples no client."""
+
+    @pytest.mark.parametrize(
+        "kind, draw_size",
+        [
+            ("dense", 2 * CONFIG.num_queues),
+            # Eight distinct radius-1 neighborhoods of three queues each.
+            ("graph", 2 * CONFIG.num_queues * 3),
+            ("heterogeneous", 2 * CONFIG.num_queues),
+            ("hybrid", 2 * CONFIG.num_queues),
+        ],
+    )
+    def test_one_multinomial_before_serve(self, kind, draw_size):
+        env, policy = _committed_env(kind)
+        log = rng_call_log(env, policy, EPOCHS, SEED)
+        methods = [method for method, _ in log]
+        assert "integers" not in methods
+        routing = [i for i, method in enumerate(methods) if method == "multinomial"]
+        assert len(routing) == EPOCHS
+        for i in routing:
+            assert log[i] == ("multinomial", draw_size)
+            assert methods[i + 1] == "poisson"
+        # Before the first routing draw only the hybrid draws anything:
+        # its virtual field states.
+        first_serve = methods.index("poisson")
+        before = methods[:first_serve]
+        assert before == (
+            ["random", "multinomial"] if kind == "hybrid" else ["multinomial"]
+        )
+
+
 class TestPurePythonNumbaLoops:
     """Pin the numba loop *algorithm* against the reference kernel.
 
     Runs on every host: without numba the loops execute as plain Python
-    (the ``njit`` shim), so their arithmetic — sequential cdf, forced
-    1.0 edge, (e, n, k) accumulation order, per-cell event replay — is
-    verified bit-for-bit even where JIT is unavailable.
+    (the ``njit`` shim), so their arithmetic — (e, n, k) accumulation
+    order, per-cell event replay — is verified bit-for-bit even where
+    JIT is unavailable. The committed stage of both kernels is the
+    shared NumPy reference.
     """
 
     @pytest.fixture()

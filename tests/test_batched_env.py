@@ -14,7 +14,7 @@ from repro.queueing.batched_env import (
 )
 from repro.queueing.backends import draw_uniform_queue_samples, get_backend
 from repro.queueing.clients import (
-    committed_counts_from_samples,
+    committed_counts_multinomial,
     infinite_client_rates_batched,
     packet_fractions_from_samples,
     sample_client_choices_batched,
@@ -93,8 +93,10 @@ def _reference_episode(config, policy, num_epochs, seed, mode):
 
     ``mode`` is ``"committed"``, ``"per-packet"`` or ``"infinite"``.
     Mirrors Algorithm 1 for a single system: reset, then per epoch query
-    the policy, sample and choose (Eq. 3-5, or Eq. 14-15 without client
-    draws), serve for ``Δt`` and advance the arrival mode.
+    the policy, route (one multinomial count draw under committed
+    choice, Eq. 3-5; sampled clients thinned per packet; or Eq. 14-15
+    without client draws), serve for ``Δt`` and advance the arrival
+    mode.
     """
     rng = np.random.default_rng(seed)
     arrivals = MarkovModulatedRate.from_config(config)
@@ -106,18 +108,17 @@ def _reference_episode(config, policy, num_epochs, seed, mode):
         hist = np.bincount(states[0], minlength=s) / m
         rule = policy.decision_rule(hist, int(modes[0]), rng)
         lam = arrivals.levels[modes][:, None]
+        probs = stack_rules(rule, 1)
         if mode == "infinite":
             rates = infinite_client_rates_batched(states, rule, lam[:, 0])
-        else:
+        elif mode == "per-packet":
             sampled = draw_uniform_queue_samples(rng, 1, n, config.d, m)
-            probs = stack_rules(rule, 1)
-            if mode == "per-packet":
-                rates = m * lam * packet_fractions_from_samples(
-                    states, sampled, probs, n
-                )
-            else:
-                counts = committed_counts_from_samples(states, sampled, probs, rng)
-                rates = m * lam * counts.astype(np.float64) / n
+            rates = m * lam * packet_fractions_from_samples(
+                states, sampled, probs, n
+            )
+        else:
+            counts = committed_counts_multinomial(states, probs, n, rng)
+            rates = m * lam * counts.astype(np.float64) / n
         states, dropped = simulate_queues_epoch_batched(
             states,
             rates,

@@ -7,8 +7,8 @@ from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import per_state_arrival_rates
 from repro.queueing.backends import draw_uniform_queue_samples
 from repro.queueing.clients import (
+    choice_probabilities,
     committed_counts_from_samples,
-    expected_choice_counts,
     infinite_client_rates_batched,
     sample_client_choices_batched,
     stack_rules,
@@ -31,6 +31,12 @@ def choice_counts(queue_states, num_clients, rule, rng):
     return committed_counts_from_samples(
         queue_states[None, :], sampled, stack_rules(rule, 1), rng
     )[0]
+
+
+def expected_counts(queue_states, num_clients, rule):
+    """``N · P(client → j)`` of one replica."""
+    probs = choice_probabilities(queue_states[None, :], stack_rules(rule, 1))
+    return num_clients * probs[0]
 
 
 def infinite_rates(queue_states, rule, lam):
@@ -88,13 +94,13 @@ class TestSampling:
 class TestExpectedCounts:
     def test_expected_counts_sum_to_n(self, queue_states):
         rule = DecisionRule.join_shortest(6, 2)
-        expected = expected_choice_counts(queue_states, 1000, rule)
+        expected = expected_counts(queue_states, 1000, rule)
         assert expected.sum() == pytest.approx(1000.0)
 
     def test_expected_counts_match_empirical_mean(self, queue_states, rng):
         rule = DecisionRule.join_shortest(6, 2)
         n = 2000
-        expected = expected_choice_counts(queue_states, n, rule)
+        expected = expected_counts(queue_states, n, rule)
         acc = np.zeros(queue_states.size)
         reps = 300
         for _ in range(reps):
@@ -107,7 +113,7 @@ class TestExpectedCounts:
     def test_same_state_queues_get_same_expectation(self, rng):
         states = np.array([2, 2, 0, 5, 2])
         rule = DecisionRule.join_shortest(6, 2)
-        expected = expected_choice_counts(states, 100, rule)
+        expected = expected_counts(states, 100, rule)
         assert expected[0] == pytest.approx(expected[1])
         assert expected[0] == pytest.approx(expected[4])
 

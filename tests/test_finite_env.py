@@ -1,11 +1,18 @@
 """Tests for the finite-system environments (Algorithm 1) at ``E = 1``."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.meanfield.decision_rule import DecisionRule
-from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
+from repro.policies.static import (
+    ConstantRulePolicy,
+    JoinShortestQueuePolicy,
+    RandomPolicy,
+)
 from repro.queueing.arrivals import ScriptedRate
+from repro.queueing.backends.conformance import drops_z_score
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
     BatchedInfiniteClientEnv,
@@ -227,22 +234,34 @@ class TestPerPacketRandomization:
         assert mean_rate_std(True) < mean_rate_std(False)
 
     def test_identical_in_law_for_deterministic_rule(self, small_config):
-        """For JSQ (deterministic given z̄) the two modes coincide in
-        distribution — all of a client's packets go the same way."""
-        rule = DecisionRule.join_shortest(6, 2)
+        """A rule that is deterministic given z̄ sends all of a client's
+        packets the same way, so committing and re-sampling per packet
+        coincide in law. JSQ is not such a rule: it splits ties 50/50,
+        and the same z-test tells its two modes apart."""
         cfg = small_config.with_updates(num_queues=40, num_clients=40)
+        probs = np.zeros((6, 6, 2))
+        for zbar in itertools.product(range(6), repeat=2):
+            probs[zbar + (int(np.argmin(zbar)),)] = 1.0
+        first_shortest = ConstantRulePolicy(
+            DecisionRule(probs), name="JSQ(2), ties to the first slot"
+        )
 
-        def mean_drops(per_packet, seeds=6):
-            total = 0.0
-            for seed in range(seeds):
-                env = finite_env(
-                    cfg, per_packet_randomization=per_packet, seed=seed
-                )
-                total += run_episodes_batched(
-                    env, JoinShortestQueuePolicy(6, 2), num_epochs=25, seed=seed
-                ).mean_total_drops
-            return total / seeds
+        def drops(policy, per_packet):
+            env = BatchedFiniteSystemEnv(
+                cfg,
+                num_replicas=2000,
+                per_packet_randomization=per_packet,
+                seed=0,
+            )
+            return run_episodes_batched(
+                env, policy, num_epochs=25, seed=11 + per_packet
+            ).total_drops_per_queue
 
-        a = mean_drops(True)
-        b = mean_drops(False)
-        assert a == pytest.approx(b, rel=0.2)
+        # |z| > 4 is a ~6e-5 false alarm when the laws are equal.
+        z_tie_free = drops_z_score(
+            drops(first_shortest, True), drops(first_shortest, False)
+        )
+        assert abs(z_tie_free) < 4.0
+        jsq = JoinShortestQueuePolicy(6, 2)
+        z_ties = drops_z_score(drops(jsq, True), drops(jsq, False))
+        assert z_ties < -4.0

@@ -19,8 +19,9 @@ from repro.meanfield.discretization import (
 )
 from repro.meanfield.stationary import stationary_distribution
 from repro.queueing.clients import (
-    expected_choice_counts,
+    choice_probabilities,
     infinite_client_rates_batched,
+    stack_rules,
 )
 
 S, D = 4, 2
@@ -128,7 +129,7 @@ def test_infinite_client_rates_conserve_mass(raw, states):
 @settings(max_examples=30, deadline=None)
 def test_expected_counts_sum_to_n(raw, states, n):
     rule = DecisionRule.from_raw(raw, S, D)
-    expected = expected_choice_counts(states, n, rule)
+    expected = n * choice_probabilities(states[None, :], stack_rules(rule, 1))
     assert expected.sum() == pytest.approx(float(n), rel=1e-9)
     assert expected.min() >= -1e-12
 

@@ -129,6 +129,11 @@ class TestClientAssignment:
         assert disp.shape == (10,)
         counts = np.bincount(disp, minlength=4)
         assert counts.max() - counts.min() <= 1
+        for n in (10, 3, 4):
+            assert np.array_equal(
+                top.dispatcher_loads(n),
+                np.bincount(top.client_dispatchers(n), minlength=4),
+            )
 
     def test_deterministic(self):
         top = TopologySpec.ring(4, radius=1)
@@ -139,6 +144,8 @@ class TestClientAssignment:
     def test_rejects_zero_clients(self):
         with pytest.raises(ValueError):
             TopologySpec.full_mesh(4).client_dispatchers(0)
+        with pytest.raises(ValueError):
+            TopologySpec.full_mesh(4).dispatcher_loads(0)
 
 
 class TestPlumbing:
