@@ -170,6 +170,94 @@ def _build_hybrid_trace() -> dict:
     return _trace_payload(env, JoinShortestQueuePolicy(6, 2))
 
 
+def _mfc_episode(env) -> dict:
+    """One MFC episode under seeded raw actions, as plain lists."""
+    actions = np.random.default_rng(_SEED).normal(
+        0.0, 0.5, size=(_EPOCHS, env.action_size)
+    )
+    observations = [env.reset(seed=_SEED).tolist()]
+    rewards, drops, regimes = [], [], []
+    for action in actions:
+        obs, reward, _, info = env.step_raw(action)
+        observations.append(obs.tolist())
+        rewards.append(reward)
+        drops.append(info["drops"])
+        regimes.append(info.get("delay_regime", 0))
+    return {
+        "observations": observations,
+        "rewards": rewards,
+        "drops": drops,
+        "delay_regimes": regimes,
+    }
+
+
+def _build_meanfield_family_trace() -> dict:
+    """The mean-field models no other reference pins: the delayed MFC
+    env (two delay models, both propagators, live age features), the
+    delayed hybrid fleet, the three-class heterogeneous model and the
+    tabulated MFC env."""
+    from repro.meanfield.delayed_env import DelayedMeanFieldEnv
+    from repro.meanfield.features import ObservationFeatures
+    from repro.meanfield.heterogeneous import HeterogeneousMeanFieldModel
+    from repro.meanfield.mfc_env import MeanFieldEnv
+    from repro.queueing.delays import MarkovModulatedDelay
+    from repro.queueing.heterogeneous import sed_rule
+    from repro.queueing.hybrid_env import BatchedHybridFleetEnv
+
+    features = ObservationFeatures(age=True, occupancy=True, live_age=True)
+    delay_models = {
+        "iid": IIDDelay((0.5, 0.3, 0.2)),
+        # Degrade often enough that both regimes occur within the trace.
+        "synced-degraded": MarkovModulatedDelay.synced_degraded(
+            p_degrade=0.5
+        ),
+    }
+    delayed_env = {
+        f"{name}-{kind}": _mfc_episode(
+            DelayedMeanFieldEnv(
+                _CONFIG,
+                horizon=_EPOCHS,
+                propagator=kind,
+                seed=_SEED,
+                delay_model=model,
+                features=features,
+            )
+        )
+        for name, model in delay_models.items()
+        for kind in ("exact", "tabulated")
+    }
+    hybrid = BatchedHybridFleetEnv(
+        _CONFIG,
+        num_replicas=2,
+        num_tracked=_CONFIG.num_queues // 2,
+        delay_model=IIDDelay((0.5, 0.3, 0.2)),
+        per_packet_randomization=True,
+        seed=_SEED,
+    )
+    spec = ServerClassSpec(
+        service_rates=(0.5, 1.0, 2.0), fractions=(0.3, 0.3, 0.4)
+    )
+    model = HeterogeneousMeanFieldModel(_CONFIG, spec)
+    rule = sed_rule(spec, _CONFIG.buffer_size, _CONFIG.d)
+    nu = model.initial_distribution()
+    nus, drops = [nu.tolist()], []
+    for t in range(_EPOCHS):
+        lam = _CONFIG.arrival_rate_high if t % 3 else _CONFIG.arrival_rate_low
+        nu, d = model.epoch_update(nu, rule, lam)
+        nus.append(nu.tolist())
+        drops.append(d)
+    return {
+        "delayed_env": delayed_env,
+        "hybrid_delayed": _trace_payload(hybrid, JoinShortestQueuePolicy(6, 2)),
+        "heterogeneous": {"nus": nus, "drops": drops},
+        "tabulated_env": _mfc_episode(
+            MeanFieldEnv(
+                _CONFIG, horizon=_EPOCHS, propagator="tabulated", seed=_SEED
+            )
+        ),
+    }
+
+
 def _build_claimed_sweep() -> dict:
     """Two claim-mode executors racing on one shared store directory —
     an in-process stand-in for two hosts partitioning a sweep. Pins the
@@ -242,6 +330,7 @@ _BUILDERS = {
     "compiled_backend_trace.json": _build_compiled_backend_trace,
     "chaos_family_trace.json": _build_chaos_trace,
     "hybrid_family_trace.json": _build_hybrid_trace,
+    "meanfield_family_trace.json": _build_meanfield_family_trace,
     "claimed_sweep_trace.json": _build_claimed_sweep,
     "sweep_means.json": _build_sweep_means,
 }
