@@ -14,6 +14,7 @@ from repro.meanfield.discretization import (
     epoch_update,
     extended_generator,
     per_state_arrival_rates,
+    propagate_laws,
     propagate_state,
 )
 from repro.meanfield.mfc_env import MeanFieldEnv, MeanFieldState, observation_dim
@@ -56,10 +57,8 @@ from repro.meanfield.features import (
     regime_age_context,
     regime_age_contexts_batch,
 )
-from repro.meanfield.hybrid import HybridFieldClosure
 
 __all__ = [
-    "HybridFieldClosure",
     "DelayedMeanFieldEnv",
     "DelayedMeanFieldPropagator",
     "ObservationFeatures",
@@ -83,6 +82,7 @@ __all__ = [
     "extended_generator",
     "per_state_arrival_rates",
     "propagate_state",
+    "propagate_laws",
     "epoch_update",
     "MeanFieldEnv",
     "MeanFieldState",

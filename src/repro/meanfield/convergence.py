@@ -23,12 +23,13 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.config import SystemConfig
-from repro.meanfield.discretization import epoch_update
+from repro.meanfield.delayed import delayed_mean_field_trajectory
 from repro.queueing.arrivals import MarkovModulatedRate, ScriptedRate
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
     BatchedInfiniteClientEnv,
 )
+from repro.queueing.delays import DeterministicDelay
 from repro.utils.rng import as_generator
 
 if TYPE_CHECKING:  # import cycle: policies build on top of the mean-field model
@@ -61,34 +62,19 @@ def mean_field_trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic MFC trajectory under a scripted mode sequence.
 
+    The paper's synchronous broadcast: the age-0
+    :func:`repro.meanfield.delayed.delayed_mean_field_trajectory`, whose
+    epochs are exactly :func:`repro.meanfield.discretization.epoch_update`.
     Returns ``(nus, drops)`` where ``nus`` has shape ``(T+1, S)`` and
     ``drops`` shape ``(T,)`` (expected per-queue drops per epoch).
     """
-    mode_sequence = np.asarray(mode_sequence, dtype=np.intp)
-    levels = (
-        np.asarray(arrival_levels, dtype=np.float64)
-        if arrival_levels is not None
-        else np.asarray(
-            MarkovModulatedRate.from_config(config).levels, dtype=np.float64
-        )
+    return delayed_mean_field_trajectory(
+        config,
+        policy,
+        mode_sequence,
+        DeterministicDelay(0),
+        arrival_levels=arrival_levels,
     )
-    s = config.num_queue_states
-    t_len = mode_sequence.size
-    nus = np.empty((t_len + 1, s))
-    drops = np.empty(t_len)
-    nu = np.zeros(s)
-    nu[config.initial_state] = 1.0
-    nus[0] = nu
-    # The policy consumes only (nu, mode); the scripted sequence supplies
-    # the modes, making the whole trajectory deterministic.
-    for t, mode in enumerate(mode_sequence):
-        rule = policy.decision_rule(nu, int(mode), None)
-        nu, d = epoch_update(
-            nu, rule, float(levels[mode]), config.service_rate, config.delta_t
-        )
-        nus[t + 1] = nu
-        drops[t] = d
-    return nus, drops
 
 
 @dataclass

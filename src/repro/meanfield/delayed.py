@@ -26,13 +26,17 @@ one (Bayes through the stored epoch propagators ``Φ_k = T_{t-k} ⋯ T_{t-1}``):
     r(z) = Σ_k p_k Σ_{z'} ν_{t-k}(z') Φ_k(z', z) r_k(z') / ν_t(z)
 
 This *delay-mixture closure* is exact when the delay is a point mass at
-age 0 (``Φ_0 = I`` collapses the sum to Eq. 22 — the paper's case,
-validated to ≤ 1e-10 in ``tests/test_delayed_meanfield.py``), exact for
+age 0 (``Φ_0 = I`` collapses the sum to Eq. 22 — the paper's case: with
+``K = 0`` the closure returns the Eq. 22 rates themselves, so the
+propagator is exactly
+:func:`repro.meanfield.discretization.epoch_update`), exact for
 state-independent rules (RND), and conserves arrival mass
-``Σ_z ν_t(z) r(z) = λ_t`` for every delay distribution. The same
-closure applies per queue on sparse topologies
-(:func:`delayed_local_epoch_update` over
-:mod:`repro.meanfield.local`).
+``Σ_z ν_t(z) r(z) = λ_t`` for every delay distribution. The closure and
+the propagator work over leading batch axes, so the same code serves one
+law, one law per queue on sparse topologies
+(:func:`delayed_local_epoch_update` over :mod:`repro.meanfield.local`)
+and one law per replica in the hybrid fleet
+(:class:`repro.queueing.hybrid_env.BatchedHybridFleetEnv`).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.config import SystemConfig
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import (
     per_state_arrival_rates,
-    propagate_state,
+    propagate_laws,
 )
 from repro.queueing.delays import DelayModel
 
@@ -70,65 +74,81 @@ _MASS_EPS = 1e-14
 def delayed_arrival_rates(
     history_nus: Sequence[np.ndarray],
     history_phis: Sequence[np.ndarray],
-    rule: DecisionRule,
-    lam: float,
+    age_rates: Sequence[np.ndarray],
     pmf: np.ndarray,
 ) -> np.ndarray:
     """Frozen per-current-state rates under a snapshot-age mixture.
+
+    Every array may carry the same leading batch axes ``...`` (one law
+    per queue or per replica).
 
     Parameters
     ----------
     history_nus : sequence of ndarray
         Laws ``ν_{t-k}`` for ``k = 0..K`` (index = age; entry 0 is the
-        current law), each shape ``(S,)``.
+        current law), each shape ``(..., S)``.
     history_phis : sequence of ndarray
         Multi-epoch propagators ``Φ_k`` mapping the age-``k`` state to
-        the current one (``Φ_0`` is the identity), each ``(S, S)``.
-    rule : DecisionRule
-        Routing rule applied by every dispatcher.
-    lam : float
-        Current arrival intensity ``λ_t``.
+        the current one (``Φ_0`` is the identity), each ``(..., S, S)``.
+    age_rates : sequence of ndarray
+        Eq. 22 rates ``r_k`` seen by age-``k`` dispatchers, indexed by
+        the delayed state, each ``(..., S)``. The caller evaluates them
+        at whatever law those dispatchers sample from.
     pmf : ndarray
-        Snapshot-age distribution ``(p_0, ..., p_K)``.
+        Snapshot-age distribution ``(p_0, ..., p_K)``, shared or
+        ``(..., K + 1)``.
 
     Returns
     -------
     ndarray
-        Rates ``r(z)`` indexed by the current state, shape ``(S,)``,
-        satisfying ``Σ_z ν_t(z) r(z) = λ_t`` exactly (up to round-off).
+        Rates ``r(z)`` indexed by the current state, shape ``(..., S)``,
+        satisfying ``Σ_z ν_t(z) r(z) = Σ_k p_k Σ_z ν_{t-k}(z) r_k(z)``
+        (up to round-off). With ``K = 0`` they are ``r_0`` itself.
     """
     pmf = np.asarray(pmf, dtype=np.float64)
-    if len(history_nus) < pmf.size or len(history_phis) < pmf.size:
+    ages = pmf.shape[-1]
+    if min(len(history_nus), len(history_phis), len(age_rates)) < ages:
         raise ValueError(
-            f"need {pmf.size} history entries, got "
-            f"{len(history_nus)} laws / {len(history_phis)} propagators"
+            f"need {ages} history entries, got {len(history_nus)} laws / "
+            f"{len(history_phis)} propagators / {len(age_rates)} age rates"
         )
+    if ages == 1:
+        return np.asarray(age_rates[0], dtype=np.float64)
     nu_now = np.asarray(history_nus[0], dtype=np.float64)
-    numerator = np.zeros_like(nu_now)
-    filler = 0.0
-    for k, p_k in enumerate(pmf):
-        if p_k <= 0.0:
-            continue
+    numerator = np.zeros(nu_now.shape)
+    filler = np.zeros(nu_now.shape[:-1])
+    for k in range(ages):
+        p_k = pmf[..., k]
         nu_k = np.asarray(history_nus[k], dtype=np.float64)
-        r_k = per_state_arrival_rates(nu_k, rule, lam)
-        numerator += p_k * ((nu_k * r_k) @ history_phis[k])
-        filler += p_k * float(nu_k @ r_k)
-    return np.where(nu_now > _MASS_EPS, numerator / np.maximum(nu_now, _MASS_EPS), filler)
+        r_k = np.asarray(age_rates[k], dtype=np.float64)
+        # Bayes transport of the age-k rates to current states.
+        numerator += p_k[..., None] * np.matmul(
+            (nu_k * r_k)[..., None, :], history_phis[k]
+        )[..., 0, :]
+        filler += p_k * np.matmul(nu_k[..., None, :], r_k[..., None])[..., 0, 0]
+    return np.where(
+        nu_now > _MASS_EPS,
+        numerator / np.maximum(nu_now, _MASS_EPS),
+        filler[..., None],
+    )
 
 
 class DelayedMeanFieldPropagator:
     """Stateful exact epoch propagator under a delay mixture.
 
-    Maintains the rolling law/propagator history the closure needs:
-    the last ``K`` per-epoch transition matrices and ``K + 1`` laws.
-    Before ``k`` epochs have elapsed, ages clamp to the oldest available
+    Advances laws ``(..., S)`` — one law, or a stack such as one per
+    replica — and maintains the rolling history the closure needs: the
+    last ``K`` per-epoch transition matrices and ``K + 1`` laws. Before
+    ``k`` epochs have elapsed, ages clamp to the oldest available
     snapshot (the system starts synced), matching
-    :class:`repro.queueing.delayed_env.BatchedDelayedFiniteEnv`.
+    :class:`repro.queueing.delayed_env.BatchedDelayedFiniteEnv`. With
+    ``K = 0`` an epoch is exactly
+    :func:`repro.meanfield.discretization.epoch_update`.
 
     Parameters
     ----------
     nu0 : ndarray
-        Initial law ``ν_0``, shape ``(S,)``.
+        Initial laws ``ν_0``, shape ``(..., S)``.
     max_delay : int
         Largest snapshot age ``K`` the propagator must serve.
     service : float
@@ -141,7 +161,7 @@ class DelayedMeanFieldPropagator:
         self, nu0: np.ndarray, max_delay: int, service: float, delta_t: float
     ) -> None:
         nu0 = np.asarray(nu0, dtype=np.float64)
-        if nu0.ndim != 1 or nu0.size < 2:
+        if nu0.ndim == 0 or nu0.shape[-1] < 2:
             raise ValueError("nu0 must be a law over >= 2 states")
         if max_delay < 0:
             raise ValueError(f"max_delay must be >= 0, got {max_delay}")
@@ -150,7 +170,7 @@ class DelayedMeanFieldPropagator:
         self.max_delay = int(max_delay)
         self.service = float(service)
         self.delta_t = float(delta_t)
-        self.num_states = int(nu0.size)
+        self.num_states = int(nu0.shape[-1])
         # Newest-first histories: _nus[k] is the age-k law.
         self._nus: deque[np.ndarray] = deque(
             [nu0.copy()], maxlen=self.max_delay + 1
@@ -161,15 +181,18 @@ class DelayedMeanFieldPropagator:
 
     @property
     def nu(self) -> np.ndarray:
-        """Current law ``ν_t``, shape ``(S,)``."""
+        """Current laws ``ν_t``, shape ``(..., S)``."""
         return self._nus[0].copy()
+
+    def laws(self, age: int) -> np.ndarray:
+        """Age-``age`` laws (clamped to the oldest kept), ``(..., S)``."""
+        if not 0 <= age <= self.max_delay:
+            raise ValueError(f"age must lie in [0, {self.max_delay}]")
+        return self._nus[min(age, len(self._nus) - 1)].copy()
 
     def _history(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Age-indexed laws and ``Φ_k`` products (ages clamp early on)."""
-        nus = [
-            self._nus[min(k, len(self._nus) - 1)]
-            for k in range(self.max_delay + 1)
-        ]
+        nus = [self.laws(k) for k in range(self.max_delay + 1)]
         phis = [np.eye(self.num_states)]
         phi = phis[0]
         # _epoch_transitions[0] is T_{t-1}: left-multiply going back.
@@ -179,23 +202,44 @@ class DelayedMeanFieldPropagator:
             phis.append(phi)
         return nus, phis
 
+    def frozen_rates(
+        self, age_rates: Sequence[np.ndarray], pmf: np.ndarray
+    ) -> np.ndarray:
+        """Closure rates ``r(z)`` of the current laws, ``(..., S)``.
+
+        ``age_rates[k]`` are the Eq. 22 rates the age-``k`` dispatchers
+        apply (see :func:`delayed_arrival_rates`).
+        """
+        nus, phis = self._history()
+        return delayed_arrival_rates(nus, phis, age_rates, pmf)
+
+    def advance(self, rates: np.ndarray) -> np.ndarray:
+        """Propagate one epoch at frozen ``rates``; returns the expected
+        drops per queue, shape ``(...)``."""
+        nu_next, drops, transitions = propagate_laws(
+            self._nus[0], rates, self.service, self.delta_t
+        )
+        self._nus.appendleft(nu_next)
+        self._epoch_transitions.appendleft(transitions)
+        return drops
+
     def step(
         self, rule: DecisionRule, lam: float, pmf: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """Advance one epoch; returns ``(ν_{t+1}, expected drops)``."""
-        nus, phis = self._history()
-        rates = delayed_arrival_rates(nus, phis, rule, lam, pmf)
-        transitions, drops = propagate_state(
-            rates, self.service, self.delta_t, self.num_states
+        """Advance a single law one epoch under ``rule``.
+
+        Every age routes with ``rule`` against its own delayed law.
+        Returns ``(frozen rates r(z), expected drops)``; the new law is
+        :attr:`nu`.
+        """
+        rates = self.frozen_rates(
+            [
+                per_state_arrival_rates(self.laws(k), rule, lam)
+                for k in range(self.max_delay + 1)
+            ],
+            pmf,
         )
-        nu_now = self._nus[0]
-        nu_next = nu_now @ transitions
-        nu_next = np.maximum(nu_next, 0.0)
-        nu_next /= nu_next.sum()
-        expected_drops = float(nu_now @ drops)
-        self._nus.appendleft(nu_next)
-        self._epoch_transitions.appendleft(transitions)
-        return nu_next.copy(), expected_drops
+        return rates, float(self.advance(rates))
 
 
 def delayed_mean_field_trajectory(
@@ -264,9 +308,8 @@ def delayed_mean_field_trajectory(
     for t, mode in enumerate(mode_sequence):
         rule = policy.decision_rule(propagator.nu, int(mode), None)
         pmf = delay_model.pmf(int(regime_sequence[t]))
-        nus[t + 1], drops[t] = propagator.step(
-            rule, float(levels[mode]), pmf
-        )
+        _, drops[t] = propagator.step(rule, float(levels[mode]), pmf)
+        nus[t + 1] = propagator.nu
     return nus, drops
 
 
@@ -310,43 +353,20 @@ def delayed_local_epoch_update(
         ``(M, S)`` / ``(M,)`` / ``(M, S, S)`` — callers append the
         returned transitions to their ``Φ`` history.
     """
-    from repro.meanfield.local import _propagate_per_queue, local_arrival_rates
+    from repro.meanfield.local import local_arrival_rates
 
     pmf = np.asarray(pmf, dtype=np.float64)
-    if len(history_nus) < pmf.size or len(history_phis) < pmf.size:
-        raise ValueError(
-            f"need {pmf.size} history entries, got "
-            f"{len(history_nus)} laws / {len(history_phis)} propagators"
-        )
     nus_now = np.asarray(history_nus[0], dtype=np.float64)
-    m, s = nus_now.shape
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be > 0, got {delta_t}")
     service = np.broadcast_to(
-        np.asarray(service_rates, dtype=np.float64), (m,)
+        np.asarray(service_rates, dtype=np.float64), nus_now.shape[:1]
     )
     if service.min() <= 0:
         raise ValueError("service rates must be > 0")
-    numerator = np.zeros((m, s))
-    filler = np.zeros(m)
-    for k, p_k in enumerate(pmf):
-        if p_k <= 0.0:
-            continue
-        nu_k = np.asarray(history_nus[k], dtype=np.float64)
-        rates_k = local_arrival_rates(
+    age_rates = [
+        local_arrival_rates(
             nu_k, topology, rule, lam, classes=classes, num_classes=num_classes
         )
-        weighted = nu_k * rates_k  # (M, S) in the delayed index z'
-        numerator += p_k * np.einsum(
-            "mz,mzs->ms", weighted, np.asarray(history_phis[k])
-        )
-        filler += p_k * weighted.sum(axis=1)
-    rates = np.where(
-        nus_now > _MASS_EPS,
-        numerator / np.maximum(nus_now, _MASS_EPS),
-        filler[:, None],
-    )
-    nus_next, drops, transitions = _propagate_per_queue(
-        rates, service, delta_t, nus_now, return_transitions=True
-    )
-    return nus_next, drops, transitions
+        for nu_k in history_nus[: pmf.size]
+    ]
+    rates = delayed_arrival_rates(history_nus, history_phis, age_rates, pmf)
+    return propagate_laws(nus_now, rates, service, delta_t)

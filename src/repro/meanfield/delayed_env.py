@@ -76,6 +76,9 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
         delay_model: DelayModel | None = None,
         features: ObservationFeatures | None = None,
     ) -> None:
+        self.delay_model = (
+            delay_model if delay_model is not None else DeterministicDelay(0)
+        )
         super().__init__(
             config,
             horizon=horizon,
@@ -83,17 +86,33 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
             arrival_process=arrival_process,
             seed=seed,
         )
-        self.delay_model = (
-            delay_model if delay_model is not None else DeterministicDelay(0)
-        )
         self.features = features if features is not None else ObservationFeatures()
         self._age_context = (
             age_context(self.delay_model) if self.features.age else None
         )
         self._regime: int = 0
-        self._delayed: DelayedMeanFieldPropagator | None = None
 
     # ------------------------------------------------------------------
+    @property
+    def _nu(self) -> np.ndarray | None:
+        """Current law ``ν_t``; the delay propagator holds the only copy."""
+        return None if self._delayed is None else self._delayed.nu
+
+    @_nu.setter
+    def _nu(self, nu: np.ndarray | None) -> None:
+        # Writing the law (reset, set_state, an age-0 step) restarts the
+        # history at it, synced: every snapshot age sees the new law.
+        self._delayed = (
+            None
+            if nu is None
+            else DelayedMeanFieldPropagator(
+                nu,
+                self.delay_model.max_delay,
+                self.config.service_rate,
+                self.config.delta_t,
+            )
+        )
+
     @property
     def observation_size(self) -> int:
         return super().observation_size + self.features.extra_dims
@@ -102,11 +121,6 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
     def delay_regime(self) -> int:
         """Current delay regime (0 for single-regime models)."""
         return self._regime
-
-    @property
-    def _exact_dynamics(self) -> bool:
-        """Age-0 point mass: use the parent's exact epoch map."""
-        return self.delay_model.max_delay == 0
 
     def live_age_context(self) -> tuple[float, float]:
         """Age context of the *current* delay regime (no randomness)."""
@@ -153,49 +167,26 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
             )
         else:
             self._regime = 0
-        if not self._exact_dynamics:
-            self._delayed = DelayedMeanFieldPropagator(
-                self._nu,
-                self.delay_model.max_delay,
-                self.config.service_rate,
-                self.config.delta_t,
-            )
         return self.observation()
 
+    def _advance(self, rule: DecisionRule, lam: float) -> tuple[np.ndarray, float]:
+        if self.delay_model.max_delay == 0:
+            # The paper's epoch map through the configured propagator.
+            return super()._advance(rule, lam)
+        return self._delayed.step(rule, lam, self.delay_model.pmf(self._regime))
+
     def step(self, rule: DecisionRule) -> tuple[np.ndarray, float, bool, dict]:
-        if self._exact_dynamics:
-            # Parent path: bit-identical dynamics, observation() above
-            # still appends any enabled features.
-            obs, reward, done, info = super().step(rule)
-            info["delay_regime"] = self._regime
-            return obs, reward, done, info
-        if self._nu is None or self._delayed is None:
-            raise RuntimeError("environment must be reset before use")
-        if rule.num_states != self.num_queue_states or rule.d != self.config.d:
-            raise ValueError(
-                f"rule has (S={rule.num_states}, d={rule.d}), environment "
-                f"expects (S={self.num_queue_states}, d={self.config.d})"
-            )
-        lam = self.current_rate
         pmf = self.delay_model.pmf(self._regime)
-        nu_next, drops = self._delayed.step(rule, lam, pmf)
-        self._nu = nu_next
-        self._lam_mode = self.arrivals.step_mode(self._lam_mode, self._rng)
-        if self.delay_model.num_regimes > 1:
+        _, reward, done, info = super().step(rule)
+        # Every regime of an all-age-0 model routes on fresh snapshots, so
+        # its chain is not stepped (which keeps the parent's RNG stream).
+        if self.delay_model.max_delay > 0 and self.delay_model.num_regimes > 1:
             self._regime = int(
                 self.delay_model.step_regimes_batch(
                     np.array([self._regime]), self._rng
                 )[0]
             )
-        self._t += 1
-        done = self._t >= self.horizon
-        reward = -self.config.drop_penalty * drops
-        info = {
-            "drops": drops,
-            "lam": lam,
-            "t": self._t,
-            "truncated": done,
-            "delay_regime": self._regime,
-            "delay_pmf": pmf,
-        }
+        info["delay_regime"] = self._regime
+        info["delay_pmf"] = pmf
+        # The live age features read the regime the step just entered.
         return self.observation(), reward, done, info

@@ -32,6 +32,7 @@ __all__ = [
     "birth_death_generator",
     "extended_generator",
     "propagate_state",
+    "propagate_laws",
     "epoch_update",
     "ExactPropagator",
     "TabulatedPropagator",
@@ -74,79 +75,131 @@ def per_state_arrival_rates(
 
 
 def birth_death_generator(
-    arrival: float, service: float, num_states: int
+    arrival: float | np.ndarray, service: float | np.ndarray, num_states: int
 ) -> np.ndarray:
     """Row-convention generator of the finite-buffer birth-death chain.
 
     State space ``{0, ..., B}`` with ``B = num_states - 1``; up-jumps at
     ``arrival`` (except from ``B``, where arrivals are dropped and do not
     move the state), down-jumps at ``service`` (except from ``0``). Rows
-    sum to zero.
+    sum to zero. Rate arrays broadcast against each other; the result
+    stacks one ``(S, S)`` generator per broadcast entry.
     """
     if num_states < 2:
         raise ValueError("need at least two queue states")
-    if arrival < 0 or service < 0:
+    arrival = np.asarray(arrival, dtype=np.float64)
+    service = np.asarray(service, dtype=np.float64)
+    if np.any(arrival < 0) or np.any(service < 0):
         raise ValueError("rates must be non-negative")
-    g = np.zeros((num_states, num_states))
+    batch = np.broadcast_shapes(arrival.shape, service.shape)
+    g = np.zeros(batch + (num_states, num_states))
     idx = np.arange(num_states - 1)
-    g[idx, idx + 1] = arrival
-    g[idx + 1, idx] = service
-    np.fill_diagonal(g, -g.sum(axis=1))
+    g[..., idx, idx + 1] = arrival[..., None]
+    g[..., idx + 1, idx] = service[..., None]
+    diag = np.arange(num_states)
+    g[..., diag, diag] = -g.sum(axis=-1)
     return g
 
 
 def extended_generator(
-    arrival: float, service: float, num_states: int
+    arrival: float | np.ndarray, service: float | np.ndarray, num_states: int
 ) -> np.ndarray:
     """``(S+1) x (S+1)`` extended generator with the drop-flux column.
 
     The last column accumulates ``∫ arrival · P(y(s) = B) ds``; the last
-    row is zero (the accumulator is an integral, not a state).
+    row is zero (the accumulator is an integral, not a state). Broadcasts
+    like :func:`birth_death_generator`.
     """
     g = birth_death_generator(arrival, service, num_states)
-    ext = np.zeros((num_states + 1, num_states + 1))
-    ext[:num_states, :num_states] = g
-    ext[num_states - 1, num_states] = arrival
+    ext = np.zeros(g.shape[:-2] + (num_states + 1, num_states + 1))
+    ext[..., :num_states, :num_states] = g
+    ext[..., num_states - 1, num_states] = arrival
     return ext
-
-
-def _stacked_extended_generators(
-    arrival_rates: np.ndarray, service: float, num_states: int
-) -> np.ndarray:
-    """One extended generator per initial state, stacked on axis 0."""
-    arrival_rates = np.asarray(arrival_rates, dtype=np.float64)
-    stacked = np.zeros((arrival_rates.size, num_states + 1, num_states + 1))
-    for z, lam_z in enumerate(arrival_rates):
-        stacked[z] = extended_generator(float(lam_z), service, num_states)
-    return stacked
 
 
 def propagate_state(
     arrival_rates: np.ndarray,
-    service: float,
+    service: float | np.ndarray,
     delta_t: float,
     num_states: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-initial-state propagator rows and expected drops (Eq. 28).
 
+    ``arrival_rates`` has shape ``(..., S)``: the frozen rate of each
+    initial state, for one law or a stack of them; ``service`` broadcasts
+    over the leading axes (one service rate per law). All rows come from
+    one stacked ``expm``, which works slice by slice, so every batch
+    entry equals its own unbatched call bit for bit.
+
     Returns
     -------
     transitions:
-        Array ``(S, S)`` where row ``z`` is the distribution of the queue
-        state after ``Δt`` given it started the epoch in state ``z`` (and
-        received arrivals at the frozen rate ``arrival_rates[z]``).
+        Array ``(..., S, S)`` where row ``z`` is the distribution of the
+        queue state after ``Δt`` given it started the epoch in state ``z``
+        (and received arrivals at the frozen rate ``arrival_rates[..., z]``).
     drops:
-        Array ``(S,)`` of expected packets dropped during the epoch by a
-        queue starting in state ``z``.
+        Array ``(..., S)`` of expected packets dropped during the epoch by
+        a queue starting in state ``z``.
     """
     if delta_t <= 0:
         raise ValueError(f"delta_t must be > 0, got {delta_t}")
-    stacked = _stacked_extended_generators(arrival_rates, service, num_states)
-    exp_stack = expm(stacked * delta_t)
-    rows = exp_stack[np.arange(num_states), np.arange(num_states), :]
-    transitions = rows[:, :num_states]
-    drops = rows[:, num_states]
-    return transitions, drops
+    rates = np.asarray(arrival_rates, dtype=np.float64)
+    if rates.ndim == 0 or rates.shape[-1] != num_states:
+        raise ValueError(
+            f"arrival_rates must end in an axis of {num_states} states, "
+            f"got shape {rates.shape}"
+        )
+    service = np.asarray(service, dtype=np.float64)[..., None]
+    exp_stack = expm(extended_generator(rates, service, num_states) * delta_t)
+    z = np.arange(num_states)
+    rows = exp_stack[..., z, z, :]  # row z of the z-th exponential
+    return rows[..., :num_states], rows[..., num_states]
+
+
+def _contract(
+    nus: np.ndarray, transitions: np.ndarray, drops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ν P, ν · d)`` for every law of a stack.
+
+    Each batch entry runs the BLAS gemv and dot that ``nu @ P`` and
+    ``nu @ d`` run on one law, so batching changes no bit. The state
+    columns and the drop column are contracted separately: one product
+    over all ``S + 1`` row columns would sum in another order.
+    """
+    row = nus[..., None, :]
+    return (
+        np.matmul(row, transitions)[..., 0, :],
+        np.matmul(row, drops[..., None])[..., 0, 0],
+    )
+
+
+def _on_simplex(nus: np.ndarray) -> np.ndarray:
+    """Round-off guard: the analytical update preserves the simplex exactly."""
+    nus = np.maximum(nus, 0.0)
+    nus /= nus.sum(axis=-1, keepdims=True)
+    return nus
+
+
+def propagate_laws(
+    nus: np.ndarray,
+    arrival_rates: np.ndarray,
+    service: float | np.ndarray,
+    delta_t: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance laws ``(..., S)`` by one exact epoch (Eq. 24-26).
+
+    ``arrival_rates`` are the frozen per-state rates of each law and
+    ``service`` one service rate per law (or a shared scalar). Returns
+    ``(ν_{t+1}, expected drops per queue, transitions)`` shaped
+    ``(..., S)``, ``(...)`` and ``(..., S, S)``; the transitions feed
+    the propagator products of :mod:`repro.meanfield.delayed`.
+    """
+    nus = np.asarray(nus, dtype=np.float64)
+    transitions, drops = propagate_state(
+        arrival_rates, service, delta_t, nus.shape[-1]
+    )
+    nu_next, expected = _contract(nus, transitions, drops)
+    return _on_simplex(nu_next), expected, transitions
 
 
 def epoch_update(
@@ -162,15 +215,8 @@ def epoch_update(
     """
     nu = np.asarray(nu, dtype=np.float64)
     rates = per_state_arrival_rates(nu, rule, lam)
-    transitions, drops = propagate_state(
-        rates, service, delta_t, rule.num_states
-    )
-    nu_next = nu @ transitions
-    # Round-off guard: the analytical update preserves the simplex exactly.
-    nu_next = np.maximum(nu_next, 0.0)
-    nu_next /= nu_next.sum()
-    expected_drops = float(nu @ drops)
-    return nu_next, expected_drops
+    nu_next, drops, _ = propagate_laws(nu, rates, service, delta_t)
+    return nu_next, float(drops)
 
 
 def uniformization_transition_matrix(
@@ -223,14 +269,10 @@ class ExactPropagator:
     def propagate(
         self, nu: np.ndarray, arrival_rates: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        transitions, drops = propagate_state(
-            arrival_rates, self.service, self.delta_t, self.num_states
+        nu_next, drops, _ = propagate_laws(
+            nu, arrival_rates, self.service, self.delta_t
         )
-        nu = np.asarray(nu, dtype=np.float64)
-        nu_next = nu @ transitions
-        nu_next = np.maximum(nu_next, 0.0)
-        nu_next /= nu_next.sum()
-        return nu_next, float(nu @ drops)
+        return nu_next, float(drops)
 
 
 class TabulatedPropagator:
@@ -264,19 +306,19 @@ class TabulatedPropagator:
         self._step = self.grid[1] - self.grid[0]
         # Table of expm rows: shape (grid, S, S+1); entry [g, z, :] is the
         # z-th row of expm(Ā(grid[g]) Δt) (state distribution + drops).
-        table = np.empty((grid_size, num_states, num_states + 1))
-        for gi, lam_g in enumerate(self.grid):
-            stacked = extended_generator(float(lam_g), service, num_states)
-            exp_mat = expm(stacked * delta_t)
-            table[gi] = exp_mat[:num_states, :]
-        self._table = table
+        self._table = expm(
+            extended_generator(self.grid, service, num_states) * delta_t
+        )[:, :num_states, :]
 
     def _rows(self, arrival_rates: np.ndarray) -> np.ndarray:
-        """Interpolated (state-distribution + drop) rows per initial state."""
+        """Interpolated (state-distribution + drop) rows per initial state.
+
+        ``arrival_rates`` has shape ``(..., S)``; the rows ``(..., S, S+1)``.
+        """
         rates = np.asarray(arrival_rates, dtype=np.float64)
-        if rates.shape != (self.num_states,):
+        if rates.ndim == 0 or rates.shape[-1] != self.num_states:
             raise ValueError(
-                f"arrival_rates must have shape ({self.num_states},)"
+                f"arrival_rates must have shape (..., {self.num_states})"
             )
         if rates.min() < -1e-12 or rates.max() > self.max_arrival + 1e-9:
             raise ValueError(
@@ -285,36 +327,31 @@ class TabulatedPropagator:
             )
         pos = np.clip(rates, 0.0, self.max_arrival) / self._step
         low = np.minimum(pos.astype(np.intp), len(self.grid) - 2)
-        frac = pos - low
+        frac = (pos - low)[..., None]
         z_idx = np.arange(self.num_states)
         row_low = self._table[low, z_idx, :]
         row_high = self._table[low + 1, z_idx, :]
-        return row_low * (1.0 - frac[:, None]) + row_high * frac[:, None]
+        return row_low * (1.0 - frac) + row_high * frac
 
     def propagate(
         self, nu: np.ndarray, arrival_rates: np.ndarray
     ) -> tuple[np.ndarray, float]:
         rows = self._rows(arrival_rates)
-        nu = np.asarray(nu, dtype=np.float64)
-        nu_next = nu @ rows[:, : self.num_states]
-        nu_next = np.maximum(nu_next, 0.0)
-        nu_next /= nu_next.sum()
-        return nu_next, float(nu @ rows[:, self.num_states])
+        nu_next, drops = _contract(
+            np.asarray(nu, dtype=np.float64),
+            rows[:, : self.num_states],
+            rows[:, self.num_states],
+        )
+        return _on_simplex(nu_next), float(drops)
 
     def max_interpolation_error(self, probe_points: int = 100) -> float:
         """Sup-norm error of interpolated rows at grid midpoints."""
-        worst = 0.0
         probes = np.linspace(
             self._step / 2.0, self.max_arrival - self._step / 2.0, probe_points
         )
-        for lam_probe in probes:
-            exact, drops = propagate_state(
-                np.full(self.num_states, lam_probe),
-                self.service,
-                self.delta_t,
-                self.num_states,
-            )
-            exact_rows = np.concatenate([exact, drops[:, None]], axis=1)
-            approx_rows = self._rows(np.full(self.num_states, lam_probe))
-            worst = max(worst, float(np.abs(exact_rows - approx_rows).max()))
-        return worst
+        rates = np.repeat(probes[:, None], self.num_states, axis=1)
+        exact, drops = propagate_state(
+            rates, self.service, self.delta_t, self.num_states
+        )
+        exact_rows = np.concatenate([exact, drops[..., None]], axis=-1)
+        return float(np.abs(exact_rows - self._rows(rates)).max())

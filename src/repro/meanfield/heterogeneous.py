@@ -22,6 +22,8 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import (
+    _contract,
+    _on_simplex,
     per_state_arrival_rates,
     propagate_state,
 )
@@ -68,9 +70,6 @@ class HeterogeneousMeanFieldModel:
         nu = np.asarray(nu)
         return nu.reshape(self.num_fillings, self.num_classes).sum(axis=1)
 
-    def _class_indices(self, c: int) -> np.ndarray:
-        return np.arange(self.num_fillings) * self.num_classes + c
-
     # ------------------------------------------------------------------
     def epoch_update(
         self, nu: np.ndarray, rule: DecisionRule, lam: float
@@ -85,22 +84,19 @@ class HeterogeneousMeanFieldModel:
                 f"(expected S={self.num_states}, d={self.config.d})"
             )
         rates = per_state_arrival_rates(nu, rule, lam)
-        nu_next = np.empty_like(nu)
-        drops = 0.0
-        for c in range(self.num_classes):
-            idx = self._class_indices(c)
-            trans, dvec = propagate_state(
-                rates[idx],
-                float(self.spec.service_rates[c]),
-                self.config.delta_t,
-                self.num_fillings,
-            )
-            nu_c = nu[idx]
-            nu_next[idx] = nu_c @ trans
-            drops += float(nu_c @ dvec)
-        nu_next = np.maximum(nu_next, 0.0)
-        nu_next /= nu_next.sum()
-        return nu_next, drops
+        # Class blocks, one law per class: row c holds the fillings of
+        # class c. Contiguous rows keep each block's gemv the one-block call.
+        shape = (self.num_fillings, self.num_classes)
+        transitions, drop_rows = propagate_state(
+            rates.reshape(shape).T,
+            self.spec.service_rates,
+            self.config.delta_t,
+            self.num_fillings,
+        )
+        blocks, drops = _contract(
+            np.ascontiguousarray(nu.reshape(shape).T), transitions, drop_rows
+        )
+        return _on_simplex(blocks.T.ravel()), float(drops.sum())
 
     def rollout_drops(
         self,

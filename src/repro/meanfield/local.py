@@ -21,7 +21,8 @@ through the adjacency structure:
   ``λ_j(z) = Σ_{i : j ∈ n(i)} (λ_i / deg_i) g_i(z)`` for the epoch and
   propagates through the exact extended-generator matrix exponential of
   :mod:`repro.meanfield.discretization`, one birth-death CTMC per queue
-  (vectorized via one stacked ``expm``).
+  (one :func:`repro.meanfield.discretization.propagate_laws` call over
+  the ``(M, S)`` laws).
 
 The construction conserves arrival mass exactly
 (``Σ_j Σ_z ν_j(z) λ_j(z) = M λ_t``, tested) and *reduces to the global
@@ -41,10 +42,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.meanfield.decision_rule import DecisionRule
-from repro.meanfield.discretization import per_state_arrival_rates
+from repro.meanfield.discretization import (
+    per_state_arrival_rates,
+    propagate_laws,
+)
 from repro.queueing.topology import TopologySpec
 
 if TYPE_CHECKING:  # import cycle: policies build on top of the mean-field model
@@ -142,53 +145,6 @@ def local_arrival_rates(
     return rates
 
 
-def _propagate_per_queue(
-    rates: np.ndarray,
-    service_rates: np.ndarray,
-    delta_t: float,
-    nus: np.ndarray,
-    return_transitions: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """One exact epoch for every queue's CTMC (one stacked ``expm``).
-
-    ``rates[j, z]`` is queue ``j``'s frozen arrival rate given it starts
-    the epoch at filling ``z``; the extended generator of
-    :func:`repro.meanfield.discretization.extended_generator` is built
-    for every ``(j, z)`` pair and exponentiated in one stacked call.
-    Returns ``(nu_next, expected_drops)`` shaped ``(M, S)`` / ``(M,)``;
-    with ``return_transitions=True`` the per-queue epoch transition
-    matrices ``(M, S, S)`` are appended (consumed by the delay-mixture
-    propagator in :mod:`repro.meanfield.delayed`).
-    """
-    m, s = rates.shape
-    z = np.arange(s - 1)
-    # Sparse patterns of the extended generator, scaled per (queue, state):
-    # `pat_arrival` moves z -> z+1 below the buffer and leaks drop flux
-    # into the accumulator column at z = B; `pat_service` moves z -> z-1.
-    pat_arrival = np.zeros((s + 1, s + 1))
-    pat_arrival[z, z + 1] = 1.0
-    pat_arrival[z, z] = -1.0
-    pat_arrival[s - 1, s] = 1.0
-    pat_service = np.zeros((s + 1, s + 1))
-    pat_service[z + 1, z] = 1.0
-    pat_service[z + 1, z + 1] = -1.0
-    gen = (
-        rates[:, :, None, None] * pat_arrival
-        + service_rates[:, None, None, None] * pat_service
-    )
-    exp_stack = expm(gen * delta_t)
-    z_idx = np.arange(s)
-    rows = exp_stack[:, z_idx, z_idx, :]  # (M, S, S+1): start-state rows
-    nu_next = np.einsum("ms,msk->mk", nus, rows[:, :, :s])
-    drops = np.einsum("ms,ms->m", nus, rows[:, :, s])
-    # Round-off guard, as in epoch_update: stay exactly on the simplex.
-    nu_next = np.maximum(nu_next, 0.0)
-    nu_next /= nu_next.sum(axis=1, keepdims=True)
-    if return_transitions:
-        return nu_next, drops, rows[:, :, :s]
-    return nu_next, drops
-
-
 def local_epoch_update(
     nus: np.ndarray,
     topology: TopologySpec,
@@ -211,8 +167,6 @@ def local_epoch_update(
         raise ValueError(
             f"nus covers {m} queues, topology {topology.num_queues}"
         )
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be > 0, got {delta_t}")
     service = np.broadcast_to(
         np.asarray(service_rates, dtype=np.float64), (m,)
     )
@@ -221,7 +175,8 @@ def local_epoch_update(
     rates = local_arrival_rates(
         nus, topology, rule, lam, classes=classes, num_classes=num_classes
     )
-    return _propagate_per_queue(rates, service, delta_t, nus)
+    nus_next, drops, _ = propagate_laws(nus, rates, service, delta_t)
+    return nus_next, drops
 
 
 @dataclass

@@ -156,8 +156,8 @@ class MeanFieldEnv:
             raise ValueError("nu must be a probability vector")
         if not 0 <= lam_mode < self.num_modes:
             raise ValueError(f"lam_mode {lam_mode} out of range")
-        self._nu = np.maximum(nu, 0.0)
-        self._nu /= self._nu.sum()
+        nu = np.maximum(nu, 0.0)
+        self._nu = nu / nu.sum()
         self._lam_mode = int(lam_mode)
         self._t = int(t)
 
@@ -208,9 +208,7 @@ class MeanFieldEnv:
                 f"expects (S={self.num_queue_states}, d={self.config.d})"
             )
         lam = self.current_rate
-        rates = per_state_arrival_rates(self._nu, rule, lam)
-        nu_next, drops = self._propagator.propagate(self._nu, rates)
-        self._nu = nu_next
+        rates, drops = self._advance(rule, lam)
         self._lam_mode = self.arrivals.step_mode(self._lam_mode, self._rng)
         self._t += 1
         done = self._t >= self.horizon
@@ -225,6 +223,12 @@ class MeanFieldEnv:
             "truncated": done,
         }
         return self.observation(), reward, done, info
+
+    def _advance(self, rule: DecisionRule, lam: float) -> tuple[np.ndarray, float]:
+        """Move the law one epoch; returns the frozen rates and drops."""
+        rates = per_state_arrival_rates(self._nu, rule, lam)
+        self._nu, drops = self._propagator.propagate(self._nu, rates)
+        return rates, drops
 
     def step_raw(self, raw_action: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
         """Step with an unconstrained action vector (RL interface)."""

@@ -8,11 +8,11 @@ queues evolve with the exact batched kernels (the same
 :class:`~repro.queueing.batched_env.BatchedFiniteSystemEnv`, so numpy
 and numba backends both work), while the remaining
 ``M_field = M - M_track`` queues are closed by the exact mean-field
-propagators (:class:`repro.meanfield.hybrid.HybridFieldClosure`) — the
-finite-window-plus-field construction of Sparse Mean-Field Load
-Balancing (arXiv:2312.12973), with the delay-mixture generality of
-Doldo & Pender (arXiv:2112.05899) when a
-:class:`~repro.queueing.delays.DelayModel` is attached.
+propagator (:class:`repro.meanfield.delayed.DelayedMeanFieldPropagator`
+over one field law per replica) — the finite-window-plus-field
+construction of Sparse Mean-Field Load Balancing (arXiv:2312.12973),
+with the delay-mixture generality of Doldo & Pender (arXiv:2112.05899)
+when a :class:`~repro.queueing.delays.DelayModel` is attached.
 
 Coupling
 --------
@@ -20,9 +20,17 @@ Clients sample over the *full* fleet index space ``[0, M)``. Field
 queues are represented by virtual states drawn i.i.d. from the field law
 (one inverse-CDF draw per epoch and snapshot age), so the tracked
 half's frozen rates carry the same sampling fluctuations as a fully
-simulated fleet. Arrival mass is exchanged exactly: the field absorbs
-``M λ_t`` minus the tracked half's sampled rates (surfaced as
-``info["field_arrival_mass"]``), so
+simulated fleet. Field queues, in turn, are sampled and ranked against
+the global mixture law
+
+    μ_t = (M_track / M) · H_t  +  (M_field / M) · ν_t
+
+(per snapshot age), and the delay-mixture closure transports those
+rates to current states through the field's own laws. Arrival mass is
+exchanged exactly: the field absorbs ``M λ_t`` minus the tracked half's
+sampled rates (surfaced as ``info["field_arrival_mass"]``), and its
+frozen rates are rescaled so ``Σ_z ν_t(z) r(z)`` matches that remainder,
+so
 
     tracked offered + field offered == M λ_t   (every epoch, exactly).
 
@@ -33,8 +41,9 @@ Limits
   :class:`~repro.queueing.delayed_env.BatchedDelayedFiniteEnv` when a
   delay model is attached): the two are **bit-identical** under a
   shared seed.
-* ``M_track = 0`` — no client sampling happens at all and the closure
-  performs the identical operations as
+* ``M_track = 0`` — no client sampling happens at all, the mixture is
+  ``ν_t``, no rescaling applies and the field performs the identical
+  operations as
   :func:`repro.meanfield.convergence.mean_field_trajectory` /
   :func:`repro.meanfield.delayed.delayed_mean_field_trajectory`.
 
@@ -51,13 +60,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.meanfield.hybrid import HybridFieldClosure
+from repro.meanfield.decision_rule import DecisionRule
+from repro.meanfield.delayed import DelayedMeanFieldPropagator
+from repro.meanfield.discretization import per_state_arrival_rates
 from repro.queueing.batched_env import RulesLike, _BatchedQueueSystemBase
 from repro.queueing.delayed_env import SnapshotRing
 from repro.queueing.delays import DelayModel
 from repro.utils.rng import as_generator
 
 __all__ = ["BatchedHybridFleetEnv"]
+
+#: Below this natural-to-target mass ratio the rescaling factor would
+#: blow up; fall back to a state-uniform rate with the exact target mass.
+_SCALE_EPS = 1e-12
 
 
 class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
@@ -129,7 +144,7 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         self.service_rates = np.full(num_tracked, config.service_rate)
         self.delay_model = delay_model
         self._max_delay = 0 if delay_model is None else delay_model.max_delay
-        self._closure: HybridFieldClosure | None = None
+        self._field: DelayedMeanFieldPropagator | None = None
         # Tracked-state snapshots (only kept when a delay model is attached).
         self._ring = (
             None
@@ -146,7 +161,7 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
     @property
     def field_laws(self) -> np.ndarray | None:
         """Current field laws ``ν_t`` per replica, ``(E, S)`` (or None)."""
-        return None if self._closure is None else self._closure.nu
+        return None if self._field is None else self._field.nu
 
     @property
     def delay_regimes(self) -> np.ndarray:
@@ -170,7 +185,7 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
             raise RuntimeError("environment must be reset before use")
         if self.num_field == 0:
             return super().empirical_distributions()
-        field = self._closure.nu
+        field = self._field.nu
         if self.num_tracked == 0:
             return field
         w = self.tracked_fraction
@@ -189,17 +204,16 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         )
         self._t = 0
         if self.num_field > 0:
-            nu0 = np.zeros(self.config.num_queue_states)
-            nu0[self.config.initial_state] = 1.0
-            self._closure = HybridFieldClosure(
+            nu0 = np.zeros((self.num_replicas, self.config.num_queue_states))
+            nu0[:, self.config.initial_state] = 1.0
+            self._field = DelayedMeanFieldPropagator(
                 nu0,
-                self.num_replicas,
                 self._max_delay,
                 self.config.service_rate,
                 self.config.delta_t,
             )
         else:
-            self._closure = None
+            self._field = None
         if self._ring is not None:
             self._ring.reset(self._states, self._rng)
         return self.empirical_distributions()
@@ -209,7 +223,16 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         """Full-fleet observed states: tracked snapshot + virtual field."""
         if self.num_field == 0:
             return tracked
-        virtual = self._closure.sample_states(age, self.num_field, self._rng)
+        # Inverse-CDF draw from the age-`age` field laws: one
+        # rng.random((E, M_field)) call, the only draw the hybrid adds to
+        # the dense environment's stream.
+        cum = np.cumsum(self._field.laws(age), axis=1)
+        cum[:, -1] = 1.0
+        u = self._rng.random((self.num_replicas, self.num_field))
+        virtual = np.empty(u.shape, dtype=np.int64)
+        for e in range(self.num_replicas):
+            virtual[e] = np.searchsorted(cum[e], u[e], side="right")
+        np.minimum(virtual, self.config.num_queue_states - 1, out=virtual)
         return np.concatenate([tracked, virtual], axis=1)
 
     def _routing_views(self):
@@ -229,13 +252,8 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         for age, weight, tracked in views:
             yield weight, self._observed_states(tracked, age)
 
-    def _closure_pmfs(self) -> np.ndarray | None:
-        if self.delay_model is None or self._max_delay == 0:
-            return None
-        return self.delay_model.pmfs[self._ring.regimes]
-
-    def _closure_tracked_hists(self) -> "list[np.ndarray] | None":
-        """Age-indexed epoch-start tracked histograms for the closure."""
+    def _tracked_hists_by_age(self) -> "list[np.ndarray] | None":
+        """Age-indexed epoch-start tracked histograms, each ``(E, S)``."""
         if self.num_tracked == 0:
             return None
         if self.delay_model is None or self._max_delay == 0:
@@ -244,6 +262,54 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
             self._tracked_histograms(self._ring.snapshot(age, self.num_tracked))
             for age in range(self._max_delay + 1)
         ]
+
+    def _advance_field(
+        self, rules: RulesLike, lam: np.ndarray, target: np.ndarray
+    ) -> np.ndarray:
+        """Advance the field laws one epoch; returns the expected drops per
+        field queue, ``(E,)``.
+
+        Age-``k`` dispatchers sample against the age-``k`` mixture law
+        ``μ``; the closure transports their rates to current states
+        through the field's own laws and propagator products. With
+        queues tracked, the rates are then rescaled so the field absorbs
+        exactly ``target`` per queue.
+        """
+        if isinstance(rules, DecisionRule):
+            rules = [rules] * self.num_replicas
+        hists = self._tracked_hists_by_age()
+        w = self.tracked_fraction
+        age_rates = []
+        for age in range(self._max_delay + 1):
+            mix = self._field.laws(age)
+            if hists is not None:
+                mix = (1.0 - w) * mix + w * hists[age]
+            age_rates.append(
+                np.stack(
+                    [
+                        per_state_arrival_rates(mix[e], rules[e], float(lam[e]))
+                        for e in range(self.num_replicas)
+                    ]
+                )
+            )
+        pmfs = (
+            np.ones((self.num_replicas, 1))
+            if self._ring is None
+            else self.delay_model.pmfs[self._ring.regimes]
+        )
+        rates = self._field.frozen_rates(age_rates, pmfs)
+        if hists is not None:
+            # Pin absorbed mass to the exact remainder the tracked half
+            # left over: Σ_z ν(z) r(z) == target afterwards.
+            target = np.maximum(target, 0.0)
+            nu = self._field.laws(0)
+            natural = np.matmul(nu[:, None, :], rates[:, :, None])[:, 0, 0]
+            ok = natural > _SCALE_EPS * np.maximum(target, 1.0)
+            scale = target / np.where(ok, natural, 1.0)
+            rates = np.where(
+                ok[:, None], rates * scale[:, None], target[:, None]
+            )
+        return self._field.advance(rates)
 
     def step(self, rules: RulesLike) -> tuple[np.ndarray, np.ndarray, dict]:
         if self._states is None:
@@ -256,17 +322,8 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
             # Exact remainder of the offered mass M·λ — the conservation
             # invariant is enforced here by construction.
             field_mass = m * lam - rates.sum(axis=1)
-            field_drops = self.num_field * self._closure.step(
-                rules,
-                lam,
-                pmfs=self._closure_pmfs(),
-                tracked_hists=self._closure_tracked_hists(),
-                tracked_weight=self.tracked_fraction,
-                field_targets=(
-                    field_mass / self.num_field
-                    if self.num_tracked > 0
-                    else None
-                ),
+            field_drops = self.num_field * self._advance_field(
+                rules, lam, field_mass / self.num_field
             )
         else:
             field_mass = np.zeros(self.num_replicas)

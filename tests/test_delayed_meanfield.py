@@ -59,6 +59,21 @@ class TestPointMassReduction:
         assert np.abs(nus1 - nus0).max() <= 1e-10
         assert np.abs(drops1 - drops0).max() <= 1e-10
 
+    @pytest.mark.parametrize("delta_t", [1.0, 3.0, 5.0, 10.0])
+    def test_closure_reduces_at_all_mass_on_age_zero(self, delta_t):
+        """K = 2 with all mass at age 0 runs the closure, not the K = 0
+        shortcut, and must still reproduce the fixed-Δt trajectory."""
+        cfg = paper_system_config(num_queues=100).with_updates(
+            delta_t=delta_t
+        )
+        policy = JoinShortestQueuePolicy(cfg.num_queue_states, cfg.d)
+        nus0, drops0 = mean_field_trajectory(cfg, policy, MODES)
+        nus1, drops1 = delayed_mean_field_trajectory(
+            cfg, policy, MODES, IIDDelay((1.0, 0.0, 0.0))
+        )
+        assert np.abs(nus1 - nus0).max() <= 1e-10
+        assert np.abs(drops1 - drops0).max() <= 1e-10
+
     def test_rates_reduce_exactly_at_age_zero(self, config, jsq):
         rule = jsq.decision_rule(
             np.asarray([0.2, 0.3, 0.2, 0.1, 0.1, 0.1]), 0, None
@@ -66,7 +81,7 @@ class TestPointMassReduction:
         nu = np.asarray([0.2, 0.3, 0.2, 0.1, 0.1, 0.1])
         direct = per_state_arrival_rates(nu, rule, 0.9)
         mixed = delayed_arrival_rates(
-            [nu], [np.eye(nu.size)], rule, 0.9, np.asarray([1.0])
+            [nu], [np.eye(nu.size)], [direct], np.asarray([1.0])
         )
         assert np.allclose(mixed, direct, rtol=1e-14, atol=0)
 
@@ -82,7 +97,8 @@ class TestDelayMixture:
         pmf = np.asarray([0.4, 0.3, 0.2, 0.1])
         for _ in range(6):
             nus, phis = propagator._history()
-            rates = delayed_arrival_rates(nus, phis, rule, 0.9, pmf)
+            age_rates = [per_state_arrival_rates(nu, rule, 0.9) for nu in nus]
+            rates = delayed_arrival_rates(nus, phis, age_rates, pmf)
             assert float(nus[0] @ rates) == pytest.approx(0.9, rel=1e-9)
             propagator.step(rule, 0.9, pmf)
 
@@ -135,7 +151,10 @@ class TestDelayMixture:
         rule = jsq.decision_rule(nu, 0, None)
         with pytest.raises(ValueError):
             delayed_arrival_rates(
-                [nu], [np.eye(s)], rule, 0.9, np.asarray([0.5, 0.5])
+                [nu],
+                [np.eye(s)],
+                [per_state_arrival_rates(nu, rule, 0.9)],
+                np.asarray([0.5, 0.5]),
             )
         with pytest.raises(ValueError):
             DelayedMeanFieldPropagator(nu, max_delay=-1, service=1.0, delta_t=1.0)

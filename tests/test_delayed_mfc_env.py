@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import PPOConfig, SystemConfig
+from repro.config import PPOConfig, SystemConfig, paper_system_config
+from repro.meanfield.delayed import DelayedMeanFieldPropagator
 from repro.meanfield.delayed_env import DelayedMeanFieldEnv
 from repro.meanfield.features import (
     ObservationFeatures,
@@ -22,7 +23,12 @@ from repro.meanfield.features import (
 )
 from repro.meanfield.mfc_env import MeanFieldEnv
 from repro.policies.learned import NeuralPolicy
-from repro.queueing.delays import DeterministicDelay, MarkovModulatedDelay
+from repro.policies.static import JoinShortestQueuePolicy
+from repro.queueing.delays import (
+    DeterministicDelay,
+    IIDDelay,
+    MarkovModulatedDelay,
+)
 from repro.rl.nn import GaussianPolicyNetwork
 from repro.rl.ppo import PPOTrainer
 
@@ -257,6 +263,31 @@ class TestStochasticDelayDynamics:
         rewards_a = [base.step_raw(a)[1] for a in actions]
         rewards_b = [delayed.step_raw(a)[1] for a in actions]
         assert rewards_a != rewards_b
+
+    def test_set_state_restarts_the_delay_history(self):
+        # With K > 0 the next step must advance the law set_state wrote,
+        # from a history synced at it, not the history reset left behind.
+        config = paper_system_config(delta_t=5.0)
+        s = config.num_queue_states
+        full = np.eye(s)[-1]
+        rule = JoinShortestQueuePolicy(s, config.d).decision_rule(full, 0, None)
+        drops = {}
+        for name, model in (
+            ("mixed", IIDDelay((0.5, 0.3, 0.2))),
+            ("fresh", IIDDelay((1.0,))),
+        ):
+            env = DelayedMeanFieldEnv(config, seed=0, delay_model=model)
+            env.reset(seed=1)
+            env.set_state(full, 0)
+            lam = env.current_rate
+            _, _, _, info = env.step(rule)
+            drops[name] = info["drops"]
+        propagator = DelayedMeanFieldPropagator(
+            full, 2, config.service_rate, config.delta_t
+        )
+        _, expected = propagator.step(rule, lam, np.asarray([0.5, 0.3, 0.2]))
+        assert drops["mixed"] == expected
+        assert drops["mixed"] == pytest.approx(drops["fresh"], rel=1e-9)
 
     def test_clone_preserves_delay_and_features(self):
         feats = ObservationFeatures(age=True)

@@ -268,13 +268,35 @@ class TestPropagators:
 
 
 @given(
-    lam=st.floats(0.0, 1.8),
-    dt=st.floats(0.1, 10.0),
-    z=st.integers(0, 5),
+    num_states=st.integers(2, 21),
+    num_laws=st.integers(1, 3),
+    dt=st.floats(1e-2, 1e2),
+    data=st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_propagator_row_is_distribution_property(lam, dt, z):
-    trans, drops = propagate_state(np.full(6, lam), 1.0, dt, 6)
-    assert trans[z].sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(trans[z] >= -1e-12)
-    assert 0.0 <= drops[z] <= lam * dt + 1e-9
+def test_propagator_row_is_distribution_property(num_states, num_laws, dt, data):
+    """The batched kernel over extreme but valid inputs (buffer B = 1 up
+    to 20, Δt from 1e-2 to 1e2, ρ up to 1e4, one service rate per law):
+    each law equals its own unbatched call bit for bit, rows are
+    stochastic and drops lie in [0, λΔt], up to round-off."""
+    size = num_laws * num_states
+    rates = np.reshape(
+        data.draw(st.lists(st.floats(0.0, 1e3), min_size=size, max_size=size)),
+        (num_laws, num_states),
+    )
+    service = np.asarray(
+        data.draw(
+            st.lists(st.floats(0.1, 1.0), min_size=num_laws, max_size=num_laws)
+        )
+    )
+    trans, drops = propagate_state(rates, service, dt, num_states)
+    for law in range(num_laws):
+        own_trans, own_drops = propagate_state(
+            rates[law], service[law], dt, num_states
+        )
+        assert np.array_equal(trans[law], own_trans)
+        assert np.array_equal(drops[law], own_drops)
+    assert np.abs(trans.sum(axis=-1) - 1.0).max() <= 1e-9
+    assert trans.min() >= -1e-12
+    assert np.all(drops >= -1e-12)
+    assert np.all(drops <= rates * dt + 1e-9)

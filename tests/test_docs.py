@@ -25,6 +25,8 @@ MKDOCS_YML = REPO_ROOT / "mkdocs.yml"
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(#[^)\s]*)?\)")
 _AUTODOC_RE = re.compile(r"^::: ([\w.]+)", re.MULTILINE)
+_PATH_REF_RE = re.compile(r"`((?:repro|tests|benchmarks)/[\w/.]+\.py)`")
+_DOTTED_REF_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def _markdown_files() -> list[Path]:
@@ -140,21 +142,47 @@ class TestApiReference:
         assert hasattr(serving, "evaluate_regret")
 
 
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``; the rest must be
+    attributes of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
 class TestPaperMap:
     def test_referenced_modules_and_tests_exist(self):
-        text = (DOCS_DIR / "paper-map.md").read_text()
-        paths = set(re.findall(r"`((?:repro|tests|benchmarks)/[\w/.]+\.py)`", text))
-        assert paths, "paper-map.md must reference implementation files"
+        # Every page, so that deleting a module cannot leave a stale
+        # reference: backticked file paths must exist and backticked
+        # dotted `repro.…` names must import.
+        paper_map = (DOCS_DIR / "paper-map.md").read_text()
+        assert _PATH_REF_RE.search(paper_map), (
+            "paper-map.md must reference implementation files"
+        )
         missing = []
-        for rel in paths:
-            candidate = (
-                REPO_ROOT / "src" / rel
-                if rel.startswith("repro/")
-                else REPO_ROOT / rel
-            )
-            if not candidate.exists():
-                missing.append(rel)
-        assert not missing, f"paper-map references missing files: {missing}"
+        for md_file in _markdown_files():
+            text = md_file.read_text()
+            for rel in set(_PATH_REF_RE.findall(text)):
+                candidate = (
+                    REPO_ROOT / "src" / rel
+                    if rel.startswith("repro/")
+                    else REPO_ROOT / rel
+                )
+                if not candidate.exists():
+                    missing.append(f"{md_file.name}: {rel}")
+            for dotted in set(_DOTTED_REF_RE.findall(text)):
+                if not _resolves(dotted):
+                    missing.append(f"{md_file.name}: {dotted}")
+        assert not missing, f"docs reference missing code: {missing}"
 
     def test_tentpole_example_mapping_present(self):
         # The ISSUE's canonical example: Eq. 22 contraction.

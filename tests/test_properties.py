@@ -491,10 +491,10 @@ def test_hybrid_all_tracked_bit_identical_to_dense(params, num_replicas):
 def test_hybrid_all_field_reduces_to_mean_field_trajectory(
     params, num_replicas
 ):
-    """With ``M_track = 0`` no client sampling happens and the closure
+    """With ``M_track = 0`` no client sampling happens and the field
     performs the mean-field propagator's exact operations: the hybrid
-    trajectory agrees with :func:`mean_field_trajectory` to <= 1e-10 for
-    any config, replica count and scripted mode sequence."""
+    trajectory equals :func:`mean_field_trajectory` bit for bit for any
+    config, replica count and scripted mode sequence."""
     from repro.meanfield.convergence import mean_field_trajectory
     from repro.policies.static import JoinShortestQueuePolicy
     from repro.queueing.arrivals import ScriptedRate
@@ -517,10 +517,10 @@ def test_hybrid_all_field_reduces_to_mean_field_trajectory(
     )
     nus, _ = mean_field_trajectory(config, policy, modes)
     hists = env.reset()
-    assert np.abs(hists - nus[0]).max() <= 1e-10
+    assert np.array_equal(hists, np.broadcast_to(nus[0], hists.shape))
     for t in range(epochs):
         hists, _, info = env.step_with_policy(policy)
-        assert np.abs(hists - nus[t + 1]).max() <= 1e-10
+        assert np.array_equal(hists, np.broadcast_to(nus[t + 1], hists.shape))
         # All arrival mass lands in the field half.
         assert info["arrival_rates"].shape == (num_replicas, 0)
         np.testing.assert_allclose(
@@ -536,8 +536,8 @@ def test_hybrid_all_field_reduces_to_delayed_trajectory(
     params, num_replicas
 ):
     """The delayed hybrid fleet at ``M_track = 0`` replays the
-    delay-mixture propagator exactly: agreement with
-    :func:`delayed_mean_field_trajectory` to <= 1e-10."""
+    delay-mixture propagator exactly: it equals
+    :func:`delayed_mean_field_trajectory` bit for bit."""
     from repro.meanfield.delayed import delayed_mean_field_trajectory
     from repro.policies.static import JoinShortestQueuePolicy
     from repro.queueing.arrivals import ScriptedRate
@@ -563,10 +563,10 @@ def test_hybrid_all_field_reduces_to_delayed_trajectory(
     )
     nus, _ = delayed_mean_field_trajectory(config, policy, modes, delay_model)
     hists = env.reset()
-    assert np.abs(hists - nus[0]).max() <= 1e-10
+    assert np.array_equal(hists, np.broadcast_to(nus[0], hists.shape))
     for t in range(epochs):
         hists, _, _ = env.step_with_policy(policy)
-        assert np.abs(hists - nus[t + 1]).max() <= 1e-10
+        assert np.array_equal(hists, np.broadcast_to(nus[t + 1], hists.shape))
 
 
 @given(
