@@ -93,7 +93,9 @@ def delayed_arrival_rates(
     age_rates : sequence of ndarray
         Eq. 22 rates ``r_k`` seen by age-``k`` dispatchers, indexed by
         the delayed state, each ``(..., S)``. The caller evaluates them
-        at whatever law those dispatchers sample from.
+        at whatever law those dispatchers sample from. Ages with zero
+        weight in every batch entry are skipped, so their entry may be
+        ``None``.
     pmf : ndarray
         Snapshot-age distribution ``(p_0, ..., p_K)``, shared or
         ``(..., K + 1)``.
@@ -117,7 +119,8 @@ def delayed_arrival_rates(
     nu_now = np.asarray(history_nus[0], dtype=np.float64)
     numerator = np.zeros(nu_now.shape)
     filler = np.zeros(nu_now.shape[:-1])
-    for k in range(ages):
+    weighted = (pmf > 0.0).reshape(-1, ages).any(axis=0)
+    for k in np.flatnonzero(weighted):
         p_k = pmf[..., k]
         nu_k = np.asarray(history_nus[k], dtype=np.float64)
         r_k = np.asarray(age_rates[k], dtype=np.float64)
@@ -172,23 +175,39 @@ class DelayedMeanFieldPropagator:
         self.delta_t = float(delta_t)
         self.num_states = int(nu0.shape[-1])
         # Newest-first histories: _nus[k] is the age-k law.
-        self._nus: deque[np.ndarray] = deque(
-            [nu0.copy()], maxlen=self.max_delay + 1
-        )
+        self._nus: deque[np.ndarray] = deque(maxlen=self.max_delay + 1)
         self._epoch_transitions: deque[np.ndarray] = deque(
             maxlen=self.max_delay
         )
+        self.restart(nu0)
+
+    def _push(self, nus: np.ndarray) -> None:
+        # Stored laws are read-only, so laws() can hand them out uncopied.
+        nus.flags.writeable = False
+        self._nus.appendleft(nus)
+
+    def restart(self, nu: np.ndarray) -> None:
+        """Restart the history at laws ``nu``, synced: every age sees them."""
+        nu = np.array(nu, dtype=np.float64)
+        if nu.shape[-1:] != (self.num_states,):
+            raise ValueError(f"laws must end in {self.num_states} states")
+        self._nus.clear()
+        self._epoch_transitions.clear()
+        self._push(nu)
 
     @property
     def nu(self) -> np.ndarray:
-        """Current laws ``ν_t``, shape ``(..., S)``."""
+        """Current laws ``ν_t``, shape ``(..., S)`` (a copy)."""
         return self._nus[0].copy()
 
     def laws(self, age: int) -> np.ndarray:
-        """Age-``age`` laws (clamped to the oldest kept), ``(..., S)``."""
+        """Age-``age`` laws (clamped to the oldest kept), ``(..., S)``.
+
+        The stored array itself, read-only.
+        """
         if not 0 <= age <= self.max_delay:
             raise ValueError(f"age must lie in [0, {self.max_delay}]")
-        return self._nus[min(age, len(self._nus) - 1)].copy()
+        return self._nus[min(age, len(self._nus) - 1)]
 
     def _history(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Age-indexed laws and ``Φ_k`` products (ages clamp early on)."""
@@ -213,33 +232,39 @@ class DelayedMeanFieldPropagator:
         nus, phis = self._history()
         return delayed_arrival_rates(nus, phis, age_rates, pmf)
 
+    def rule_rates(
+        self, rule: DecisionRule, lam: float, pmf: np.ndarray
+    ) -> np.ndarray:
+        """Closure rates of a single law when every age routes with
+        ``rule`` against its own delayed law, shape ``(S,)``."""
+        pmf = np.asarray(pmf, dtype=np.float64)
+        return self.frozen_rates(
+            [
+                per_state_arrival_rates(self.laws(k), rule, lam)
+                if p_k > 0.0
+                else None
+                for k, p_k in enumerate(pmf)
+            ],
+            pmf,
+        )
+
     def advance(self, rates: np.ndarray) -> np.ndarray:
         """Propagate one epoch at frozen ``rates``; returns the expected
         drops per queue, shape ``(...)``."""
         nu_next, drops, transitions = propagate_laws(
             self._nus[0], rates, self.service, self.delta_t
         )
-        self._nus.appendleft(nu_next)
+        self._push(nu_next)
         self._epoch_transitions.appendleft(transitions)
         return drops
 
     def step(
         self, rule: DecisionRule, lam: float, pmf: np.ndarray
     ) -> tuple[np.ndarray, float]:
-        """Advance a single law one epoch under ``rule``.
-
-        Every age routes with ``rule`` against its own delayed law.
-        Returns ``(frozen rates r(z), expected drops)``; the new law is
-        :attr:`nu`.
-        """
-        rates = self.frozen_rates(
-            [
-                per_state_arrival_rates(self.laws(k), rule, lam)
-                for k in range(self.max_delay + 1)
-            ],
-            pmf,
-        )
-        return rates, float(self.advance(rates))
+        """Advance a single law one epoch under ``rule``; returns
+        ``(ν_{t+1}, expected drops)``."""
+        drops = self.advance(self.rule_rates(rule, lam, pmf))
+        return self.nu, float(drops)
 
 
 def delayed_mean_field_trajectory(
@@ -308,8 +333,9 @@ def delayed_mean_field_trajectory(
     for t, mode in enumerate(mode_sequence):
         rule = policy.decision_rule(propagator.nu, int(mode), None)
         pmf = delay_model.pmf(int(regime_sequence[t]))
-        _, drops[t] = propagator.step(rule, float(levels[mode]), pmf)
-        nus[t + 1] = propagator.nu
+        nus[t + 1], drops[t] = propagator.step(
+            rule, float(levels[mode]), pmf
+        )
     return nus, drops
 
 
@@ -366,7 +392,9 @@ def delayed_local_epoch_update(
         local_arrival_rates(
             nu_k, topology, rule, lam, classes=classes, num_classes=num_classes
         )
-        for nu_k in history_nus[: pmf.size]
+        if p_k > 0.0
+        else None
+        for nu_k, p_k in zip(history_nus, pmf)
     ]
     rates = delayed_arrival_rates(history_nus, history_phis, age_rates, pmf)
     return propagate_laws(nus_now, rates, service, delta_t)

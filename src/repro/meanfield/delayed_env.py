@@ -96,22 +96,23 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
     @property
     def _nu(self) -> np.ndarray | None:
         """Current law ``ν_t``; the delay propagator holds the only copy."""
-        return None if self._delayed is None else self._delayed.nu
+        return None if self._delayed is None else self._delayed.laws(0)
 
     @_nu.setter
     def _nu(self, nu: np.ndarray | None) -> None:
         # Writing the law (reset, set_state, an age-0 step) restarts the
         # history at it, synced: every snapshot age sees the new law.
-        self._delayed = (
-            None
-            if nu is None
-            else DelayedMeanFieldPropagator(
+        if nu is None:
+            self._delayed = None
+        elif self._delayed is None:
+            self._delayed = DelayedMeanFieldPropagator(
                 nu,
                 self.delay_model.max_delay,
                 self.config.service_rate,
                 self.config.delta_t,
             )
-        )
+        else:
+            self._delayed.restart(nu)
 
     @property
     def observation_size(self) -> int:
@@ -173,11 +174,13 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
         if self.delay_model.max_delay == 0:
             # The paper's epoch map through the configured propagator.
             return super()._advance(rule, lam)
-        return self._delayed.step(rule, lam, self.delay_model.pmf(self._regime))
+        rates = self._delayed.rule_rates(
+            rule, lam, self.delay_model.pmf(self._regime)
+        )
+        return rates, float(self._delayed.advance(rates))
 
-    def step(self, rule: DecisionRule) -> tuple[np.ndarray, float, bool, dict]:
-        pmf = self.delay_model.pmf(self._regime)
-        _, reward, done, info = super().step(rule)
+    def _step_exogenous(self) -> None:
+        super()._step_exogenous()
         # Every regime of an all-age-0 model routes on fresh snapshots, so
         # its chain is not stepped (which keeps the parent's RNG stream).
         if self.delay_model.max_delay > 0 and self.delay_model.num_regimes > 1:
@@ -186,7 +189,12 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
                     np.array([self._regime]), self._rng
                 )[0]
             )
+
+    def step(self, rule: DecisionRule) -> tuple[np.ndarray, float, bool, dict]:
+        # The observation, built after _step_exogenous, carries the live
+        # age features of the regime the step just entered.
+        pmf = self.delay_model.pmf(self._regime)
+        obs, reward, done, info = super().step(rule)
         info["delay_regime"] = self._regime
         info["delay_pmf"] = pmf
-        # The live age features read the regime the step just entered.
-        return self.observation(), reward, done, info
+        return obs, reward, done, info

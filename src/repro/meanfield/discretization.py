@@ -153,7 +153,12 @@ def propagate_state(
     exp_stack = expm(extended_generator(rates, service, num_states) * delta_t)
     z = np.arange(num_states)
     rows = exp_stack[..., z, z, :]  # row z of the z-th exponential
-    return rows[..., :num_states], rows[..., num_states]
+    drops = rows[..., num_states]
+    # The drop integral is non-negative; at vanishing rates expm's
+    # round-off can leave it a denormal below zero. Clamped in place: a
+    # contiguous copy would change how the contraction sums it.
+    np.maximum(drops, 0.0, out=drops)
+    return rows[..., :num_states], drops
 
 
 def _contract(

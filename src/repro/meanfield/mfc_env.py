@@ -141,11 +141,12 @@ class MeanFieldEnv:
 
     def observation(self) -> np.ndarray:
         """Flat observation: ``[ν, one_hot(λ mode)]``."""
-        if self._nu is None:
+        nu = self._nu
+        if nu is None:
             raise RuntimeError("environment must be reset before use")
         one_hot = np.zeros(self.num_modes)
         one_hot[self._lam_mode] = 1.0
-        return np.concatenate([self._nu, one_hot])
+        return np.concatenate([nu, one_hot])
 
     def set_state(self, nu: np.ndarray, lam_mode: int, t: int = 0) -> None:
         """Force an arbitrary state (used by convergence analysis/tests)."""
@@ -209,7 +210,7 @@ class MeanFieldEnv:
             )
         lam = self.current_rate
         rates, drops = self._advance(rule, lam)
-        self._lam_mode = self.arrivals.step_mode(self._lam_mode, self._rng)
+        self._step_exogenous()
         self._t += 1
         done = self._t >= self.horizon
         reward = -self.config.drop_penalty * drops
@@ -226,9 +227,14 @@ class MeanFieldEnv:
 
     def _advance(self, rule: DecisionRule, lam: float) -> tuple[np.ndarray, float]:
         """Move the law one epoch; returns the frozen rates and drops."""
-        rates = per_state_arrival_rates(self._nu, rule, lam)
-        self._nu, drops = self._propagator.propagate(self._nu, rates)
+        nu = self._nu
+        rates = per_state_arrival_rates(nu, rule, lam)
+        self._nu, drops = self._propagator.propagate(nu, rates)
         return rates, drops
+
+    def _step_exogenous(self) -> None:
+        """Step the exogenous chains once the law has moved."""
+        self._lam_mode = self.arrivals.step_mode(self._lam_mode, self._rng)
 
     def step_raw(self, raw_action: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
         """Step with an unconstrained action vector (RL interface)."""

@@ -271,32 +271,36 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
 
         Age-``k`` dispatchers sample against the age-``k`` mixture law
         ``μ``; the closure transports their rates to current states
-        through the field's own laws and propagator products. With
-        queues tracked, the rates are then rescaled so the field absorbs
-        exactly ``target`` per queue.
+        through the field's own laws and propagator products. Eq. 22 is
+        evaluated only where an age has weight (elsewhere its rates stay
+        zero, or ``None`` for the whole age). With queues tracked, the
+        rates are then rescaled so the field absorbs exactly ``target``
+        per queue.
         """
         if isinstance(rules, DecisionRule):
             rules = [rules] * self.num_replicas
         hists = self._tracked_hists_by_age()
         w = self.tracked_fraction
-        age_rates = []
-        for age in range(self._max_delay + 1):
-            mix = self._field.laws(age)
-            if hists is not None:
-                mix = (1.0 - w) * mix + w * hists[age]
-            age_rates.append(
-                np.stack(
-                    [
-                        per_state_arrival_rates(mix[e], rules[e], float(lam[e]))
-                        for e in range(self.num_replicas)
-                    ]
-                )
-            )
         pmfs = (
             np.ones((self.num_replicas, 1))
             if self._ring is None
             else self.delay_model.pmfs[self._ring.regimes]
         )
+        age_rates = []
+        for age in range(self._max_delay + 1):
+            live = np.flatnonzero(pmfs[:, age] > 0.0)
+            if live.size == 0:
+                age_rates.append(None)
+                continue
+            mix = self._field.laws(age)
+            if hists is not None:
+                mix = (1.0 - w) * mix + w * hists[age]
+            r_age = np.zeros(mix.shape)
+            for e in live:
+                r_age[e] = per_state_arrival_rates(
+                    mix[e], rules[e], float(lam[e])
+                )
+            age_rates.append(r_age)
         rates = self._field.frozen_rates(age_rates, pmfs)
         if hists is not None:
             # Pin absorbed mass to the exact remainder the tracked half

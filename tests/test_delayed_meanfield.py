@@ -11,7 +11,7 @@ from repro.meanfield.delayed import (
     delayed_local_epoch_update,
     delayed_mean_field_trajectory,
 )
-from repro.meanfield.discretization import per_state_arrival_rates
+from repro.meanfield.discretization import epoch_update, per_state_arrival_rates
 from repro.meanfield.local import local_epoch_update
 from repro.meanfield.decision_rule import DecisionRule
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
@@ -158,6 +158,98 @@ class TestDelayMixture:
             )
         with pytest.raises(ValueError):
             DelayedMeanFieldPropagator(nu, max_delay=-1, service=1.0, delta_t=1.0)
+
+    @pytest.mark.parametrize("max_delay", [0, 2])
+    def test_step_returns_the_next_law(self, config, jsq, max_delay):
+        """``step`` returns ``(ν_{t+1}, drops)``; at K = 0 it is exactly
+        ``epoch_update``."""
+        s = config.num_queue_states
+        nu = np.asarray([0.3, 0.2, 0.2, 0.1, 0.1, 0.1])
+        rule = jsq.decision_rule(nu, 0, None)
+        pmf = np.zeros(max_delay + 1)
+        pmf[0] = 1.0
+        prop = DelayedMeanFieldPropagator(nu, max_delay, 1.0, config.delta_t)
+        nu_next, drops = prop.step(rule, 0.9, pmf)
+        assert nu_next.shape == (s,)
+        assert np.array_equal(nu_next, prop.nu)
+        if max_delay == 0:
+            expected_nu, expected_drops = epoch_update(
+                nu, rule, 0.9, 1.0, config.delta_t
+            )
+            assert np.array_equal(nu_next, expected_nu)
+            assert drops == expected_drops
+        # Stored laws are handed out uncopied, so they are read-only; the
+        # returned law is the caller's own copy.
+        with pytest.raises(ValueError):
+            prop.laws(0)[0] = 1.0
+        nu_next[0] = 1.0
+        assert prop.laws(0)[0] != 1.0
+
+
+class TestUnweightedAges:
+    """Eq. 22 is evaluated only for snapshot ages that carry weight."""
+
+    def test_closure_skips_ages_without_weight(self, config, jsq):
+        s = config.num_queue_states
+        prop = DelayedMeanFieldPropagator(np.eye(s)[0], 3, 1.0, config.delta_t)
+        rule = jsq.decision_rule(np.eye(s)[0], 0, None)
+        for _ in range(4):
+            prop.step(rule, 0.9, np.asarray([0.4, 0.3, 0.2, 0.1]))
+        nus, phis = prop._history()
+        pmf = np.asarray([0.6, 0.0, 0.4, 0.0])
+        full = [per_state_arrival_rates(nu, rule, 0.9) for nu in nus]
+        sparse = [r if p > 0 else None for r, p in zip(full, pmf)]
+        assert np.array_equal(
+            delayed_arrival_rates(nus, phis, sparse, pmf),
+            delayed_arrival_rates(nus, phis, full, pmf),
+        )
+
+    def test_synced_regime_evaluates_one_age(self, config, jsq, monkeypatch):
+        """K = 3 with pmf (1, 0, 0, 0): one rate evaluation per epoch."""
+        import repro.meanfield.delayed as delayed
+
+        calls = []
+        real = delayed.per_state_arrival_rates
+        monkeypatch.setattr(
+            delayed,
+            "per_state_arrival_rates",
+            lambda *a: calls.append(1) or real(*a),
+        )
+        s = config.num_queue_states
+        prop = DelayedMeanFieldPropagator(np.eye(s)[0], 3, 1.0, config.delta_t)
+        rule = jsq.decision_rule(np.eye(s)[0], 0, None)
+        for _ in range(5):
+            prop.step(rule, 0.9, np.asarray([1.0, 0.0, 0.0, 0.0]))
+        assert len(calls) == 5
+
+    def test_hybrid_evaluates_weighted_replica_ages_only(self, monkeypatch):
+        """Delayed hybrid: one Eq. 22 call per (replica, weighted age)."""
+        import repro.queueing.hybrid_env as hybrid_env
+        from repro.queueing.hybrid_env import BatchedHybridFleetEnv
+
+        cfg = paper_system_config(num_queues=20, num_clients=200)
+        model = MarkovModulatedDelay.synced_degraded(p_degrade=0.5)
+        env = BatchedHybridFleetEnv(
+            cfg, 4, 10, delay_model=model, per_packet_randomization=True,
+            seed=3,
+        )
+        env.reset(seed=3)
+        policy = JoinShortestQueuePolicy(cfg.num_queue_states, cfg.d)
+        rule = policy.decision_rule(np.eye(cfg.num_queue_states)[0], 0, None)
+        calls = []
+        real = hybrid_env.per_state_arrival_rates
+        monkeypatch.setattr(
+            hybrid_env,
+            "per_state_arrival_rates",
+            lambda *a: calls.append(1) or real(*a),
+        )
+        expected = 0
+        for _ in range(6):
+            pmfs = model.pmfs[env._ring.regimes]
+            expected += int((pmfs > 0.0).sum())
+            env.step(rule)
+        assert len(calls) == expected
+        assert expected < 6 * 4 * (model.max_delay + 1)
 
 
 class TestDelayedLocal:

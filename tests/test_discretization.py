@@ -278,7 +278,8 @@ def test_propagator_row_is_distribution_property(num_states, num_laws, dt, data)
     """The batched kernel over extreme but valid inputs (buffer B = 1 up
     to 20, Δt from 1e-2 to 1e2, ρ up to 1e4, one service rate per law):
     each law equals its own unbatched call bit for bit, rows are
-    stochastic and drops lie in [0, λΔt], up to round-off."""
+    stochastic up to round-off, and drops are non-negative and at most
+    λΔt up to round-off."""
     size = num_laws * num_states
     rates = np.reshape(
         data.draw(st.lists(st.floats(0.0, 1e3), min_size=size, max_size=size)),
@@ -298,5 +299,12 @@ def test_propagator_row_is_distribution_property(num_states, num_laws, dt, data)
         assert np.array_equal(drops[law], own_drops)
     assert np.abs(trans.sum(axis=-1) - 1.0).max() <= 1e-9
     assert trans.min() >= -1e-12
-    assert np.all(drops >= -1e-12)
+    assert np.all(drops >= 0.0)
     assert np.all(drops <= rates * dt + 1e-9)
+
+
+def test_drops_non_negative_at_vanishing_rates():
+    """expm round-off leaves the drop integral at -1e-323 here (S = 8,
+    Δt = 0.01, rate 1.2e-38); the kernel clamps it to zero."""
+    _, drops = propagate_state(np.full(8, 1.2e-38), 0.1, 0.01, 8)
+    assert np.all(drops >= 0.0)
