@@ -559,22 +559,17 @@ def train_regime(
         independent_streams=budget.num_envs > 1,
     )
 
-    def _evaluate() -> "ConfidenceInterval":
-        # Policies share the live training network: evaluate in place.
-        probe = NeuralPolicy(
-            trainer.policy,
-            num_states=regime.config.num_queue_states,
-            d=regime.config.d,
-            num_modes=env.num_modes,
-            label=REGIME_POLICY_LABEL,
-            features=regime.features,
-            age_context=regime.age_context(),
+    def _policy(state: Mapping[str, np.ndarray]) -> NeuralPolicy:
+        return _build_policy(
+            state, regime, hidden_sizes=ppo.hidden_sizes, num_modes=env.num_modes
         )
+
+    def _evaluate(policy: NeuralPolicy) -> "ConfidenceInterval":
         if regime.fidelity == "finite":
-            return _evaluate_finite(regime, probe, budget)
+            return _evaluate_finite(regime, policy, budget)
         return evaluate_policy_mfc(
             eval_env,
-            probe,
+            policy,
             episodes=budget.eval_episodes,
             seed=budget.eval_seed,
         )
@@ -582,8 +577,11 @@ def train_regime(
     warm_state = _warm_start_state(regime, ppo)
     warm_eval = None
     if warm_state is not None:
+        # The trainer's float32 network holds a rounded copy; score the
+        # exact float64 state that keep-best would package.
         trainer.policy.load_state_dict(warm_state)
-        warm_eval = _evaluate()
+        warm_policy = _policy(warm_state)
+        warm_eval = _evaluate(warm_policy)
         if verbose:
             print(f"[{regime.name}] warm start: {warm_eval.mean:.2f}")
 
@@ -600,7 +598,8 @@ def train_regime(
             )
 
     trained_state = trainer.policy.state_dict()
-    trained_eval = _evaluate()
+    policy = _policy(trained_state)
+    trained_eval = _evaluate(policy)
     kept = "trained"
     final_state = trained_state
     if warm_eval is not None and warm_eval.mean > trained_eval.mean:
@@ -608,6 +607,7 @@ def train_regime(
         # (functionally transplanted) warm start on a regression.
         kept = "warm-start"
         final_state = warm_state
+        policy = warm_policy
     if verbose:
         print(
             f"[{regime.name}] trained: {trained_eval.mean:.2f} "
@@ -642,12 +642,6 @@ def train_regime(
         arrays = {f"policy/{k}": v for k, v in final_state.items()}
         arrays["curve"] = np.asarray(curve, dtype=np.float64)
         store.put_entry(key, arrays, meta)
-    policy = _build_policy(
-        final_state,
-        regime,
-        hidden_sizes=ppo.hidden_sizes,
-        num_modes=env.num_modes,
-    )
     return CampaignResult(
         regime=regime,
         key=key,

@@ -33,7 +33,10 @@ class NeuralPolicy(UpperLevelPolicy):
         Trained :class:`repro.rl.nn.GaussianPolicyNetwork` whose input is
         ``[ν, one_hot(λ mode)]`` — plus the optional context features of
         :class:`repro.meanfield.features.ObservationFeatures` — and whose
-        output parameterizes the raw decision-rule table.
+        output parameterizes the raw decision-rule table. Evaluation is
+        float64: a float64 network is held as is, any other (such as a
+        trainer's float32 network) is copied to float64 here, so later
+        training does not reach the policy.
     num_states, d, num_modes:
         Rule/observation geometry; must match the network dimensions.
     deterministic:
@@ -85,7 +88,9 @@ class NeuralPolicy(UpperLevelPolicy):
             raise ValueError(
                 f"network action_dim {network.action_dim} != S^d*d = {expected_act}"
             )
-        self.network = network
+        self.network = (
+            network if network.dtype == np.float64 else network.astype(np.float64)
+        )
         self.num_states = num_states
         self.d = d
         self.num_modes = num_modes

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["compute_gae", "discounted_returns"]
+__all__ = ["compute_gae"]
 
 
 def compute_gae(
@@ -58,25 +58,3 @@ def compute_gae(
         next_value = values[t]
     return advantages, advantages + values
 
-
-def discounted_returns(
-    rewards: np.ndarray,
-    dones: np.ndarray,
-    bootstrap_value: float,
-    gamma: float,
-) -> np.ndarray:
-    """Per-step discounted returns (bootstrapped at truncation).
-
-    Equals the GAE value target when ``λ = 1`` — the identity is covered
-    by a property test.
-    """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    dones = np.asarray(dones, dtype=bool)
-    returns = np.zeros_like(rewards)
-    running = float(bootstrap_value)
-    for t in range(rewards.size - 1, -1, -1):
-        if dones[t]:
-            running = 0.0
-        running = rewards[t] + gamma * running
-        returns[t] = running
-    return returns

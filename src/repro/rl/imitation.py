@@ -63,22 +63,23 @@ def clone_rule(
     ``DecisionRule.from_raw(mu(obs)) ≈ rule`` at every observation. Since
     ``from_raw`` renormalizes, matching the table entries directly is
     sufficient (the table is already on the simplex, and ``from_raw`` is
-    the identity on it up to the probability floor).
+    the identity on it up to the probability floor). Training runs at
+    the network's dtype.
     """
     rng = as_generator(seed)
-    observations = np.asarray(observations, dtype=np.float64)
+    observations = np.asarray(observations, dtype=network.dtype)
     if observations.ndim != 2 or observations.shape[1] != network.obs_dim:
         raise ValueError(
             f"observations must be (n, {network.obs_dim}), got "
             f"{observations.shape}"
         )
-    target = rule.flat()
+    target = rule.flat().astype(network.dtype)
     if target.size != network.action_dim:
         raise ValueError(
             f"rule has {target.size} parameters, network expects "
             f"{network.action_dim}"
         )
-    optimizer = Adam.for_params(network.trunk.params, learning_rate)
+    optimizer = Adam(network.trunk.buffer, learning_rate)
     n = observations.shape[0]
     final_mse = np.inf
     for _ in range(epochs):
@@ -88,8 +89,5 @@ def clone_rule(
         err = mu - target[None, :]
         final_mse = float(np.mean(err**2))
         grad_mu = 2.0 * err / err.size
-        grads = network.trunk.backward(cache, grad_mu)
-        updates = optimizer.step(grads)
-        for key, delta in updates.items():
-            network.trunk.params[key] += delta
+        optimizer.step(network.trunk.backward(cache, grad_mu))
     return final_mse

@@ -9,9 +9,24 @@ verified against central finite differences in the test suite.
 Initialization follows RLlib's ``normc`` scheme: weights are sampled
 standard normal and rescaled so each output column has a fixed L2 norm
 (1.0 for hidden layers, 0.01 for output heads), biases start at zero.
+
+Every network keeps all its parameters, ``log_std`` included, as views
+into one contiguous 1-D :attr:`~MLP.buffer`, and ``backward`` writes
+into one gradient buffer :attr:`~MLP.grad` with the same layout, so
+:class:`repro.rl.optim.Adam` updates a whole network in a handful of
+elementwise passes. A network's dtype is its buffer's. The PPO trainers
+train float32 copies (:meth:`~MLP.astype`); :meth:`~MLP.state_dict`
+always returns float64 (an exact upcast) and :meth:`~MLP.load_state_dict`
+rounds into the buffer's dtype, so checkpoints are float64 whatever
+dtype a network trained at.
 """
 
 from __future__ import annotations
+
+import copy
+import math
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,12 +69,89 @@ def _normc_init(
     return w
 
 
-class MLP:
+def _views(
+    flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]
+) -> Mapping[str, np.ndarray]:
+    """Read-only mapping of consecutive views of ``flat``, one per shape.
+
+    The mapping refuses item assignment: rebinding an entry would
+    silently detach that parameter from the buffer the optimizer
+    updates. Write through the views instead (``params[k][...] = x``).
+    """
+    views = {}
+    offset = 0
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return MappingProxyType(views)
+
+
+class _FlatNetwork:
+    """What every network shares: one buffer, its dtype and float64
+    checkpoints.
+
+    Subclasses set :attr:`buffer` and :attr:`grad` in ``_bind`` and map
+    checkpoint keys to parameter views in ``_state_views``.
+    """
+
+    buffer: np.ndarray
+    grad: np.ndarray
+
+    def _bind(self, buffer: np.ndarray) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+    def _state_views(self) -> Mapping[str, np.ndarray]:  # pragma: no cover
+        raise NotImplementedError
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.buffer.dtype
+
+    def num_parameters(self) -> int:
+        return self.buffer.size
+
+    def astype(self, dtype) -> "_FlatNetwork":
+        """A copy of this network whose buffer is cast to ``dtype``."""
+        clone = copy.deepcopy(self)
+        clone._bind(self.buffer.astype(dtype))
+        return clone
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Float64 copies of every parameter (exact at any buffer dtype)."""
+        return {k: v.astype(np.float64) for k, v in self._state_views().items()}
+
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
+        """Write ``state`` into the buffer, rounding to its dtype.
+
+        ``state`` must hold exactly this network's keys with matching
+        shapes; anything else raises before a single value is written.
+        """
+        views = self._state_views()
+        missing = sorted(set(views) - set(state))
+        unknown = sorted(set(state) - set(views))
+        if missing or unknown:
+            raise ValueError(
+                "state dict does not match the network: "
+                f"missing keys {missing}, unknown keys {unknown}"
+            )
+        for key, view in views.items():
+            shape = np.shape(state[key])
+            if shape != view.shape:
+                raise ValueError(
+                    f"shape mismatch for {key!r}: {shape} != {view.shape}"
+                )
+        for key, view in views.items():
+            view[...] = state[key]
+
+
+class MLP(_FlatNetwork):
     """Fully connected network ``in_dim -> hidden_sizes -> out_dim``.
 
-    Parameters are stored in a flat ``dict[str, np.ndarray]`` (keys
-    ``W0, b0, W1, b1, ...``) so optimizers and checkpoints can treat any
-    network uniformly.
+    Parameters ``W0, b0, W1, b1, ...`` are views into one 1-D
+    :attr:`buffer`, in that order; :attr:`params` maps their names to the
+    views and :attr:`grads` does the same for the gradient buffer
+    :attr:`grad`.
     """
 
     def __init__(
@@ -83,84 +175,106 @@ class MLP:
         self.hidden_sizes = tuple(hidden_sizes)
         self.activation = activation
         self._act, self._act_grad = _ACTIVATIONS[activation]
-        self.params: dict[str, np.ndarray] = {}
         sizes = [in_dim, *self.hidden_sizes, out_dim]
         self.num_layers = len(sizes) - 1
+        self._shapes: dict[str, tuple[int, ...]] = {}
+        for layer in range(self.num_layers):
+            self._shapes[f"W{layer}"] = (sizes[layer], sizes[layer + 1])
+            self._shapes[f"b{layer}"] = (sizes[layer + 1],)
+        self._bind(np.zeros(sum(math.prod(s) for s in self._shapes.values())))
         for layer in range(self.num_layers):
             is_output = layer == self.num_layers - 1
             std = out_std if is_output else 1.0
-            self.params[f"W{layer}"] = _normc_init(
+            self.params[f"W{layer}"][...] = _normc_init(
                 rng, sizes[layer], sizes[layer + 1], std
             )
-            self.params[f"b{layer}"] = np.zeros(sizes[layer + 1])
+
+    def _bind(self, buffer: np.ndarray, grad: np.ndarray | None = None) -> None:
+        """Make every parameter (and gradient) a view of ``buffer`` (``grad``)."""
+        self.buffer = buffer
+        self.grad = np.zeros_like(buffer) if grad is None else grad
+        self.params = _views(self.buffer, self._shapes)
+        self.grads = _views(self.grad, self._shapes)
+        self._layers = [
+            (self.params[f"W{i}"], self.params[f"b{i}"])
+            for i in range(self.num_layers)
+        ]
+        self._grad_layers = [
+            (self.grads[f"W{i}"], self.grads[f"b{i}"])
+            for i in range(self.num_layers)
+        ]
+
+    def _state_views(self) -> Mapping[str, np.ndarray]:
+        return self.params
+
+    # Views do not survive pickling (each would come back as an array of
+    # its own), so only the buffer is pickled and the views are rebuilt.
+    _DERIVED = ("grad", "params", "grads", "_layers", "_grad_layers")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind(self.buffer)
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Forward pass; returns ``(output, cache)`` for backprop.
+        """Forward pass at the network's dtype; returns ``(output, cache)``.
 
-        ``x`` has shape ``(n, in_dim)``; the cache holds the input and
-        every post-activation hidden output.
+        ``x`` has shape ``(n, in_dim)`` and is cast to :attr:`dtype`; the
+        cache holds the input and every post-activation hidden output.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.buffer.dtype)
         if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.in_dim}")
         cache = [x]
         h = x
-        for layer in range(self.num_layers - 1):
-            pre = h @ self.params[f"W{layer}"] + self.params[f"b{layer}"]
-            h = self._act(pre)
+        for w, b in self._layers[:-1]:
+            h = self._act(h @ w + b)
             cache.append(h)
-        out = h @ self.params[f"W{self.num_layers - 1}"] + self.params[
-            f"b{self.num_layers - 1}"
-        ]
-        return out, cache
+        w, b = self._layers[-1]
+        return h @ w + b, cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(
-        self, cache: list[np.ndarray], grad_out: np.ndarray
-    ) -> dict[str, np.ndarray]:
+    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
         """Gradients of ``sum(grad_out * output)`` w.r.t. all parameters.
 
         ``grad_out`` has shape ``(n, out_dim)`` — the upstream gradient.
-        Returns a dict matching :attr:`params`. (Summed over the batch;
-        divide upstream by ``n`` for a mean loss.)
+        Writes every parameter's gradient (summed over the batch; divide
+        upstream by ``n`` for a mean loss) into :attr:`grad` and returns
+        that buffer; the next call overwrites it.
         """
-        grad_out = np.asarray(grad_out, dtype=np.float64)
+        grad_out = np.asarray(grad_out, dtype=self.buffer.dtype)
         if grad_out.ndim == 1:
             grad_out = grad_out[None, :]
-        grads: dict[str, np.ndarray] = {}
         delta = grad_out
         for layer in range(self.num_layers - 1, -1, -1):
-            inputs = cache[layer]
-            grads[f"W{layer}"] = inputs.T @ delta
-            grads[f"b{layer}"] = delta.sum(axis=0)
+            grad_w, grad_b = self._grad_layers[layer]
+            np.matmul(cache[layer].T, delta, out=grad_w)
+            np.sum(delta, axis=0, out=grad_b)
             if layer > 0:
-                delta = delta @ self.params[f"W{layer}"].T
+                delta = delta @ self._layers[layer][0].T
                 delta = delta * self._act_grad(cache[layer])
-        return grads
+        return self.grad
 
     # ------------------------------------------------------------------
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])
+        """A float64 copy of :attr:`buffer`."""
+        return self.buffer.astype(np.float64)
 
     def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        offset = 0
-        for key in sorted(self.params):
-            size = self.params[key].size
-            self.params[key] = flat[offset : offset + size].reshape(
-                self.params[key].shape
+        """Copy ``flat`` into :attr:`buffer` (rounding to its dtype)."""
+        flat = np.asarray(flat)
+        if flat.shape != self.buffer.shape:
+            raise ValueError(
+                f"flat vector has shape {flat.shape}, need {self.buffer.shape}"
             )
-            offset += size
-        if offset != flat.size:
-            raise ValueError(f"flat vector has {flat.size} entries, need {offset}")
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
+        self.buffer[...] = flat
 
 
 def widen_input_weights(
@@ -192,10 +306,11 @@ def widen_input_weights(
     raise ValueError("state dict has no first-layer weights (trunk/W0 or W0)")
 
 
-class GaussianPolicyNetwork:
+class GaussianPolicyNetwork(_FlatNetwork):
     """Diagonal-Gaussian policy: MLP mean head + free (state-independent)
     log standard deviation, as in RLlib's default continuous-action
-    model. Parameter keys are the trunk's plus ``log_std``."""
+    model. Parameter keys are the trunk's plus ``log_std``, which sits
+    at the tail of the buffer, after the trunk's parameters."""
 
     def __init__(
         self,
@@ -209,7 +324,48 @@ class GaussianPolicyNetwork:
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.trunk = MLP(obs_dim, hidden_sizes, action_dim, rng=rng)
-        self.log_std = np.full(action_dim, float(initial_log_std))
+        self._bind(
+            np.concatenate(
+                [self.trunk.buffer, np.full(action_dim, float(initial_log_std))]
+            )
+        )
+
+    def _bind(self, buffer: np.ndarray) -> None:
+        n = buffer.size - self.action_dim
+        self.buffer = buffer
+        self.grad = np.zeros_like(buffer)
+        self.trunk._bind(buffer[:n], self.grad[:n])
+        self.params = MappingProxyType(
+            {**self.trunk.params, "log_std": buffer[n:]}
+        )
+        self.grads = MappingProxyType(
+            {**self.trunk.grads, "log_std": self.grad[n:]}
+        )
+
+    def _state_views(self) -> Mapping[str, np.ndarray]:
+        views = {f"trunk/{k}": v for k, v in self.trunk.params.items()}
+        views["log_std"] = self.log_std
+        return views
+
+    def __getstate__(self) -> dict:
+        # The trunk pickles its own slice of the buffer; keep the tail.
+        state = {
+            k: v
+            for k, v in self.__dict__.items()
+            if k not in ("buffer", "grad", "params", "grads")
+        }
+        state["log_std"] = self.log_std
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        tail = state.pop("log_std")
+        self.__dict__.update(state)
+        self._bind(np.concatenate([self.trunk.buffer, tail]))
+
+    @property
+    def log_std(self) -> np.ndarray:
+        return self.params["log_std"]
 
     def forward(
         self, obs: np.ndarray
@@ -225,49 +381,21 @@ class GaussianPolicyNetwork:
         cache: list[np.ndarray],
         grad_mu: np.ndarray,
         grad_log_std: np.ndarray,
-    ) -> dict[str, np.ndarray]:
-        grads = self.trunk.backward(cache, grad_mu)
-        grads["log_std"] = np.asarray(grad_log_std, dtype=np.float64).sum(axis=0)
-        return grads
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        merged = dict(self.trunk.params)
-        merged["log_std"] = self.log_std
-        return merged
-
-    def apply_update(self, updates: dict[str, np.ndarray]) -> None:
-        """Add ``updates[k]`` to parameter ``k`` in place."""
-        for key, delta in updates.items():
-            if key == "log_std":
-                self.log_std += delta
-            else:
-                self.trunk.params[key] += delta
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        out = {f"trunk/{k}": v.copy() for k, v in self.trunk.params.items()}
-        out["log_std"] = self.log_std.copy()
-        return out
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for key, value in state.items():
-            if key == "log_std":
-                if value.shape != self.log_std.shape:
-                    raise ValueError("log_std shape mismatch")
-                self.log_std = np.asarray(value, dtype=np.float64).copy()
-            elif key.startswith("trunk/"):
-                name = key[len("trunk/") :]
-                if name not in self.trunk.params:
-                    raise ValueError(f"unknown trunk parameter {name!r}")
-                if self.trunk.params[name].shape != value.shape:
-                    raise ValueError(f"shape mismatch for {name!r}")
-                self.trunk.params[name] = np.asarray(value, dtype=np.float64).copy()
-            else:
-                raise ValueError(f"unknown parameter key {key!r}")
+    ) -> np.ndarray:
+        """Writes the trunk's and ``log_std``'s gradients into
+        :attr:`grad` and returns it (see :meth:`MLP.backward`)."""
+        self.trunk.backward(cache, grad_mu)
+        np.sum(
+            np.asarray(grad_log_std, dtype=self.buffer.dtype),
+            axis=0,
+            out=self.grads["log_std"],
+        )
+        return self.grad
 
 
-class ValueNetwork:
-    """State-value function: MLP with a scalar output head."""
+class ValueNetwork(_FlatNetwork):
+    """State-value function: MLP with a scalar output head. Its buffer is
+    the trunk's."""
 
     def __init__(
         self,
@@ -279,6 +407,28 @@ class ValueNetwork:
         self.obs_dim = obs_dim
         self.trunk = MLP(obs_dim, hidden_sizes, 1, rng=rng)
 
+    def _bind(self, buffer: np.ndarray) -> None:
+        self.trunk._bind(buffer)
+
+    def _state_views(self) -> Mapping[str, np.ndarray]:
+        return {f"trunk/{k}": v for k, v in self.trunk.params.items()}
+
+    @property
+    def buffer(self) -> np.ndarray:
+        return self.trunk.buffer
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self.trunk.grad
+
+    @property
+    def params(self) -> Mapping[str, np.ndarray]:
+        return self.trunk.params
+
+    @property
+    def grads(self) -> Mapping[str, np.ndarray]:
+        return self.trunk.grads
+
     def forward(self, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         out, cache = self.trunk.forward(obs)
         return out[:, 0], cache
@@ -288,27 +438,5 @@ class ValueNetwork:
 
     def backward(
         self, cache: list[np.ndarray], grad_value: np.ndarray
-    ) -> dict[str, np.ndarray]:
+    ) -> np.ndarray:
         return self.trunk.backward(cache, np.asarray(grad_value)[:, None])
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return self.trunk.params
-
-    def apply_update(self, updates: dict[str, np.ndarray]) -> None:
-        for key, delta in updates.items():
-            self.trunk.params[key] += delta
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {f"trunk/{k}": v.copy() for k, v in self.trunk.params.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for key, value in state.items():
-            if not key.startswith("trunk/"):
-                raise ValueError(f"unknown parameter key {key!r}")
-            name = key[len("trunk/") :]
-            if name not in self.trunk.params:
-                raise ValueError(f"unknown trunk parameter {name!r}")
-            if self.trunk.params[name].shape != value.shape:
-                raise ValueError(f"shape mismatch for {name!r}")
-            self.trunk.params[name] = np.asarray(value, dtype=np.float64).copy()

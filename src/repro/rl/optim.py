@@ -1,10 +1,10 @@
-"""First-order optimizers over named parameter dictionaries.
+"""Adam and global-norm gradient clipping over flat parameter buffers.
 
-The networks in :mod:`repro.rl.nn` expose their parameters as
-``dict[str, np.ndarray]``; :class:`Adam` keeps per-key first/second
-moments and produces *update dictionaries* that the networks apply in
-place. A global-norm gradient clipper matching RLlib's ``grad_clip``
-semantics is included.
+The networks in :mod:`repro.rl.nn` keep every parameter in one 1-D
+buffer and write every gradient into one buffer with the same layout.
+:class:`Adam` updates such a buffer in place in one pass of elementwise
+operations at the buffer's dtype, and :func:`clip_grads_by_global_norm`
+(RLlib's ``grad_clip`` semantics) is one dot product over the gradient.
 """
 
 from __future__ import annotations
@@ -13,45 +13,41 @@ import math
 
 import numpy as np
 
-__all__ = ["Adam", "Sgd", "global_norm", "clip_grads_by_global_norm"]
+__all__ = ["Adam", "global_norm", "clip_grads_by_global_norm"]
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    """L2 norm of the concatenation of all gradient arrays."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.square(g).sum())
-    return math.sqrt(total)
+def global_norm(grad: np.ndarray) -> float:
+    """L2 norm of a flat gradient."""
+    return math.sqrt(float(np.dot(grad, grad)))
 
 
-def clip_grads_by_global_norm(
-    grads: dict[str, np.ndarray], max_norm: float
-) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so their global norm is at most ``max_norm``.
+def clip_grads_by_global_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale ``grad`` in place so its L2 norm is at most ``max_norm``.
 
-    Returns the (possibly) clipped gradients and the pre-clip norm.
+    Returns the pre-clip norm.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
-    norm = global_norm(grads)
-    if norm <= max_norm or norm == 0.0:
-        return grads, norm
-    scale = max_norm / norm
-    return {k: g * scale for k, g in grads.items()}, norm
+    norm = global_norm(grad)
+    if norm > max_norm:
+        grad *= max_norm / norm
+    return norm
 
 
 class Adam:
-    """Adam (Kingma & Ba 2015) over a parameter dictionary.
+    """Adam (Kingma & Ba 2015) over one flat parameter buffer.
 
-    ``step(grads)`` returns the update to *add* to each parameter
-    (i.e. ``-lr * m_hat / (sqrt(v_hat) + eps)``), leaving application to
-    the owning network. Unknown gradient keys raise immediately — a
-    misspelled key silently not updating a layer is a classic RL bug.
+    ``step(grad)`` adds ``-lr * m_hat / (sqrt(v_hat) + eps)`` to
+    ``params`` in place. The moments and two scratch arrays have the
+    buffer's shape and dtype, and every elementwise operation happens in
+    the order of the textbook per-array update, so each entry equals
+    that update bit for bit at either dtype (tested against a per-key
+    reference).
     """
 
     def __init__(
         self,
-        param_shapes: dict[str, tuple[int, ...]],
+        params: np.ndarray,
         learning_rate: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -61,78 +57,49 @@ class Adam:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
             raise ValueError("betas must lie in [0, 1)")
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self._m = {k: np.zeros(shape) for k, shape in param_shapes.items()}
-        self._v = {k: np.zeros(shape) for k, shape in param_shapes.items()}
+        if params.ndim != 1:
+            raise ValueError(f"params must be a 1-D buffer, got shape {params.shape}")
+        # Python floats: a NumPy float64 scalar would promote a float32
+        # buffer's arithmetic to float64.
+        self.learning_rate = float(learning_rate)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.epsilon = float(epsilon)
+        self.params = params
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
         self._t = 0
 
-    @classmethod
-    def for_params(
-        cls, params: dict[str, np.ndarray], learning_rate: float, **kwargs
-    ) -> "Adam":
-        return cls(
-            {k: v.shape for k, v in params.items()},
-            learning_rate=learning_rate,
-            **kwargs,
-        )
-
-    def step(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        unknown = set(grads) - set(self._m)
-        if unknown:
-            raise KeyError(f"gradients for unknown parameters: {sorted(unknown)}")
+    def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.params.shape:
+            raise ValueError(
+                f"gradient shape {grad.shape} != parameter shape "
+                f"{self.params.shape}"
+            )
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        updates: dict[str, np.ndarray] = {}
-        for key, grad in grads.items():
-            if grad.shape != self._m[key].shape:
-                raise ValueError(
-                    f"gradient shape {grad.shape} != parameter shape "
-                    f"{self._m[key].shape} for {key!r}"
-                )
-            m = self._m[key]
-            v = self._v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(grad)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            updates[key] = -self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        return updates
+        m, v = self._m, self._v
+        a, b = self._scratch
+        # m = β1·m + (1-β1)·g
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
+        # v = β2·v + (1-β2)·g²
+        v *= self.beta2
+        np.square(grad, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        # params += (-lr · m/bias1) / (sqrt(v/bias2) + ε)
+        np.divide(m, bias1, out=a)
+        a *= -self.learning_rate
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += self.epsilon
+        a /= b
+        self.params += a
 
     @property
     def step_count(self) -> int:
         return self._t
-
-
-class Sgd:
-    """Plain SGD with optional momentum (used in optimizer unit tests)."""
-
-    def __init__(
-        self,
-        param_shapes: dict[str, tuple[int, ...]],
-        learning_rate: float = 1e-2,
-        momentum: float = 0.0,
-    ) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity = {k: np.zeros(shape) for k, shape in param_shapes.items()}
-
-    def step(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        updates: dict[str, np.ndarray] = {}
-        for key, grad in grads.items():
-            if key not in self._velocity:
-                raise KeyError(f"gradient for unknown parameter {key!r}")
-            vel = self._velocity[key]
-            vel *= self.momentum
-            vel -= self.learning_rate * grad
-            updates[key] = vel.copy()
-        return updates

@@ -12,6 +12,13 @@ with advantages standardized per batch, minibatch Adam for
 ``num_epochs`` passes, global-norm gradient clipping, and the classic
 adaptive-β rule: β ×= 1.5 if KL > 2·target, β ×= 0.5 if KL < target/2.
 
+Training runs in float32 (:data:`TRAINING_DTYPE`), as RLlib/PyTorch
+does: the trainer draws its networks' float64 ``normc`` initialization,
+casts the networks to float32, and casts each collected batch to
+float32 once per iteration, so every minibatch loss, gradient and Adam
+step is float32. Collection keeps float64 actions, rewards and GAE, and
+:meth:`PPOTrainer.state_dict` is float64 like every checkpoint.
+
 Four optional *hardening knobs* (``PPOConfig``, all default off; off is
 bit-identical to the paper's update, golden-pinned) wrap that loss for
 long training campaigns: bounds on the adaptive β
@@ -38,12 +45,17 @@ from repro.rl.vector_rollout import VectorRolloutCollector
 from repro.utils.rng import as_generator
 
 __all__ = [
+    "TRAINING_DTYPE",
     "PPOTrainer",
     "TrainIterationStats",
     "adapted_kl_coeff",
     "clip_param_at",
     "clamped_value_sq_error",
 ]
+
+
+#: The one dtype the PPO trainers train at; there is no option.
+TRAINING_DTYPE = np.float32
 
 
 def adapted_kl_coeff(kl_coeff: float, kl: float, config: PPOConfig) -> float:
@@ -203,10 +215,10 @@ class PPOTrainer:
             hidden_sizes=self.config.hidden_sizes,
             initial_log_std=self.config.initial_log_std,
             rng=init_rng,
-        )
+        ).astype(TRAINING_DTYPE)
         self.value = ValueNetwork(
             obs_dim, hidden_sizes=self.config.hidden_sizes, rng=init_rng
-        )
+        ).astype(TRAINING_DTYPE)
         if num_envs > 1 and env_factory is None:
             if not hasattr(env, "clone"):
                 raise ValueError(
@@ -223,13 +235,10 @@ class PPOTrainer:
             seed=rollout_rng,
             independent_streams=independent_streams,
         )
-        self.kl_coeff = self.config.kl_coeff
-        self._policy_opt = Adam.for_params(
-            self.policy.params, self.config.learning_rate
-        )
-        self._value_opt = Adam.for_params(
-            self.value.params, self.config.learning_rate
-        )
+        # A Python float, so it cannot promote float32 gradients.
+        self.kl_coeff = float(self.config.kl_coeff)
+        self._policy_opt = Adam(self.policy.buffer, self.config.learning_rate)
+        self._value_opt = Adam(self.value.buffer, self.config.learning_rate)
         self.iteration = 0
         self._return_history: list[float] = []
 
@@ -288,9 +297,9 @@ class PPOTrainer:
                 / n
             )
 
-        grads = self.policy.backward(cache, grad_mu, grad_ls)
-        grads, grad_norm = clip_grads_by_global_norm(grads, cfg.grad_clip)
-        self.policy.apply_update(self._policy_opt.step(grads))
+        grad = self.policy.backward(cache, grad_mu, grad_ls)
+        grad_norm = clip_grads_by_global_norm(grad, cfg.grad_clip)
+        self._policy_opt.step(grad)
         return policy_loss, kl_mean, entropy_mean, clip_fraction, grad_norm
 
     def _value_minibatch_step(
@@ -315,9 +324,9 @@ class PPOTrainer:
         # absolute clip or by the value-clamp band).
         active = (sq_err < cfg.value_clip_param) & in_band
         grad_v = cfg.value_loss_coeff * 2.0 * (values - targets) * active / n
-        grads = self.value.backward(cache, grad_v)
-        grads, _ = clip_grads_by_global_norm(grads, cfg.grad_clip)
-        self.value.apply_update(self._value_opt.step(grads))
+        grad = self.value.backward(cache, grad_v)
+        clip_grads_by_global_norm(grad, cfg.grad_clip)
+        self._value_opt.step(grad)
         return value_loss
 
     # ------------------------------------------------------------------
@@ -335,11 +344,21 @@ class PPOTrainer:
         advantages = batch.advantages
         std = advantages.std()
         advantages = (advantages - advantages.mean()) / (std + 1e-8)
+        obs, actions, advantages, targets, values_old = (
+            a.astype(TRAINING_DTYPE)
+            for a in (
+                batch.obs,
+                batch.actions,
+                advantages,
+                batch.value_targets,
+                batch.values,
+            )
+        )
 
         # Snapshot the old distribution for ratios and KL.
-        mu_old_all, log_std_old_all, _ = self.policy.forward(batch.obs)
+        mu_old_all, log_std_old_all, _ = self.policy.forward(obs)
         logp_old_all = DiagGaussian.log_prob(
-            batch.actions, mu_old_all, log_std_old_all
+            actions, mu_old_all, log_std_old_all
         )
 
         policy_losses: list[float] = []
@@ -356,8 +375,8 @@ class PPOTrainer:
                 if update_policy:
                     p_loss, kl, ent, clip_frac, g_norm = (
                         self._policy_minibatch_step(
-                            batch.obs[idx],
-                            batch.actions[idx],
+                            obs[idx],
+                            actions[idx],
                             logp_old_all[idx],
                             advantages[idx],
                             mu_old_all[idx],
@@ -370,9 +389,7 @@ class PPOTrainer:
                     clip_fracs.append(clip_frac)
                     grad_norms.append(g_norm)
                 v_loss = self._value_minibatch_step(
-                    batch.obs[idx],
-                    batch.value_targets[idx],
-                    values_old=batch.values[idx],
+                    obs[idx], targets[idx], values_old=values_old[idx]
                 )
                 value_losses.append(v_loss)
             if (
@@ -383,7 +400,7 @@ class PPOTrainer:
                 # KL early stopping: once the full-batch divergence has
                 # left the trust region, further epochs on the same batch
                 # only push it further out (torchrl's ESS-style guard).
-                mu_e, log_std_e, _ = self.policy.forward(batch.obs)
+                mu_e, log_std_e, _ = self.policy.forward(obs)
                 epoch_kl = float(
                     DiagGaussian.kl(
                         mu_old_all, log_std_old_all, mu_e, log_std_e
@@ -394,13 +411,13 @@ class PPOTrainer:
 
         # Adaptive KL coefficient (RLlib's update_kl rule) based on the
         # post-update divergence over the full batch.
-        mu_new, log_std_new, _ = self.policy.forward(batch.obs)
+        mu_new, log_std_new, _ = self.policy.forward(obs)
         final_kl = float(
             DiagGaussian.kl(mu_old_all, log_std_old_all, mu_new, log_std_new).mean()
         )
         self.kl_coeff = adapted_kl_coeff(self.kl_coeff, final_kl, cfg)
 
-        values_pred = self.value(batch.obs)
+        values_pred = self.value(obs)
         self.iteration += 1
         recent = self._return_history[-20:]
 

@@ -9,9 +9,9 @@ This trainer reproduces that comparison: the network emits concentration
 logits for ``S^d`` independent Dirichlet(d) blocks (one per sampled
 state combination); sampled actions are already valid decision-rule
 tables. Everything else — GAE, clipped surrogate with adaptive KL
-penalty, clamped value loss, minibatch Adam — matches
-:class:`repro.rl.ppo.PPOTrainer` so the two heads differ only in their
-action distribution.
+penalty, clamped value loss, minibatch Adam, float32 training with
+float64 collection — matches :class:`repro.rl.ppo.PPOTrainer` so the
+two heads differ only in their action distribution.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.rl.distributions import DirichletBlocks
 from repro.rl.gae import compute_gae
 from repro.rl.nn import MLP, ValueNetwork
 from repro.rl.optim import Adam, clip_grads_by_global_norm
-from repro.rl.ppo import TrainIterationStats, _explained_variance
+from repro.rl.ppo import TRAINING_DTYPE, TrainIterationStats, _explained_variance
 from repro.utils.rng import as_generator
 
 __all__ = ["DirichletPPOTrainer"]
@@ -60,17 +60,13 @@ class DirichletPPOTrainer:
         self.head = DirichletBlocks(act_dim // block_size, block_size)
         self.policy = MLP(
             obs_dim, self.config.hidden_sizes, act_dim, rng=init_rng, out_std=0.01
-        )
+        ).astype(TRAINING_DTYPE)
         self.value = ValueNetwork(
             obs_dim, hidden_sizes=self.config.hidden_sizes, rng=init_rng
-        )
-        self.kl_coeff = self.config.kl_coeff
-        self._policy_opt = Adam.for_params(
-            self.policy.params, self.config.learning_rate
-        )
-        self._value_opt = Adam.for_params(
-            self.value.params, self.config.learning_rate
-        )
+        ).astype(TRAINING_DTYPE)
+        self.kl_coeff = float(self.config.kl_coeff)
+        self._policy_opt = Adam(self.policy.buffer, self.config.learning_rate)
+        self._value_opt = Adam(self.value.buffer, self.config.learning_rate)
         self.iteration = 0
         self.total_env_steps = 0
         self._obs: np.ndarray | None = None
@@ -149,11 +145,9 @@ class DirichletPPOTrainer:
         grad_logits += self.kl_coeff * self.head.kl_grad_logits_new(
             logits_old, logits
         ) / n
-        grads = self.policy.backward(cache, grad_logits)
-        grads, grad_norm = clip_grads_by_global_norm(grads, cfg.grad_clip)
-        updates = self._policy_opt.step(grads)
-        for key, delta in updates.items():
-            self.policy.params[key] += delta
+        grad = self.policy.backward(cache, grad_logits)
+        grad_norm = clip_grads_by_global_norm(grad, cfg.grad_clip)
+        self._policy_opt.step(grad)
         entropy = float(self.head.entropy(logits).mean())
         return policy_loss, kl_mean, entropy, clip_fraction, grad_norm
 
@@ -165,9 +159,9 @@ class DirichletPPOTrainer:
         value_loss = float(np.minimum(sq_err, cfg.value_clip_param).mean())
         active = sq_err < cfg.value_clip_param
         grad_v = cfg.value_loss_coeff * 2.0 * (values - targets) * active / n
-        grads = self.value.backward(cache, grad_v)
-        grads, _ = clip_grads_by_global_norm(grads, cfg.grad_clip)
-        self.value.apply_update(self._value_opt.step(grads))
+        grad = self.value.backward(cache, grad_v)
+        clip_grads_by_global_norm(grad, cfg.grad_clip)
+        self._value_opt.step(grad)
         return value_loss
 
     # ------------------------------------------------------------------
@@ -178,6 +172,9 @@ class DirichletPPOTrainer:
         )
         self._return_history.extend(ep_returns)
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        obs, actions, logp_old, adv, targets_sgd = (
+            a.astype(TRAINING_DTYPE) for a in (obs, actions, logp_old, adv, targets)
+        )
         logits_old = self.policy(obs)
 
         p_losses, v_losses, kls, ents, clips, norms = [], [], [], [], [], []
@@ -190,7 +187,7 @@ class DirichletPPOTrainer:
                     obs[idx], actions[idx], logp_old[idx], adv[idx],
                     logits_old[idx],
                 )
-                v = self._value_step(obs[idx], targets[idx])
+                v = self._value_step(obs[idx], targets_sgd[idx])
                 p_losses.append(p)
                 v_losses.append(v)
                 kls.append(k)
@@ -231,11 +228,13 @@ class DirichletPPOTrainer:
         return history
 
     def mean_rule_policy(self, num_states: int, d: int, num_modes: int = 2):
-        """Deterministic policy from the per-block Dirichlet means."""
+        """Deterministic policy from the per-block Dirichlet means of a
+        float64 copy of the current network (evaluation is float64)."""
         from repro.meanfield.decision_rule import DecisionRule
         from repro.policies.base import UpperLevelPolicy
 
-        trainer = self
+        network = self.policy.astype(np.float64)
+        head = self.head
 
         class _DirichletMeanPolicy(UpperLevelPolicy):
             @property
@@ -246,8 +245,8 @@ class DirichletPPOTrainer:
                 one_hot = np.zeros(num_modes)
                 one_hot[lam_mode] = 1.0
                 obs = np.concatenate([np.asarray(nu), one_hot])
-                logits = trainer.policy(obs[None, :])
-                mean = trainer.head.mean_action(logits)[0]
+                logits = network(obs[None, :])
+                mean = head.mean_action(logits)[0]
                 return DecisionRule.from_flat(
                     mean, num_states, d
                 )

@@ -3,7 +3,6 @@
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
 from repro.utils.stats import (
     ConfidenceInterval,
-    RunningMeanStd,
     WelfordAccumulator,
     mean_confidence_interval,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "as_generator",
     "spawn_generators",
     "ConfidenceInterval",
-    "RunningMeanStd",
     "WelfordAccumulator",
     "mean_confidence_interval",
     "format_table",

@@ -16,7 +16,6 @@ from scipy import stats as sp_stats
 
 __all__ = [
     "WelfordAccumulator",
-    "RunningMeanStd",
     "ConfidenceInterval",
     "mean_confidence_interval",
 ]
@@ -170,94 +169,3 @@ def mean_confidence_interval(samples, level: float = 0.95) -> ConfidenceInterval
     t_crit = float(sp_stats.t.ppf(0.5 + level / 2.0, df=arr.size - 1))
     half = t_crit * sem
     return ConfidenceInterval(mean, mean - half, mean + half, level, int(arr.size))
-
-
-class RunningMeanStd:
-    """Vector-valued running mean/std used for observation normalization.
-
-    Matches the classic parallel-update formula (Chan et al.) used by
-    most RL frameworks; updates accept batches of shape ``(n, dim)``.
-
-    Parameters
-    ----------
-    dim : int
-        Observation dimensionality.
-    epsilon : float, optional
-        Initial pseudo-count (also the variance floor inside
-        :meth:`normalize`), keeping early normalizations finite.
-    """
-
-    def __init__(self, dim: int, epsilon: float = 1e-8) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
-        self.epsilon = epsilon
-        self.mean = np.zeros(dim, dtype=np.float64)
-        self.var = np.ones(dim, dtype=np.float64)
-        self.count = epsilon
-
-    def update(self, batch: np.ndarray) -> None:
-        """Fold a batch of observations into the running moments.
-
-        Parameters
-        ----------
-        batch : ndarray
-            Shape ``(n, dim)`` (a single ``(dim,)`` row is promoted).
-        """
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        if batch.shape[1] != self.dim:
-            raise ValueError(
-                f"batch has dim {batch.shape[1]}, expected {self.dim}"
-            )
-        batch_mean = batch.mean(axis=0)
-        batch_var = batch.var(axis=0)
-        batch_count = batch.shape[0]
-
-        delta = batch_mean - self.mean
-        total = self.count + batch_count
-        new_mean = self.mean + delta * batch_count / total
-        m_a = self.var * self.count
-        m_b = batch_var * batch_count
-        m2 = m_a + m_b + delta**2 * self.count * batch_count / total
-        self.mean = new_mean
-        self.var = m2 / total
-        self.count = total
-
-    def normalize(self, x: np.ndarray, clip: float = 10.0) -> np.ndarray:
-        """Standardize ``x`` by the running moments and clip to ``±clip``.
-
-        Parameters
-        ----------
-        x : ndarray
-            Observation(s) of trailing dimension ``dim``.
-        clip : float, optional
-            Symmetric clipping bound applied after standardization.
-
-        Returns
-        -------
-        ndarray
-            ``clip((x - mean) / sqrt(var + epsilon), ±clip)``.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        normed = (x - self.mean) / np.sqrt(self.var + self.epsilon)
-        return np.clip(normed, -clip, clip)
-
-    def state_dict(self) -> dict:
-        """Checkpointable copy of the running moments."""
-        return {
-            "mean": self.mean.copy(),
-            "var": self.var.copy(),
-            "count": float(self.count),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore moments saved by :meth:`state_dict` (shape-checked)."""
-        mean = np.asarray(state["mean"], dtype=np.float64)
-        var = np.asarray(state["var"], dtype=np.float64)
-        if mean.shape != (self.dim,) or var.shape != (self.dim,):
-            raise ValueError("state dict shape mismatch")
-        self.mean = mean.copy()
-        self.var = var.copy()
-        self.count = float(state["count"])

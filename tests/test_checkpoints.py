@@ -22,6 +22,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.pretrained import available_checkpoints, get_mf_policy
 from repro.policies.learned import NeuralPolicy
+from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
 
 PAPER_CHECKPOINTS = available_checkpoints()
 REGIME_CHECKPOINTS = available_regime_checkpoints()
@@ -62,6 +63,15 @@ class TestPaperCheckpoints:
         second = _rule_stack(NeuralPolicy.load(PAPER_CHECKPOINTS[delta_t]))
         assert np.array_equal(first, second)
         assert np.all(np.isfinite(first))
+
+    def test_incomplete_checkpoint_refuses_to_load(self, tmp_path):
+        """A checkpoint missing one layer must not load: that layer would
+        keep the constructor's unseeded initialization."""
+        arrays, meta = load_npz_checkpoint(PAPER_CHECKPOINTS[5.0])
+        del arrays["policy/trunk/W1"]
+        path = save_npz_checkpoint(tmp_path / "partial.npz", arrays, meta)
+        with pytest.raises(ValueError, match=r"missing keys \['trunk/W1'\]"):
+            NeuralPolicy.load(path)
 
 
 class TestRegimeCheckpoints:

@@ -6,7 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.rl.gae import compute_gae, discounted_returns
+from repro.rl.gae import compute_gae
+
+
+def discounted_returns(
+    rewards: np.ndarray,
+    dones: np.ndarray,
+    bootstrap_value: float,
+    gamma: float,
+) -> np.ndarray:
+    """Per-step discounted returns (bootstrapped at truncation): the
+    oracle for the GAE value target at ``λ = 1``."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    dones = np.asarray(dones, dtype=bool)
+    returns = np.zeros_like(rewards)
+    running = float(bootstrap_value)
+    for t in range(rewards.size - 1, -1, -1):
+        if dones[t]:
+            running = 0.0
+        running = rewards[t] + gamma * running
+        returns[t] = running
+    return returns
 
 
 class TestDiscountedReturns:

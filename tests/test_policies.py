@@ -114,7 +114,7 @@ class TestNeuralPolicy:
         # push weights so outputs differ measurably across inputs
         for key, value in network.trunk.params.items():
             if key.startswith("W"):
-                network.trunk.params[key] = value * 50.0
+                value *= 50.0
         policy = NeuralPolicy(network, 6, 2, 2)
         nu_a = np.zeros(6)
         nu_a[0] = 1.0

@@ -90,8 +90,8 @@ class TestCollect:
         policy = GaussianPolicyNetwork(2, 1, (8,), rng=rng)
         value = ValueNetwork(2, (8,), rng=np.random.default_rng(0))
         # make the value function clearly non-zero
-        for key in value.trunk.params:
-            value.trunk.params[key] = value.trunk.params[key] + 0.3
+        for view in value.trunk.params.values():
+            view += 0.3
 
         def targets(truncated_flag, seed=3):
             env = CountingEnv(truncated_flag=truncated_flag)

@@ -404,3 +404,52 @@ class TestPackaging:
         a = res.policy.decision_rule(nu, 0, None)
         b = loaded.decision_rule(nu, 0, None)
         assert np.array_equal(a.probs, b.probs)
+
+
+class TestKeepBest:
+    def test_losing_regime_packages_the_exact_warm_start(self, tmp_path):
+        """Training runs in float32, so the trainer holds a rounded copy
+        of the warm start. A regime whose trained policy loses must score
+        and package the float64 warm state itself, bit for bit."""
+        from repro.config import paper_system_config
+        from repro.experiments.campaign import _warm_start_state
+        from repro.rl.evaluation import evaluate_policy_mfc
+
+        regime = RegimeSpec(
+            name="keep-best",
+            config=paper_system_config(delta_t=5.0),
+            horizon=10,
+            warm_start_delta_t=5.0,
+        )
+        # A destructive learning rate: the fine-tuned policy must lose.
+        ppo = _PPO.with_updates(
+            hidden_sizes=(256, 256), learning_rate=0.5, initial_log_std=0.0
+        )
+        budget = TrainingBudget(
+            iterations=1, num_envs=2, critic_warmup=0, eval_episodes=3
+        )
+        warm_state = _warm_start_state(regime, ppo)
+        assert warm_state is not None
+        store = ExperimentStore(tmp_path)
+        res = train_regime(regime, ppo, budget, seed=0, store=store)
+        assert res.meta["kept"] == "warm-start"
+        assert res.meta["trained_return"] < res.meta["warm_return"]
+
+        packaged, _ = store.get_entry(res.key)
+        for key, value in warm_state.items():
+            assert packaged[f"policy/{key}"].tobytes() == value.tobytes(), key
+            assert res.policy.network.state_dict()[key].tobytes() == value.tobytes()
+
+        network = GaussianPolicyNetwork(
+            obs_dim=regime.config.num_queue_states + 2,
+            action_dim=regime.config.num_queue_states**regime.config.d
+            * regime.config.d,
+        )
+        network.load_state_dict(warm_state)
+        exact = evaluate_policy_mfc(
+            regime.build_env(seed=1),
+            NeuralPolicy(network, regime.config.num_queue_states, regime.config.d),
+            episodes=budget.eval_episodes,
+            seed=budget.eval_seed,
+        )
+        assert res.meta["warm_return"] == exact.mean

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
 from repro.utils.stats import (
-    RunningMeanStd,
     WelfordAccumulator,
     mean_confidence_interval,
 )
@@ -124,37 +123,6 @@ class TestConfidenceIntervals:
             mean_confidence_interval([])
         with pytest.raises(ValueError):
             mean_confidence_interval([1.0, 2.0], level=1.5)
-
-
-class TestRunningMeanStd:
-    def test_tracks_batch_statistics(self, rng):
-        rms = RunningMeanStd(3)
-        data = rng.standard_normal((1000, 3)) * 2 + 1
-        for chunk in np.array_split(data, 10):
-            rms.update(chunk)
-        assert np.allclose(rms.mean, data.mean(axis=0), atol=0.01)
-        assert np.allclose(rms.var, data.var(axis=0), atol=0.05)
-
-    def test_normalize_clips(self):
-        rms = RunningMeanStd(2)
-        rms.update(np.zeros((10, 2)))
-        out = rms.normalize(np.full(2, 1e9), clip=5.0)
-        assert np.all(out <= 5.0)
-
-    def test_state_dict_roundtrip(self, rng):
-        rms = RunningMeanStd(2)
-        rms.update(rng.standard_normal((50, 2)))
-        clone = RunningMeanStd(2)
-        clone.load_state_dict(rms.state_dict())
-        x = rng.standard_normal(2)
-        assert np.allclose(rms.normalize(x), clone.normalize(x))
-
-    def test_dim_validation(self):
-        with pytest.raises(ValueError):
-            RunningMeanStd(0)
-        rms = RunningMeanStd(2)
-        with pytest.raises(ValueError):
-            rms.update(np.zeros((3, 5)))
 
 
 class TestTables:
