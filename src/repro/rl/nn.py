@@ -69,6 +69,13 @@ def _normc_init(
     return w
 
 
+def _grad_buffer(buffer: np.ndarray) -> np.ndarray:
+    # np.zeros is calloc-backed, so an evaluation network's gradient
+    # buffer costs no resident memory until a backward pass writes it
+    # (np.zeros_like writes every page).
+    return np.zeros(buffer.shape, dtype=buffer.dtype)
+
+
 def _views(
     flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]
 ) -> Mapping[str, np.ndarray]:
@@ -192,7 +199,7 @@ class MLP(_FlatNetwork):
     def _bind(self, buffer: np.ndarray, grad: np.ndarray | None = None) -> None:
         """Make every parameter (and gradient) a view of ``buffer`` (``grad``)."""
         self.buffer = buffer
-        self.grad = np.zeros_like(buffer) if grad is None else grad
+        self.grad = _grad_buffer(buffer) if grad is None else grad
         self.params = _views(self.buffer, self._shapes)
         self.grads = _views(self.grad, self._shapes)
         self._layers = [
@@ -333,7 +340,7 @@ class GaussianPolicyNetwork(_FlatNetwork):
     def _bind(self, buffer: np.ndarray) -> None:
         n = buffer.size - self.action_dim
         self.buffer = buffer
-        self.grad = np.zeros_like(buffer)
+        self.grad = _grad_buffer(buffer)
         self.trunk._bind(buffer[:n], self.grad[:n])
         self.params = MappingProxyType(
             {**self.trunk.params, "log_std": buffer[n:]}

@@ -88,6 +88,30 @@ class TestDirichletPPO:
         assert np.allclose(rule.probs.sum(axis=-1), 1.0)
         assert policy.name == "MF-Dirichlet"
 
+    def test_mean_rule_policy_evaluates_a_float64_copy(self):
+        """Training is float32; the deterministic policy evaluates a
+        float64 copy of the network as it was when the policy was made."""
+        cfg = SystemConfig(delta_t=5.0)
+        env = MeanFieldEnv(cfg, horizon=20, propagator="tabulated", seed=0)
+        ppo = PPOConfig(
+            learning_rate=1e-2,
+            train_batch_size=40,
+            minibatch_size=20,
+            num_epochs=1,
+            hidden_sizes=(16,),
+            value_clip_param=1000.0,
+        )
+        trainer = DirichletPPOTrainer(env, block_size=cfg.d, config=ppo, seed=0)
+        assert trainer.policy.dtype == np.float32
+        policy = trainer.mean_rule_policy(cfg.num_queue_states, cfg.d)
+        nu = np.full(6, 1 / 6)
+        logits = trainer.policy.astype(np.float64)(np.r_[nu, 1.0, 0.0][None, :])
+        expected = trainer.head.mean_action(logits)[0].reshape(-1, cfg.d)
+        rule = policy.decision_rule(nu, 0)
+        assert np.array_equal(rule.probs.reshape(-1, cfg.d), expected)
+        trainer.train_iteration()
+        assert np.array_equal(policy.decision_rule(nu, 0).probs, rule.probs)
+
     def test_seed_reproducibility(self):
         cfg = PPOConfig(
             learning_rate=1e-3, train_batch_size=60, minibatch_size=30,
