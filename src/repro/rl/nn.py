@@ -12,7 +12,8 @@ standard normal and rescaled so each output column has a fixed L2 norm
 
 Every network keeps all its parameters, ``log_std`` included, as views
 into one contiguous 1-D :attr:`~MLP.buffer`, and ``backward`` writes
-into one gradient buffer :attr:`~MLP.grad` with the same layout, so
+into one gradient buffer :attr:`~MLP.grad` with the same layout (made
+by the first ``backward``, so evaluation networks never hold one), so
 :class:`repro.rl.optim.Adam` updates a whole network in a handful of
 elementwise passes. A network's dtype is its buffer's. The PPO trainers
 train float32 copies (:meth:`~MLP.astype`); :meth:`~MLP.state_dict`
@@ -69,13 +70,6 @@ def _normc_init(
     return w
 
 
-def _grad_buffer(buffer: np.ndarray) -> np.ndarray:
-    # np.zeros is calloc-backed, so an evaluation network's gradient
-    # buffer costs no resident memory until a backward pass writes it
-    # (np.zeros_like writes every page).
-    return np.zeros(buffer.shape, dtype=buffer.dtype)
-
-
 def _views(
     flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]
 ) -> Mapping[str, np.ndarray]:
@@ -98,12 +92,13 @@ class _FlatNetwork:
     """What every network shares: one buffer, its dtype and float64
     checkpoints.
 
-    Subclasses set :attr:`buffer` and :attr:`grad` in ``_bind`` and map
-    checkpoint keys to parameter views in ``_state_views``.
+    Subclasses set :attr:`buffer` and :attr:`grad` (``None`` until the
+    first backward) in ``_bind`` and map checkpoint keys to parameter
+    views in ``_state_views``.
     """
 
     buffer: np.ndarray
-    grad: np.ndarray
+    grad: np.ndarray | None
 
     def _bind(self, buffer: np.ndarray) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -158,7 +153,7 @@ class MLP(_FlatNetwork):
     Parameters ``W0, b0, W1, b1, ...`` are views into one 1-D
     :attr:`buffer`, in that order; :attr:`params` maps their names to the
     views and :attr:`grads` does the same for the gradient buffer
-    :attr:`grad`.
+    :attr:`grad` once a backward pass has made it.
     """
 
     def __init__(
@@ -197,26 +192,23 @@ class MLP(_FlatNetwork):
             )
 
     def _bind(self, buffer: np.ndarray, grad: np.ndarray | None = None) -> None:
-        """Make every parameter (and gradient) a view of ``buffer`` (``grad``)."""
+        """Make every parameter a view of ``buffer`` and every gradient a
+        view of ``grad`` (``None``: the next backward makes one)."""
         self.buffer = buffer
-        self.grad = _grad_buffer(buffer) if grad is None else grad
-        self.params = _views(self.buffer, self._shapes)
-        self.grads = _views(self.grad, self._shapes)
+        self.params = _views(buffer, self._shapes)
         self._layers = [
             (self.params[f"W{i}"], self.params[f"b{i}"])
             for i in range(self.num_layers)
         ]
-        self._grad_layers = [
-            (self.grads[f"W{i}"], self.grads[f"b{i}"])
-            for i in range(self.num_layers)
-        ]
+        self.grad = grad
+        self.grads = None if grad is None else _views(grad, self._shapes)
 
     def _state_views(self) -> Mapping[str, np.ndarray]:
         return self.params
 
     # Views do not survive pickling (each would come back as an array of
     # its own), so only the buffer is pickled and the views are rebuilt.
-    _DERIVED = ("grad", "params", "grads", "_layers", "_grad_layers")
+    _DERIVED = ("grad", "params", "grads", "_layers")
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
@@ -259,11 +251,13 @@ class MLP(_FlatNetwork):
         grad_out = np.asarray(grad_out, dtype=self.buffer.dtype)
         if grad_out.ndim == 1:
             grad_out = grad_out[None, :]
+        if self.grad is None:
+            # Every entry is written below.
+            self._bind(self.buffer, np.empty_like(self.buffer))
         delta = grad_out
         for layer in range(self.num_layers - 1, -1, -1):
-            grad_w, grad_b = self._grad_layers[layer]
-            np.matmul(cache[layer].T, delta, out=grad_w)
-            np.sum(delta, axis=0, out=grad_b)
+            np.matmul(cache[layer].T, delta, out=self.grads[f"W{layer}"])
+            np.sum(delta, axis=0, out=self.grads[f"b{layer}"])
             if layer > 0:
                 delta = delta @ self._layers[layer][0].T
                 delta = delta * self._act_grad(cache[layer])
@@ -337,16 +331,18 @@ class GaussianPolicyNetwork(_FlatNetwork):
             )
         )
 
-    def _bind(self, buffer: np.ndarray) -> None:
+    def _bind(self, buffer: np.ndarray, grad: np.ndarray | None = None) -> None:
         n = buffer.size - self.action_dim
         self.buffer = buffer
-        self.grad = _grad_buffer(buffer)
-        self.trunk._bind(buffer[:n], self.grad[:n])
+        self.grad = grad
+        self.trunk._bind(buffer[:n], None if grad is None else grad[:n])
         self.params = MappingProxyType(
             {**self.trunk.params, "log_std": buffer[n:]}
         )
-        self.grads = MappingProxyType(
-            {**self.trunk.grads, "log_std": self.grad[n:]}
+        self.grads = (
+            None
+            if grad is None
+            else MappingProxyType({**self.trunk.grads, "log_std": grad[n:]})
         )
 
     def _state_views(self) -> Mapping[str, np.ndarray]:
@@ -391,6 +387,8 @@ class GaussianPolicyNetwork(_FlatNetwork):
     ) -> np.ndarray:
         """Writes the trunk's and ``log_std``'s gradients into
         :attr:`grad` and returns it (see :meth:`MLP.backward`)."""
+        if self.grad is None:
+            self._bind(self.buffer, np.empty_like(self.buffer))
         self.trunk.backward(cache, grad_mu)
         np.sum(
             np.asarray(grad_log_std, dtype=self.buffer.dtype),
@@ -425,7 +423,7 @@ class ValueNetwork(_FlatNetwork):
         return self.trunk.buffer
 
     @property
-    def grad(self) -> np.ndarray:
+    def grad(self) -> np.ndarray | None:
         return self.trunk.grad
 
     @property
@@ -433,7 +431,7 @@ class ValueNetwork(_FlatNetwork):
         return self.trunk.params
 
     @property
-    def grads(self) -> Mapping[str, np.ndarray]:
+    def grads(self) -> Mapping[str, np.ndarray] | None:
         return self.trunk.grads
 
     def forward(self, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

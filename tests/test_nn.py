@@ -172,6 +172,11 @@ class TestMLP:
     def test_params_are_views_of_one_buffer(self, rng):
         mlp = MLP(3, (5, 4), 2, rng=rng)
         assert mlp.buffer.ndim == 1 and mlp.buffer.size == mlp.num_parameters()
+        # Evaluation networks hold no gradient; the first backward makes it.
+        assert mlp.grad is None
+        out, cache = mlp.forward(rng.random((4, 3)))
+        assert mlp.backward(cache, np.ones_like(out)) is mlp.grad
+        assert mlp.grad.shape == mlp.buffer.shape
         offset = 0
         for key in ("W0", "b0", "W1", "b1", "W2", "b2"):
             view = mlp.params[key]
