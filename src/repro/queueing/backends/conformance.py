@@ -107,9 +107,14 @@ def drops_z_score(drops_a: np.ndarray, drops_b: np.ndarray) -> float:
 class CountingGenerator(np.random.Generator):
     """A :class:`numpy.random.Generator` that logs its draws.
 
-    Records one ``(method, count)`` entry per RNG call, where ``count``
-    is the number of sampled values — the observable surface of the
-    RNG-draw contract. Subclassing (rather than proxying) keeps
+    Records ``(method, count)`` entries, where ``count`` is the number of
+    sampled values — the observable surface of the RNG-draw contract.
+    Each call adds one entry, except for ``random``: uniform doubles
+    fill sequentially, so ``K`` draws of ``n`` values consume the stream
+    exactly like one draw of ``K·n``. Consecutive ``random`` calls
+    therefore share one entry and an empty one adds none, so the log
+    records the stream rather than how a kernel split its draws.
+    Subclassing (rather than proxying) keeps
     ``isinstance(..., np.random.Generator)`` checks — e.g. in
     :func:`repro.utils.rng.as_generator` — working, and sharing the
     wrapped generator's bit generator continues its exact stream.
@@ -120,7 +125,13 @@ class CountingGenerator(np.random.Generator):
         self.calls: "list[tuple[str, int]]" = []
 
     def _log(self, method: str, result) -> Any:
-        self.calls.append((method, int(np.asarray(result).size)))
+        count = int(np.asarray(result).size)
+        if method == "random":
+            if self.calls and self.calls[-1][0] == "random":
+                count += self.calls.pop()[1]
+            if count == 0:
+                return result
+        self.calls.append((method, count))
         return result
 
     def integers(self, *args, **kwargs):

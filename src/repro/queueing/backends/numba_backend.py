@@ -11,9 +11,10 @@ enforced by golden traces and the conformance suite, not just asserted.
 
 What the fusion buys (see ``docs/scaling.md`` for measurements):
 
-* the serve stage visits each queue cell once and performs only its
-  *actual* ``num_events[e, m]`` events, instead of ``max_events`` full
-  ``(E, M)`` array rounds with their ~8 temporaries each;
+* the serve stage visits each queue cell once and performs its
+  ``num_events[e, m]`` events in one compiled loop, where the NumPy
+  kernel, which also updates only the cells with events left, pays a
+  handful of array passes per event round;
 * the per-packet choose stage walks clients in one pass with no
   ``(E, N, d)`` gather/one-hot temporaries.
 

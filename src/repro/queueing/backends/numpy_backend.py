@@ -29,9 +29,9 @@ class NumpyEpochKernel:
     """Pure-NumPy :class:`~repro.queueing.backends.protocol.EpochKernel`.
 
     Always available; the fallback target of every optional backend.
-    The serve stage runs ``max_events`` full ``(E, M)`` array rounds
-    (cheap per round, but rounds scale with the busiest queue's event
-    count — the head-room the compiled backend reclaims).
+    The serve stage runs one array round per event of the busiest
+    queue; each round draws ``E·M`` uniforms but updates only the cells
+    with events left, so the updates cost one cell per event.
     """
 
     name = "numpy"

@@ -47,10 +47,14 @@ Then the serve stage draws:
 
 (c) one ``rng.poisson(total_rate · Δt)`` draw of shape ``(E, M)``
     inside ``serve_epoch``;
-(d) ``max_events`` rounds of ``rng.random((E, M))`` event-type draws
-    inside ``serve_epoch`` — equivalently one ``(max_events, E, M)``
-    draw, which yields the identical byte stream because NumPy fills
-    uniform doubles sequentially in C order.
+(d) ``max_events · E · M`` event-type uniforms inside ``serve_epoch``,
+    where ``max_events`` is the largest count of draw (c): ``E·M`` per
+    event round, one for every cell whether or not it still has events
+    left. A kernel may draw them as ``max_events`` blocks of ``E·M`` or
+    as one ``(max_events, E, M)`` block: NumPy fills uniform doubles
+    sequentially in C order, so both consume the identical stream (and
+    :class:`~repro.queueing.backends.conformance.CountingGenerator`
+    logs both as one ``random`` entry).
 
 The reference ``committed_counts`` stage, which no environment calls,
 consumes one ``rng.random((E, N))`` slot-selection draw.
@@ -182,8 +186,8 @@ class EpochKernel(Protocol):
         """Serve stage: advance all ``E·M`` frozen-rate queues by ``Δt``.
 
         Consumes one ``rng.poisson`` draw of shape ``(E, M)`` followed
-        by ``max_events`` rounds of ``rng.random((E, M))`` (contract
-        items *c* and *d*). Input validation is shared across backends
+        by ``max_events · E · M`` uniforms (contract items *c* and
+        *d*). Input validation is shared across backends
         via :func:`repro.queueing.queue_ctmc.validate_epoch_inputs`.
 
         Returns

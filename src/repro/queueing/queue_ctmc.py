@@ -12,14 +12,19 @@ uniformization construction, which we exploit to simulate all queues in
 lock-step NumPy passes instead of one Gillespie loop per queue. The
 construction is *exact*, not an approximation; the test suite verifies
 the resulting transition law against the matrix exponential of the
-generator.
+generator, and the joint law of next state and drops against a
+uniformization series.
 
-The lock-step pass generalizes for free from one ``M``-queue system to
-``E`` independent replicas (queue states shaped ``(E, M)``):
-:func:`simulate_queues_epoch_batched` advances all ``E·M`` queues with
-the same handful of array operations per event round, which is what the
-batched environments of :mod:`repro.queueing.batched_env` build on; a
-single system is the ``E = 1`` case.
+:func:`simulate_queues_epoch_batched` advances ``E`` independent
+``M``-queue replicas at once (queue states shaped ``(E, M)``; a single
+system is the ``E = 1`` case), which is what the batched environments of
+:mod:`repro.queueing.batched_env` build on. It runs in event rounds:
+round ``k`` draws one uniform for every one of the ``E·M`` cells — the
+RNG-draw contract of :mod:`repro.queueing.backends.protocol` — but
+updates only the cells with more than ``k`` events. The cells are sorted
+by event count once per epoch, busiest first, so the cells still busy in
+any round are a prefix of that order, and the rounds together touch one
+cell per event rather than ``max_events · E · M`` cells.
 """
 
 from __future__ import annotations
@@ -28,11 +33,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = [
-    "simulate_queues_epoch_batched",
-    "simulate_queue_trajectory",
-    "validate_epoch_inputs",
-]
+__all__ = ["simulate_queues_epoch_batched", "validate_epoch_inputs"]
 
 
 def validate_epoch_inputs(
@@ -47,27 +48,34 @@ def validate_epoch_inputs(
     Shared by every serve-stage backend (see
     :mod:`repro.queueing.backends`) so NumPy and compiled kernels reject
     exactly the same inputs. Returns ``(states, arrival, service)`` with
-    ``states`` left in its input dtype and the rates broadcast to
-    ``(E, M)`` float64 arrays.
+    ``states`` left in its input (integer) dtype and the rates broadcast
+    to ``(E, M)`` float64 arrays.
     """
     states = np.asarray(states)
-    if states.ndim != 2:
-        raise ValueError("states must be a 2-D (replicas, queues) integer array")
+    if states.ndim != 2 or states.dtype.kind not in "iu":
+        raise ValueError(
+            "states must be a 2-D (replicas, queues) integer array, got "
+            f"{states.ndim}-D {states.dtype}"
+        )
     if states.min(initial=0) < 0 or states.max(initial=0) > buffer_size:
         raise ValueError(f"states must lie in [0, {buffer_size}]")
     e, m = states.shape
     arrival = np.asarray(arrival_rates, dtype=np.float64)
     if arrival.shape != (e, m):
         raise ValueError(f"arrival_rates must have shape ({e}, {m})")
+    if not np.isfinite(arrival).all():
+        raise ValueError("arrival_rates must be finite")
     if arrival.min(initial=0.0) < 0:
         raise ValueError("arrival rates must be >= 0")
     service = np.broadcast_to(
         np.asarray(service_rates, dtype=np.float64), (e, m)
     ).copy()
+    if not np.isfinite(service).all():
+        raise ValueError("service_rates must be finite")
     if service.min(initial=np.inf) <= 0:
         raise ValueError("service rates must be > 0")
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be > 0, got {delta_t}")
+    if not (np.isfinite(delta_t) and delta_t > 0):
+        raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     return states, arrival, service
 
 
@@ -80,6 +88,12 @@ def simulate_queues_epoch_batched(
     rng=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``E`` independent ``M``-queue replicas by one epoch.
+
+    Draws the event counts with one ``rng.poisson`` call, then
+    ``max_events`` blocks of ``E·M`` uniforms (RNG-contract items *c* and
+    *d*); in round ``k`` only the cells with more than ``k`` events use
+    their uniform. Transient memory is ``O(E·M)`` whatever
+    ``max_events`` is.
 
     Parameters
     ----------
@@ -95,7 +109,7 @@ def simulate_queues_epoch_batched(
 
     Returns
     -------
-    ``(new_states, drops)`` — both ``(E, M)`` integer arrays;
+    ``(new_states, drops)`` — both ``(E, M)`` int64 arrays;
     ``drops[e, j]`` counts packets that arrived at queue ``j`` of replica
     ``e`` while it was full.
     """
@@ -103,64 +117,78 @@ def simulate_queues_epoch_batched(
     states, arrival, service = validate_epoch_inputs(
         states, arrival_rates, service_rates, delta_t, buffer_size
     )
-    e, m = states.shape
-
     total_rate = arrival + service
-    num_events = rng.poisson(total_rate * delta_t)
-    p_arrival = arrival / total_rate
+    order, busy = _busiest_first(rng.poisson(total_rate * delta_t).ravel())
+    z = states.ravel().take(order).astype(np.int64, copy=False)
+    drops = _event_rounds(
+        z,
+        (arrival / total_rate).ravel().take(order),
+        order,
+        busy,
+        buffer_size,
+        rng,
+    )
+    new_states = np.empty_like(z)
+    new_states[order] = z
+    new_drops = np.empty_like(drops)
+    new_drops[order] = drops
+    return new_states.reshape(states.shape), new_drops.reshape(states.shape)
 
-    z = states.astype(np.int64).copy()
-    drops = np.zeros((e, m), dtype=np.int64)
-    max_events = int(num_events.max(initial=0))
-    for k in range(max_events):
-        active = num_events > k
-        is_arrival = rng.random((e, m)) < p_arrival
-        arrivals = active & is_arrival
-        departures = active & ~is_arrival
-        drops += arrivals & (z >= buffer_size)
-        z += arrivals & (z < buffer_size)
-        z -= departures & (z > 0)
-    return z, drops
 
+def _busiest_first(num_events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells in order of decreasing event count, and the busy counts.
 
-def simulate_queue_trajectory(
-    initial_state: int,
-    arrival_rate: float,
-    service_rate: float,
-    horizon: float,
-    buffer_size: int,
-    rng=None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Single-queue event-time trajectory (Gillespie; diagnostics/tests).
-
-    Returns ``(event_times, states_after_events, drops)`` where the state
-    arrays include the initial state at time 0. Used to cross-check the
-    lock-step simulator and for time-resolved examples.
+    Returns ``(order, busy)``: the ``busy[k]`` cells with more than ``k``
+    events are ``order[:busy[k]]``, and ``len(busy)`` is the largest
+    event count.
     """
-    rng = as_generator(rng)
-    if not 0 <= initial_state <= buffer_size:
-        raise ValueError("initial_state out of range")
-    if arrival_rate < 0 or service_rate <= 0 or horizon <= 0:
-        raise ValueError("invalid rates or horizon")
-    total = arrival_rate + service_rate
-    p_arrival = arrival_rate / total
-    times = [0.0]
-    states = [initial_state]
-    drops = 0
-    t = 0.0
-    z = initial_state
-    while True:
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            break
-        if rng.random() < p_arrival:
-            if z >= buffer_size:
-                drops += 1
-            else:
-                z += 1
-        else:
-            if z > 0:
-                z -= 1
-        times.append(t)
-        states.append(z)
-    return np.asarray(times), np.asarray(states), drops
+    max_events = int(num_events.max(initial=0))
+    # A stable sort on the narrowest unsigned key is a radix sort.
+    key = (max_events - num_events).astype(np.min_scalar_type(max_events))
+    order = np.argsort(key, kind="stable")
+    busy = num_events.size - np.cumsum(np.bincount(num_events))
+    return order, busy[:max_events]
+
+
+def _event_rounds(
+    z: np.ndarray,
+    p_arrival: np.ndarray,
+    order: np.ndarray,
+    busy: np.ndarray,
+    buffer_size: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Play the event rounds of cells sorted busiest first.
+
+    ``z`` and ``p_arrival`` are in the sorted order of
+    :func:`_busiest_first`. Round ``k`` draws one uniform per cell in
+    the unsorted order (RNG-contract item *d*), gathers those of the
+    ``busy[k]`` cells still having events, and moves each of them by one
+    event. Updates ``z`` in place and returns the sorted drop counts.
+    The round buffers are freed on return, before the caller allocates
+    its results.
+    """
+    size = z.size
+    drops = np.zeros(size, dtype=np.int64)
+    uniforms = np.empty(size)
+    gathered = np.empty(size)
+    is_arrival = np.empty(size, dtype=bool)
+    flag = np.empty(size, dtype=bool)
+    step = np.empty(size, dtype=bool)
+    for c in busy:
+        rng.random(out=uniforms)
+        z_k, drops_k, arrival_k, flag_k, step_k = (
+            z[:c], drops[:c], is_arrival[:c], flag[:c], step[:c]
+        )
+        # mode="clip" gathers straight into ``out`` (the default mode
+        # buffers); every index is in range, so nothing is clipped.
+        u_k = uniforms.take(order[:c], out=gathered[:c], mode="clip")
+        np.less(u_k, p_arrival[:c], out=arrival_k)
+        np.greater_equal(z_k, buffer_size, out=flag_k)
+        drops_k += np.logical_and(arrival_k, flag_k, out=step_k)
+        z_k += np.greater(arrival_k, flag_k, out=step_k)
+        # A departing cell skipped the arrival update, so z > 0 here
+        # tests its state before the event.
+        np.greater(z_k, 0, out=flag_k)
+        z_k -= np.greater(flag_k, arrival_k, out=step_k)
+    return drops

@@ -328,6 +328,20 @@ class TestPurePythonNumbaLoops:
         np.testing.assert_array_equal(da, db)
         assert sb.dtype == np.int64 and db.dtype == np.int64
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rng_call_log_matches_reference(self, kernels, family):
+        """Contract item (d) on every host: the loops' one ``(K, E, M)``
+        uniform block consumes the stream of the reference kernel's
+        ``K`` blocks of ``E·M``, so both call logs agree."""
+        reference, candidate = kernels
+        policy = FAMILIES[family].policy
+        log = rng_call_log(
+            FAMILIES[family].build(candidate), policy, EPOCHS, SEED
+        )
+        assert log == rng_call_log(
+            FAMILIES[family].build(reference), policy, EPOCHS, SEED
+        )
+
     def test_require_numba_guards_construction(self):
         if numba_available():
             NumbaEpochKernel(require_numba=True)  # must not raise

@@ -7,7 +7,7 @@ or normalization bug would silently skew every experiment.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -443,6 +443,68 @@ def test_numba_loops_match_numpy_kernel_bitwise(params, num_clients):
     )
     np.testing.assert_array_equal(sa, sb)
     np.testing.assert_array_equal(da, db)
+
+
+SERVE_INPUTS = st.fixed_dictionaries(
+    {
+        "replicas": st.integers(0, 4),
+        "queues": st.integers(0, 6),
+        "buffer_size": st.integers(1, 8),
+        "log10_delta_t": st.floats(-2.0, 2.0),
+        "max_arrival_rate": st.floats(0.0, 20.0),
+        "zero_rows": st.lists(st.booleans(), min_size=4, max_size=4),
+        "seed": st.integers(0, 2**31 - 1),
+    }
+)
+
+
+def _serve_example(replicas, queues, buffer_size, log10_delta_t, rate, seed):
+    return example(
+        inputs={
+            "replicas": replicas,
+            "queues": queues,
+            "buffer_size": buffer_size,
+            "log10_delta_t": log10_delta_t,
+            "max_arrival_rate": rate,
+            "zero_rows": [False] * 4,
+            "seed": seed,
+        }
+    )
+
+
+@given(inputs=SERVE_INPUTS)
+@_serve_example(0, 3, 5, 0.0, 1.0, 1)  # no cells
+@_serve_example(1, 1, 1, -2.0, 0.0, 1)  # one cell, no event
+@_serve_example(4, 6, 1, 2.0, 20.0, 1)  # > 255 rounds: a uint16 sort key
+@settings(max_examples=40, deadline=None)
+def test_serve_epoch_matches_per_cell_loop_bitwise(inputs):
+    """The NumPy serve kernel, which sorts cells by event count and
+    updates only the busy prefix each round, equals the per-cell loop of
+    the numba backend (plain Python without numba) bit for bit, and
+    leaves the generator in the same state: a kernel that drew one round
+    too few or too many fails even where the outputs agree."""
+    from repro.queueing.backends.numba_backend import NumbaEpochKernel
+    from repro.queueing.backends.numpy_backend import NumpyEpochKernel
+
+    e, m, b = inputs["replicas"], inputs["queues"], inputs["buffer_size"]
+    rng = np.random.default_rng(inputs["seed"])
+    states = rng.integers(0, b + 1, size=(e, m))
+    arrival = rng.uniform(0.0, inputs["max_arrival_rate"], size=(e, m))
+    arrival[np.array(inputs["zero_rows"][:e], dtype=bool)] = 0.0
+    service = rng.uniform(0.3, 2.5, size=m)
+    delta_t = 10.0 ** inputs["log10_delta_t"]
+    ra = np.random.default_rng(inputs["seed"] + 1)
+    rb = np.random.default_rng(inputs["seed"] + 1)
+    sa, da = NumpyEpochKernel().serve_epoch(
+        states, arrival, service, delta_t, b, ra
+    )
+    sb, db = NumbaEpochKernel(require_numba=False).serve_epoch(
+        states, arrival, service, delta_t, b, rb
+    )
+    assert sa.dtype == da.dtype == np.int64
+    np.testing.assert_array_equal(sa, sb)
+    np.testing.assert_array_equal(da, db)
+    assert ra.bit_generator.state == rb.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.meanfield.analytic import mm1b_drop_rate, mm1b_stationary_distribution
 from repro.meanfield.discretization import propagate_state
-from repro.queueing.queue_ctmc import (
-    simulate_queue_trajectory,
-    simulate_queues_epoch_batched,
-)
+from repro.queueing.backends.numba_backend import NumbaEpochKernel
+from repro.queueing.backends.numpy_backend import NumpyEpochKernel
+from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
+
+#: Poisson tail mass the uniformization series of :func:`epoch_law` drops.
+TAIL = 1e-13
+#: Per-test false-alarm level of the G-tests: a correct kernel fails one
+#: with probability 1e-3 over seeds (the seeds below are fixed).
+ALPHA = 1e-3
 
 
 def simulate_one(states, arrival_rates, service_rates, delta_t, buffer_size, rng):
@@ -44,6 +50,46 @@ class TestValidation:
     def test_rejects_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             simulate_one(np.array([0, 1]), np.ones(3), 1.0, 1.0, 5, rng)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        pytest.param(NumpyEpochKernel(), id="numpy"),
+        pytest.param(NumbaEpochKernel(require_numba=False), id="numba-loops"),
+    ],
+)
+class TestSharedValidation:
+    """Both kernels validate through ``validate_epoch_inputs``: fractional
+    states are refused rather than truncated, and a non-finite rate or
+    ``Δt`` is named rather than failing inside ``rng.poisson``."""
+
+    @staticmethod
+    def serve(kernel, states=None, arrival=None, service=1.0, delta_t=1.0):
+        states = np.zeros((1, 3), dtype=np.int64) if states is None else states
+        arrival = np.full((1, 3), 0.5) if arrival is None else arrival
+        return kernel.serve_epoch(
+            states, arrival, service, delta_t, 5, np.random.default_rng(0)
+        )
+
+    def test_rejects_non_integer_states(self, kernel):
+        with pytest.raises(ValueError, match="integer array"):
+            self.serve(kernel, states=np.full((1, 3), 2.7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_arrival_rates(self, kernel, bad):
+        with pytest.raises(ValueError, match="arrival_rates must be finite"):
+            self.serve(kernel, arrival=np.array([[0.5, bad, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_service_rates(self, kernel, bad):
+        with pytest.raises(ValueError, match="service_rates must be finite"):
+            self.serve(kernel, service=np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_delta_t(self, kernel, bad):
+        with pytest.raises(ValueError, match="delta_t must be finite"):
+            self.serve(kernel, delta_t=bad)
 
 
 class TestDistributionalCorrectness:
@@ -152,22 +198,97 @@ class TestEdgeCases:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-class TestTrajectory:
-    def test_trajectory_shapes_and_bounds(self, rng):
-        times, states, drops = simulate_queue_trajectory(2, 0.9, 1.0, 50.0, 5, rng)
-        assert times.shape == states.shape
-        assert times[0] == 0.0 and states[0] == 2
-        assert np.all(np.diff(times) > 0)
-        assert states.min() >= 0 and states.max() <= 5
-        assert drops >= 0
+def epoch_law(z0, lam, alpha, delta_t, buffer_size):
+    """Exact joint pmf ``law[z, d]`` of (next state, drops) of one queue.
 
-    def test_trajectory_steps_are_unit_moves(self, rng):
-        _, states, _ = simulate_queue_trajectory(3, 1.2, 1.0, 30.0, 5, rng)
-        diffs = np.abs(np.diff(states))
-        assert np.all(diffs <= 1)
+    Uniformization: the number of events in ``Δt`` is
+    ``Poisson(RΔt)`` with ``R = λ + α``, and each event is independently
+    an arrival with probability ``λ/R``. A dynamic program over
+    ``(z, drops)`` gives the law after ``k`` events; the series over
+    ``k`` stops at the first ``k`` with ``P(K > k) < TAIL``, so ``law``
+    misses less than ``TAIL`` of the probability mass.
+    """
+    rate = lam + alpha
+    q = lam / rate
+    mean = rate * delta_t
+    kmax = int(mean)
+    while stats.poisson.sf(kmax, mean) >= TAIL:
+        kmax += 1
+    after = np.zeros((buffer_size + 1, kmax + 1))
+    after[z0, 0] = 1.0
+    law = stats.poisson.pmf(0, mean) * after
+    for k in range(1, kmax + 1):
+        nxt = np.zeros_like(after)
+        nxt[1:] += q * after[:-1]  # arrival below B
+        nxt[-1, 1:] += q * after[-1, :-1]  # arrival at B: dropped
+        nxt[:-1] += (1 - q) * after[1:]  # departure above 0
+        nxt[0] += (1 - q) * after[0]  # departure at 0: no-op
+        after = nxt
+        law += stats.poisson.pmf(k, mean) * after
+    return law
 
-    def test_trajectory_rejects_bad_args(self, rng):
-        with pytest.raises(ValueError):
-            simulate_queue_trajectory(9, 1.0, 1.0, 1.0, 5, rng)
-        with pytest.raises(ValueError):
-            simulate_queue_trajectory(0, 1.0, 0.0, 1.0, 5, rng)
+
+def g_test_p_value(observed, expected):
+    """G-test p-value of ``observed`` counts against ``expected`` ones.
+
+    Bins expected fewer than 5 times are pooled into one bin so the
+    chi-square approximation of the statistic holds.
+    """
+    small = expected < 5
+    if small.any():
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+    seen = observed > 0
+    g = 2.0 * np.sum(observed[seen] * np.log(observed[seen] / expected[seen]))
+    return float(stats.chi2.sf(g, df=expected.size - 1))
+
+
+#: ``(z0, λ, α, Δt, B)`` points of the exact-law tests: the paper's
+#: load, a one-slot buffer, heavy overload (ρ = 8), a short and a long
+#: epoch, and a full start.
+LAW_POINTS = [
+    (0, 0.9, 1.0, 1.0, 5),
+    (1, 0.7, 1.0, 2.0, 1),
+    (4, 8.0, 1.0, 2.0, 5),
+    (3, 1.2, 1.0, 0.01, 5),
+    (2, 0.9, 1.0, 10.0, 5),
+    (3, 1.5, 0.5, 5.0, 3),
+]
+
+
+@pytest.mark.parametrize("z0,lam,alpha,dt,buffer_size", LAW_POINTS)
+class TestExactEpochLaw:
+    """The joint law of (next state, drops) after one epoch — the drop
+    distribution beyond its mean, which the matrix-exponential tests
+    above do not see."""
+
+    CELLS = 20_000
+
+    def test_oracle_marginals_match_matrix_exponential(
+        self, z0, lam, alpha, dt, buffer_size
+    ):
+        law = epoch_law(z0, lam, alpha, dt, buffer_size)
+        assert 0.0 <= 1.0 - law.sum() < TAIL + 1e-12
+        s = buffer_size + 1
+        trans, drops = propagate_state(np.full(s, lam), alpha, dt, s)
+        np.testing.assert_allclose(law.sum(axis=1), trans[z0], atol=1e-12)
+        mean_drops = law.sum(axis=0) @ np.arange(law.shape[1])
+        assert mean_drops == pytest.approx(drops[z0], rel=1e-9, abs=1e-12)
+
+    def test_kernel_draws_pass_g_test(self, z0, lam, alpha, dt, buffer_size):
+        law = epoch_law(z0, lam, alpha, dt, buffer_size)
+        n = self.CELLS
+        new, drops = simulate_queues_epoch_batched(
+            np.full((1, n), z0),
+            np.full((1, n), lam),
+            alpha,
+            dt,
+            buffer_size,
+            np.random.default_rng(2024),
+        )
+        width = law.shape[1]
+        assert drops.max() < width  # inside the truncated support
+        observed = np.bincount(
+            (new * width + drops).ravel(), minlength=law.size
+        ).astype(float)
+        assert g_test_p_value(observed, n * law.ravel()) > ALPHA
