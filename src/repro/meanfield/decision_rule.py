@@ -128,10 +128,31 @@ class DecisionRule:
                 f"raw action has {raw.size} entries, expected {expected} "
                 f"(= S^d * d with S={num_states}, d={d})"
             )
-        shaped = raw.reshape((num_states,) * d + (d,))
+        return cls(
+            cls.stack_from_raw(raw.reshape(expected), num_states, d, floor),
+            validate=False,
+        )
+
+    @staticmethod
+    def stack_from_raw(
+        raw: np.ndarray, num_states: int, d: int, floor: float = 1e-6
+    ) -> np.ndarray:
+        """Rule tables of a stack of raw actions, in one pass.
+
+        ``raw`` is shaped ``(..., S^d * d)``; returns the probability
+        tables ``(..., S, ..., S, d)`` that :meth:`from_raw` builds for
+        each action (same clip, floor and normalization, bit for bit).
+        """
+        raw = np.asarray(raw, dtype=np.float64)
+        expected = num_states**d * d
+        if raw.ndim == 0 or raw.shape[-1] != expected:
+            raise ValueError(
+                f"raw actions have shape {raw.shape}, expected (..., "
+                f"{expected}) (= S^d * d with S={num_states}, d={d})"
+            )
+        shaped = raw.reshape(raw.shape[:-1] + (num_states,) * d + (d,))
         clipped = np.clip(shaped, 0.0, 1.0) + floor
-        probs = clipped / clipped.sum(axis=-1, keepdims=True)
-        return cls(probs, validate=False)
+        return clipped / clipped.sum(axis=-1, keepdims=True)
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, num_states: int, d: int) -> "DecisionRule":

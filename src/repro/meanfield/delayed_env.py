@@ -170,14 +170,41 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
             self._regime = 0
         return self.observation()
 
-    def _advance(self, rule: DecisionRule, lam: float) -> tuple[np.ndarray, float]:
-        if self.delay_model.max_delay == 0:
-            # The paper's epoch map through the configured propagator.
-            return super()._advance(rule, lam)
-        rates = self._delayed.rule_rates(
-            rule, lam, self.delay_model.pmf(self._regime)
-        )
-        return rates, float(self._delayed.advance(rates))
+    @classmethod
+    def _advance_batch(
+        cls, envs: list["DelayedMeanFieldEnv"], probs: np.ndarray, lams: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Rows whose delay model is all age 0 take the paper's batched
+        # epoch map through the configured propagator; the closure rows
+        # advance one by one.
+        fresh = [i for i, env in enumerate(envs) if env.delay_model.max_delay == 0]
+        if len(fresh) == len(envs):
+            return super()._advance_batch(envs, probs, lams)
+        rates = np.empty((len(envs), probs.shape[1]))
+        drops = np.empty(len(envs))
+        if fresh:
+            rates[fresh], drops[fresh] = super()._advance_batch(
+                [envs[i] for i in fresh], probs[fresh], lams[fresh]
+            )
+        for i, env in enumerate(envs):
+            if env.delay_model.max_delay > 0:
+                rule = DecisionRule(probs[i], validate=False)
+                rates[i] = env._delayed.rule_rates(
+                    rule, lams[i], env.delay_model.pmf(env._regime)
+                )
+                drops[i] = env._delayed.advance(rates[i])
+        return rates, drops
+
+    def _finish_step(
+        self, drops: float, rates: np.ndarray, lam: float
+    ) -> tuple[np.ndarray, float, bool, dict]:
+        # The observation, built after _step_exogenous, carries the live
+        # age features of the regime the step just entered.
+        pmf = self.delay_model.pmf(self._regime)
+        obs, reward, done, info = super()._finish_step(drops, rates, lam)
+        info["delay_regime"] = self._regime
+        info["delay_pmf"] = pmf
+        return obs, reward, done, info
 
     def _step_exogenous(self) -> None:
         super()._step_exogenous()
@@ -189,12 +216,3 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
                     np.array([self._regime]), self._rng
                 )[0]
             )
-
-    def step(self, rule: DecisionRule) -> tuple[np.ndarray, float, bool, dict]:
-        # The observation, built after _step_exogenous, carries the live
-        # age features of the regime the step just entered.
-        pmf = self.delay_model.pmf(self._regime)
-        obs, reward, done, info = super().step(rule)
-        info["delay_regime"] = self._regime
-        info["delay_pmf"] = pmf
-        return obs, reward, done, info

@@ -41,9 +41,17 @@ __all__ = [
 
 
 def per_state_arrival_rates(
-    nu: np.ndarray, rule: DecisionRule, lam: float
+    nu: np.ndarray, rule: DecisionRule | np.ndarray, lam: float | np.ndarray
 ) -> np.ndarray:
     """Frozen per-queue arrival rate ``λ_t(ν, z)`` for every ``z`` (Eq. 22).
+
+    ``nu`` is one law ``(S,)`` or a stack of laws ``(..., S)``. ``rule``
+    is one :class:`~repro.meanfield.decision_rule.DecisionRule` that
+    every law routes with, or a stacked rule table ``(E, S, ..., S, d)``
+    (see :func:`repro.queueing.clients.stack_rules`) whose entry ``e``
+    pairs with the laws ``nu[e]``. ``lam`` is one intensity or one per
+    law, broadcasting against ``nu.shape[:-1]``. Returns rates shaped
+    like ``nu``.
 
     For each action slot ``u`` the inner sum is a tensor contraction of
     ``h(u | ·)`` with ``ν`` along every state axis except axis ``u``; the
@@ -54,24 +62,45 @@ def per_state_arrival_rates(
     global Poisson stream of rate ``M λ`` over queues loses no mass.
     """
     nu = np.asarray(nu, dtype=np.float64)
-    if nu.shape != (rule.num_states,):
-        raise ValueError(
-            f"nu has shape {nu.shape}, expected ({rule.num_states},)"
-        )
-    if lam < 0:
+    probs, hists = _paired_laws(nu, rule)
+    lam = np.asarray(lam, dtype=np.float64)
+    if np.any(lam < 0):
         raise ValueError(f"arrival intensity must be >= 0, got {lam}")
-    d = rule.d
-    total = np.zeros(rule.num_states)
-    for u in range(d):
-        t = rule.probs[..., u]
-        # Contract axes in descending order so that remaining axis indices
-        # stay valid; skip the slot-u axis, which carries the output index.
-        for axis in range(d - 1, -1, -1):
-            if axis == u:
-                continue
-            t = np.tensordot(t, nu, axes=([axis], [0]))
-        total += t
-    return lam * total
+    d = probs.ndim - 2
+    total = np.zeros(hists.shape)
+    for e, k in np.ndindex(*hists.shape[:2]):
+        for u in range(d):
+            t = probs[e, ..., u]
+            # Contract axes in descending order so that remaining axis
+            # indices stay valid; skip the slot-u axis, which carries the
+            # output index.
+            for axis in range(d - 1, -1, -1):
+                if axis == u:
+                    continue
+                t = np.tensordot(t, hists[e, k], axes=([axis], [0]))
+            total[e, k] += t
+    return lam[..., None] * total.reshape(nu.shape)
+
+
+def _paired_laws(
+    nu: np.ndarray, rule: DecisionRule | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rule table ``(E, S, ..., S, d)`` and the laws ``(E, K, S)``
+    each of its entries routes against."""
+    probs = rule.probs[None] if isinstance(rule, DecisionRule) else rule
+    num_states = probs.shape[1]
+    if nu.ndim == 0 or nu.shape[-1] != num_states:
+        raise ValueError(
+            f"nu has shape {nu.shape}, expected (..., {num_states})"
+        )
+    if isinstance(rule, DecisionRule):
+        return probs, nu.reshape(1, -1, num_states)
+    if nu.ndim == 1 or nu.shape[0] != probs.shape[0]:
+        raise ValueError(
+            f"nu has shape {nu.shape}; a stack of {probs.shape[0]} rules "
+            f"needs laws ({probs.shape[0]}, ..., {num_states})"
+        )
+    return probs, nu.reshape(probs.shape[0], -1, num_states)
 
 
 def birth_death_generator(
@@ -273,11 +302,14 @@ class ExactPropagator:
 
     def propagate(
         self, nu: np.ndarray, arrival_rates: np.ndarray
-    ) -> tuple[np.ndarray, float]:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance laws ``(..., S)`` one epoch at their frozen rates;
+        returns ``(ν_{t+1}, expected drops per queue)`` shaped
+        ``(..., S)`` and ``(...)``."""
         nu_next, drops, _ = propagate_laws(
             nu, arrival_rates, self.service, self.delta_t
         )
-        return nu_next, float(drops)
+        return nu_next, drops
 
 
 class TabulatedPropagator:
@@ -340,14 +372,15 @@ class TabulatedPropagator:
 
     def propagate(
         self, nu: np.ndarray, arrival_rates: np.ndarray
-    ) -> tuple[np.ndarray, float]:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """As :meth:`ExactPropagator.propagate`, from interpolated rows."""
         rows = self._rows(arrival_rates)
         nu_next, drops = _contract(
             np.asarray(nu, dtype=np.float64),
-            rows[:, : self.num_states],
-            rows[:, self.num_states],
+            rows[..., : self.num_states],
+            rows[..., self.num_states],
         )
-        return _on_simplex(nu_next), float(drops)
+        return _on_simplex(nu_next), drops
 
     def max_interpolation_error(self, probe_points: int = 100) -> float:
         """Sup-norm error of interpolated rows at grid midpoints."""

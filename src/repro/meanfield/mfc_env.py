@@ -9,11 +9,18 @@ The environment exposes a gym-like ``reset``/``step`` API plus a
 ``step_raw`` entry point that accepts unconstrained action vectors from
 the RL stack and normalizes them onto the simplex the way the paper does
 (Gaussian policy output + manual normalization).
+
+Lock-step ensembles (the PPO collector, lock-step evaluation) advance
+through :meth:`MeanFieldEnv.step_batch` and
+:meth:`MeanFieldEnv.step_raw_batch`: one Eq. 22 call and one propagator
+call move all ``E`` laws, and ``step``/``step_raw`` are the ``E = 1``
+case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,9 +32,16 @@ from repro.meanfield.discretization import (
     per_state_arrival_rates,
 )
 from repro.queueing.arrivals import MarkovModulatedRate
+from repro.queueing.clients import stack_rules
 from repro.utils.rng import as_generator
 
-__all__ = ["MeanFieldEnv", "MeanFieldState", "observation_dim"]
+__all__ = [
+    "FleetStep",
+    "MeanFieldEnv",
+    "MeanFieldState",
+    "gather_fleet_step",
+    "observation_dim",
+]
 
 
 @dataclass(frozen=True)
@@ -45,6 +59,58 @@ class MeanFieldState:
 def observation_dim(config: SystemConfig, num_modes: int = 2) -> int:
     """Flat observation size: ``ν`` (S floats) + one-hot arrival mode."""
     return config.num_queue_states + num_modes
+
+
+class FleetStep(NamedTuple):
+    """One lock-step time slice of ``E`` environments.
+
+    ``obs`` holds each row's observation after the step, the one a
+    truncated episode is bootstrapped from; ``next_obs`` is the same
+    except in rows whose episode ended and was reset, where it holds
+    the first observation of the new episode.
+    """
+
+    obs: np.ndarray
+    rewards: np.ndarray
+    dones: np.ndarray
+    infos: list[dict]
+    next_obs: np.ndarray
+
+
+def gather_fleet_step(
+    envs: Sequence,
+    row_steps: Iterable[tuple[np.ndarray, float, bool, dict]],
+    reset_rngs: Sequence[np.random.Generator] | None = None,
+) -> FleetStep:
+    """Stack per-row ``(obs, reward, done, info)`` into a :class:`FleetStep`.
+
+    ``row_steps`` is consumed lazily, in row order. With ``reset_rngs`` a
+    row whose episode ended is reset from its generator right after its
+    own step, before the next row steps: on a generator the rows share,
+    that is the draw order of stepping the environments one at a time.
+    """
+    obs, rewards, dones, infos, next_obs = [], [], [], [], []
+    for i, (row_obs, reward, done, info) in enumerate(row_steps):
+        row_obs = np.asarray(row_obs, dtype=np.float64)
+        obs.append(row_obs)
+        rewards.append(reward)
+        dones.append(done)
+        infos.append(info)
+        if done and reset_rngs is not None:
+            row_obs = np.asarray(envs[i].reset(reset_rngs[i]), dtype=np.float64)
+        next_obs.append(row_obs)
+    return FleetStep(
+        np.stack(obs),
+        np.asarray(rewards, dtype=np.float64),
+        np.asarray(dones, dtype=bool),
+        infos,
+        np.stack(next_obs),
+    )
+
+
+def _single_row(fleet: FleetStep) -> tuple[np.ndarray, float, bool, dict]:
+    """``(obs, reward, done, info)`` of a one-row :class:`FleetStep`."""
+    return fleet.obs[0], float(fleet.rewards[0]), bool(fleet.dones[0]), fleet.infos[0]
 
 
 class MeanFieldEnv:
@@ -199,17 +265,110 @@ class MeanFieldEnv:
 
         Returns ``(observation, reward, done, info)`` with
         ``reward = -drop_penalty * D_t`` (per-queue expected drops) and
-        ``done`` marking the horizon truncation.
+        ``done`` marking the horizon truncation. The ``E = 1`` case of
+        :meth:`step_batch`.
         """
-        if self._nu is None:
-            raise RuntimeError("environment must be reset before use")
-        if rule.num_states != self.num_queue_states or rule.d != self.config.d:
+        return _single_row(self.step_batch([self], rule))
+
+    def step_raw(self, raw_action: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
+        """Step with an unconstrained action vector (RL interface); the
+        ``E = 1`` case of :meth:`step_raw_batch`."""
+        return _single_row(
+            self.step_raw_batch([self], np.reshape(raw_action, (1, -1)))
+        )
+
+    @classmethod
+    def step_raw_batch(
+        cls,
+        envs: Sequence["MeanFieldEnv"],
+        raw_actions: np.ndarray,
+        reset_rngs: Sequence[np.random.Generator] | None = None,
+    ) -> FleetStep:
+        """:meth:`step_batch` from unconstrained actions ``(E, S^d * d)``,
+        normalized onto the simplex in one pass
+        (:meth:`~repro.meanfield.decision_rule.DecisionRule.stack_from_raw`)."""
+        env = envs[0]
+        probs = DecisionRule.stack_from_raw(
+            raw_actions, env.num_queue_states, env.config.d
+        )
+        return cls.step_batch(envs, probs, reset_rngs)
+
+    @classmethod
+    def step_batch(
+        cls,
+        envs: Sequence["MeanFieldEnv"],
+        rules: "DecisionRule | Sequence[DecisionRule] | np.ndarray",
+        reset_rngs: Sequence[np.random.Generator] | None = None,
+    ) -> FleetStep:
+        """Advance ``E`` lock-step environments by one epoch.
+
+        ``rules`` is one rule for every row, one rule per row, or a
+        stacked rule table ``(E, S, ..., S, d)``. The laws move together:
+        one Eq. 22 call over the ``(E, S)`` stack and one call of the
+        shared propagator (one per distinct propagator, if the rows do
+        not share one). Each row then steps its exogenous chains, in row
+        order and from its own generator; with ``reset_rngs`` a row whose
+        episode ended resets right after its own draw (see
+        :func:`gather_fleet_step`). Every row equals its own ``E = 1``
+        step bit for bit.
+        """
+        envs = list(envs)
+        if not envs:
+            raise ValueError("need at least one environment")
+        s, d = envs[0].num_queue_states, envs[0].config.d
+        for env in envs:
+            if env._nu is None:
+                raise RuntimeError("environment must be reset before use")
+            if env.num_queue_states != s or env.config.d != d:
+                raise ValueError("lock-step environments must share (S, d)")
+        if not isinstance(rules, np.ndarray):
+            rules = stack_rules(rules, len(envs))
+        expected = (len(envs),) + (s,) * d + (d,)
+        if rules.shape != expected:
             raise ValueError(
-                f"rule has (S={rule.num_states}, d={rule.d}), environment "
-                f"expects (S={self.num_queue_states}, d={self.config.d})"
+                f"rules have shape {rules.shape}, environments expect "
+                f"{expected} (S={s}, d={d})"
             )
-        lam = self.current_rate
-        rates, drops = self._advance(rule, lam)
+        lams = np.array([env.current_rate for env in envs])
+        rates, drops = cls._advance_batch(envs, rules, lams)
+        return gather_fleet_step(
+            envs,
+            (
+                env._finish_step(drops[i].item(), rates[i], lams[i].item())
+                for i, env in enumerate(envs)
+            ),
+            reset_rngs,
+        )
+
+    @classmethod
+    def _advance_batch(
+        cls, envs: list["MeanFieldEnv"], probs: np.ndarray, lams: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Move every row's law one epoch; returns the frozen rates
+        ``(E, S)`` and the expected drops per queue ``(E,)``."""
+        nus = np.stack([env._nu for env in envs])
+        rates = per_state_arrival_rates(nus, probs, lams)
+        groups: dict[int, list[int]] = {}
+        for i, env in enumerate(envs):
+            groups.setdefault(id(env._propagator), []).append(i)
+        if len(groups) == 1:
+            nus_next, drops = envs[0]._propagator.propagate(nus, rates)
+        else:
+            nus_next, drops = np.empty_like(nus), np.empty(len(envs))
+            for rows in groups.values():
+                propagator = envs[rows[0]]._propagator
+                nus_next[rows], drops[rows] = propagator.propagate(
+                    nus[rows], rates[rows]
+                )
+        for env, nu in zip(envs, nus_next):
+            env._nu = nu
+        return rates, drops
+
+    def _finish_step(
+        self, drops: float, rates: np.ndarray, lam: float
+    ) -> tuple[np.ndarray, float, bool, dict]:
+        """Close this row's epoch once its law has moved: step the
+        exogenous chains and return ``(observation, reward, done, info)``."""
         self._step_exogenous()
         self._t += 1
         done = self._t >= self.horizon
@@ -225,23 +384,9 @@ class MeanFieldEnv:
         }
         return self.observation(), reward, done, info
 
-    def _advance(self, rule: DecisionRule, lam: float) -> tuple[np.ndarray, float]:
-        """Move the law one epoch; returns the frozen rates and drops."""
-        nu = self._nu
-        rates = per_state_arrival_rates(nu, rule, lam)
-        self._nu, drops = self._propagator.propagate(nu, rates)
-        return rates, drops
-
     def _step_exogenous(self) -> None:
         """Step the exogenous chains once the law has moved."""
         self._lam_mode = self.arrivals.step_mode(self._lam_mode, self._rng)
-
-    def step_raw(self, raw_action: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
-        """Step with an unconstrained action vector (RL interface)."""
-        rule = DecisionRule.from_raw(
-            raw_action, self.num_queue_states, self.config.d
-        )
-        return self.step(rule)
 
     # ------------------------------------------------------------------
     # Evaluation helpers

@@ -48,10 +48,12 @@ def rollout_returns_lockstep(
 
     ``episode_seeds`` is a sequence of per-episode seeds/generators (one
     clone of ``env`` each). Every epoch issues a single batched policy
-    query over the ``(E, S)`` stacked mean fields, consuming
-    ``policy_rng`` — stochastic policies need one (the per-episode
-    generators only drive the environments). Stationary policies are
-    queried once in total.
+    query over the ``(E, S)`` stacked mean fields and advances all
+    episodes with one
+    :meth:`~repro.meanfield.mfc_env.MeanFieldEnv.step_batch` call. The
+    policy query consumes ``policy_rng`` — stochastic policies need one
+    (the per-episode generators only drive the environments).
+    Stationary policies are queried once in total.
     """
     seeds = list(episode_seeds)
     if not seeds:
@@ -74,7 +76,7 @@ def rollout_returns_lockstep(
         )
     for _ in range(steps):
         if policy.is_stationary():
-            rules = [shared_rule] * len(envs)
+            rules = shared_rule
         else:
             nus = np.stack([clone.state.nu for clone in envs])
             modes = np.asarray([clone.state.lam_mode for clone in envs])
@@ -87,13 +89,11 @@ def rollout_returns_lockstep(
                 )
             else:
                 rules = policy.decision_rules_batch(nus, modes, policy_rng)
-        done = False
-        for i, (clone, rule) in enumerate(zip(envs, rules)):
-            _, reward, done, _ = clone.step(rule)
-            totals[i] += weight * reward
+        fleet = type(envs[0]).step_batch(envs, rules)
+        totals += weight * fleet.rewards
         if discount is not None:
             weight *= discount
-        if done:  # shared horizon: all replicas truncate together
+        if fleet.dones.any():  # shared horizon: all replicas truncate together
             break
     return totals
 

@@ -4,9 +4,11 @@
 environments in lock-step: per collected time slice there is exactly one
 policy forward pass and one value forward pass over the stacked
 ``(E, obs_dim)`` observations — ``E×`` fewer Python-level network calls
-than stepping the same environments one at a time, which is where
-PPO collection spends most of its wall-clock (the MFC MDP step itself
-is a cheap tabulated propagator lookup). A single environment is the
+than stepping the same environments one at a time. The environments
+advance through :func:`step_lockstep`, once per slice: mean-field
+environments move all ``E`` laws with one Eq. 22 call and one
+propagator call (:meth:`repro.meanfield.mfc_env.MeanFieldEnv.step_raw_batch`);
+other environments step one by one. A single environment is the
 ``E = 1`` case.
 
 Episodes keep running across batch boundaries, time-limit ends
@@ -39,15 +41,44 @@ Two sampling modes are supported:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.meanfield.mfc_env import FleetStep, gather_fleet_step
 from repro.rl.distributions import DiagGaussian
 from repro.rl.gae import compute_gae
 from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
 from repro.rl.rollout import RolloutBatch
 from repro.utils.rng import as_generator, spawn_generators
 
-__all__ = ["VectorRolloutCollector"]
+__all__ = ["VectorRolloutCollector", "step_lockstep"]
+
+
+def step_lockstep(
+    envs: Sequence,
+    actions: np.ndarray,
+    reset_rngs: Sequence[np.random.Generator] | None = None,
+) -> FleetStep:
+    """Advance ``E`` lock-step environments by one slice of raw actions.
+
+    Environments of one class that defines a batched
+    ``step_raw_batch(envs, actions, reset_rngs)`` classmethod (the
+    mean-field environments) take it; any other fleet steps each
+    environment's ``step_raw`` in row order. Either way a row whose
+    episode ended is reset from ``reset_rngs[i]`` before the next row
+    steps, so the draws on a shared generator come in the order of
+    stepping the environments one at a time.
+    """
+    kind = type(envs[0])
+    batched = getattr(kind, "step_raw_batch", None)
+    if batched is not None and all(type(env) is kind for env in envs):
+        return batched(envs, actions, reset_rngs)
+    return gather_fleet_step(
+        envs,
+        (env.step_raw(action) for env, action in zip(envs, actions)),
+        reset_rngs,
+    )
 
 
 class VectorRolloutCollector:
@@ -200,41 +231,33 @@ class VectorRolloutCollector:
             logp_buf[t] = logps
             val_buf[t] = values
 
-            next_obs = np.empty_like(obs)
+            fleet = step_lockstep(
+                self.envs, actions, [self._reset_rng(i) for i in range(e)]
+            )
+            rew_buf[t] = fleet.rewards
+            gae_rew_buf[t] = fleet.rewards
+            done_buf[t] = fleet.dones
+            self._episode_returns_running += fleet.rewards
             bootstrap_envs: list[int] = []
-            bootstrap_obs: list[np.ndarray] = []
-            for i, env in enumerate(self.envs):
-                step_obs, reward, done, info = env.step_raw(actions[i])
-                rew_buf[t, i] = reward
-                gae_rew_buf[t, i] = reward
-                done_buf[t, i] = done
-                self._episode_returns_running[i] += reward
-                if done:
-                    if info.get("truncated", True):
-                        bootstrap_envs.append(i)
-                        bootstrap_obs.append(
-                            np.asarray(step_obs, dtype=np.float64)
-                        )
-                    episode_returns.append(
-                        float(self._episode_returns_running[i])
-                    )
-                    self._episode_returns_running[i] = 0.0
-                    next_obs[i] = np.asarray(
-                        env.reset(self._reset_rng(i)), dtype=np.float64
-                    )
-                else:
-                    next_obs[i] = np.asarray(step_obs, dtype=np.float64)
+            for i in np.flatnonzero(fleet.dones):
+                if fleet.infos[i].get("truncated", True):
+                    bootstrap_envs.append(i)
+                episode_returns.append(float(self._episode_returns_running[i]))
+                self._episode_returns_running[i] = 0.0
             if bootstrap_envs:
                 if self._env_rngs is not None:
                     # Batch-1 calls: batched BLAS is not row-stable.
                     final_values = np.array(
-                        [float(self.value(o[None, :])[0]) for o in bootstrap_obs]
+                        [
+                            float(self.value(fleet.obs[i : i + 1])[0])
+                            for i in bootstrap_envs
+                        ]
                     )
                 else:
                     # One batched critic call for all truncated episode ends.
-                    final_values = self.value(np.stack(bootstrap_obs))
+                    final_values = self.value(fleet.obs[bootstrap_envs])
                 gae_rew_buf[t, bootstrap_envs] += self.gamma * final_values
-            self._obs = next_obs
+            self._obs = fleet.next_obs
             self.total_env_steps += e
 
         # Bootstrap the still-running tails (one batched critic call in

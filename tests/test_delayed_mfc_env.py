@@ -324,6 +324,47 @@ class TestStochasticDelayDynamics:
         assert np.isfinite(stats.mean_episode_return)
 
 
+class TestLockstepStep:
+    @pytest.mark.parametrize(
+        "delay",
+        [DeterministicDelay(0), IIDDelay((0.5, 0.3, 0.2)), _STOCHASTIC],
+        ids=["age0", "iid", "markov"],
+    )
+    def test_fleet_keeps_the_per_environment_stream(self, delay):
+        """A delayed fleet on one shared generator equals stepping its
+        environments one at a time, resets and regime draws included
+        (closure rows advance one by one inside the batched step)."""
+        e = 3
+        features = ObservationFeatures(age=True, occupancy=True, live_age=True)
+
+        def fleet():
+            env = DelayedMeanFieldEnv(
+                _SYSTEM, horizon=4, delay_model=delay, features=features
+            )
+            return [env] + [env.clone() for _ in range(e - 1)]
+
+        batched, loop = fleet(), fleet()
+        shared_a, shared_b = np.random.default_rng(3), np.random.default_rng(3)
+        for env in batched:
+            env.reset(shared_a)
+        for env in loop:
+            env.reset(shared_b)
+        actions = np.random.default_rng(5).normal(
+            0.5, 0.5, size=(10, e, batched[0].action_size)
+        )
+        for raw in actions:
+            step = DelayedMeanFieldEnv.step_raw_batch(batched, raw, [shared_a] * e)
+            for i, env in enumerate(loop):
+                obs, reward, done, info = env.step_raw(raw[i])
+                assert np.array_equal(step.obs[i], obs)
+                assert step.rewards[i] == reward
+                assert step.infos[i]["delay_regime"] == info["delay_regime"]
+                assert np.array_equal(step.infos[i]["delay_pmf"], info["delay_pmf"])
+                if done:
+                    obs = env.reset(shared_b)
+                assert np.array_equal(step.next_obs[i], obs)
+
+
 class TestNeuralPolicyFeatures:
     def _make_policy(self, feats, context):
         s = _SYSTEM.num_queue_states

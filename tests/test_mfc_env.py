@@ -188,3 +188,160 @@ class TestRolloutReturn:
     def test_unknown_propagator_rejected(self, small_config):
         with pytest.raises(ValueError):
             MeanFieldEnv(small_config, propagator="magic")
+
+
+def _coin_arrivals() -> MarkovModulatedRate:
+    """Two modes, every draw a fair coin: any reordering of the draws on
+    a shared generator shows up in the mode trajectories."""
+    return MarkovModulatedRate(
+        [0.9, 0.6], np.full((2, 2), 0.5), initial_distribution=[0.5, 0.5]
+    )
+
+
+def _fleet(config, count, horizon=3, propagator="exact", **kwargs):
+    env = MeanFieldEnv(
+        config,
+        horizon=horizon,
+        propagator=propagator,
+        arrival_process=_coin_arrivals(),
+        **kwargs,
+    )
+    return [env] + [env.clone() for _ in range(count - 1)]
+
+
+def _assert_same_fleet_step(a, b):
+    assert np.array_equal(a.obs, b.obs)
+    assert np.array_equal(a.rewards, b.rewards)
+    assert np.array_equal(a.dones, b.dones)
+    assert np.array_equal(a.next_obs, b.next_obs)
+    for info_a, info_b in zip(a.infos, b.infos):
+        assert info_a.keys() == info_b.keys()
+        for key in info_a:
+            assert np.array_equal(info_a[key], info_b[key])
+
+
+class TestLockstepStep:
+    """One batched step moves all E laws (one Eq. 22 call, one propagate
+    call); ``step`` is its E = 1 case."""
+
+    def test_single_row_is_the_kernel_epoch(self, small_config, rng):
+        """``step_raw`` equals the kernel's single-law epoch and the
+        mode chain's own step, bit for bit."""
+        import copy
+
+        from repro.meanfield.discretization import (
+            ExactPropagator,
+            per_state_arrival_rates,
+        )
+
+        env = MeanFieldEnv(small_config, seed=4)
+        env.reset()
+        kernel = ExactPropagator(6, small_config.service_rate, small_config.delta_t)
+        for _ in range(4):
+            nu, mode = env.state.nu, env.state.lam_mode
+            raw = rng.random(env.action_size)
+            rates = per_state_arrival_rates(
+                nu, DecisionRule.from_raw(raw, 6, 2), env.current_rate
+            )
+            nu_next, drops = kernel.propagate(nu, rates)
+            mode_next = env.arrivals.step_mode(mode, copy.deepcopy(env._rng))
+            obs, reward, _, info = env.step_raw(raw)
+            assert np.array_equal(env.state.nu, nu_next)
+            assert env.state.lam_mode == mode_next
+            assert reward == -small_config.drop_penalty * float(drops)
+            assert info["drops"] == float(drops)
+            assert np.array_equal(info["arrival_rates"], rates)
+            assert np.array_equal(obs[:6], nu_next)
+
+    def test_step_batch_needs_reset_and_geometry(self, small_config):
+        envs = _fleet(small_config, 2)
+        with pytest.raises(RuntimeError):
+            MeanFieldEnv.step_batch(envs, DecisionRule.uniform(6, 2))
+        for env in envs:
+            env.reset(0)
+        with pytest.raises(ValueError):
+            MeanFieldEnv.step_batch(envs, DecisionRule.uniform(4, 2))
+        with pytest.raises(ValueError):
+            MeanFieldEnv.step_batch(envs, [DecisionRule.uniform(6, 2)] * 3)
+        with pytest.raises(ValueError):
+            MeanFieldEnv.step_raw_batch(envs, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("propagator", ["exact", "tabulated"])
+    def test_fleet_equals_single_rows_with_own_streams(
+        self, small_config, rng, propagator
+    ):
+        """Under independent streams a fleet of E equals E single-row
+        steps bit for bit, resets included."""
+        e = 4
+        fleet = _fleet(small_config, e, propagator=propagator)
+        rows = [env.clone() for env in fleet]
+        fleet_rngs = [np.random.default_rng(100 + i) for i in range(e)]
+        row_rngs = [np.random.default_rng(100 + i) for i in range(e)]
+        for i in range(e):
+            fleet[i].reset(fleet_rngs[i])
+            rows[i].reset(row_rngs[i])
+        for _ in range(8):
+            raw = rng.normal(0.5, 0.5, size=(e, fleet[0].action_size))
+            batched = MeanFieldEnv.step_raw_batch(fleet, raw, fleet_rngs)
+            for i in range(e):
+                single = MeanFieldEnv.step_raw_batch(
+                    [rows[i]], raw[i : i + 1], [row_rngs[i]]
+                )
+                _assert_same_fleet_step(
+                    single,
+                    type(batched)(
+                        batched.obs[i : i + 1],
+                        batched.rewards[i : i + 1],
+                        batched.dones[i : i + 1],
+                        batched.infos[i : i + 1],
+                        batched.next_obs[i : i + 1],
+                    ),
+                )
+
+    def test_shared_stream_keeps_the_per_environment_draw_order(
+        self, small_config, rng
+    ):
+        """Row i draws its mode step and then, when its episode ends, its
+        reset, before row i + 1 draws: the order of stepping the
+        environments one at a time on one generator."""
+        e = 4
+        fleet, loop = _fleet(small_config, e), _fleet(small_config, e)
+        shared_a, shared_b = np.random.default_rng(7), np.random.default_rng(7)
+        for env in fleet:
+            env.reset(shared_a)
+        for env in loop:
+            env.reset(shared_b)
+        for _ in range(9):
+            raw = rng.random((e, fleet[0].action_size))
+            batched = MeanFieldEnv.step_raw_batch(fleet, raw, [shared_a] * e)
+            for i, env in enumerate(loop):
+                obs, reward, done, _ = env.step_raw(raw[i])
+                assert np.array_equal(batched.obs[i], obs)
+                assert batched.rewards[i] == reward
+                assert batched.dones[i] == done
+                if done:
+                    obs = env.reset(shared_b)
+                assert np.array_equal(batched.next_obs[i], obs)
+        assert shared_a.bit_generator.state == shared_b.bit_generator.state
+
+    def test_rows_with_their_own_propagators(self, small_config, rng):
+        """Rows that share no propagator are grouped per propagator and
+        still equal their single-row steps."""
+        kinds = ["exact", "tabulated", "exact"]
+        fleet = [
+            MeanFieldEnv(small_config, propagator=k, seed=i)
+            for i, k in enumerate(kinds)
+        ]
+        rows = [
+            MeanFieldEnv(small_config, propagator=k, seed=i)
+            for i, k in enumerate(kinds)
+        ]
+        for env in fleet + rows:
+            env.reset()
+        for _ in range(5):
+            raw = rng.random((3, fleet[0].action_size))
+            batched = MeanFieldEnv.step_raw_batch(fleet, raw)
+            for i, env in enumerate(rows):
+                obs, reward, _, _ = env.step_raw(raw[i])
+                assert np.array_equal(batched.obs[i], obs)
+                assert batched.rewards[i] == reward
