@@ -125,11 +125,9 @@ def local_arrival_rates(
     m, s = nus.shape
     obs = observed_distributions(nus, classes, num_classes)
     mixtures = neighborhood_mixtures(obs, topology)
-    # Per-node contraction g_i on observed states: a handful of S_obs-sized
-    # tensor operations per dispatcher (K of them; cheap next to the expm).
-    g = np.stack(
-        [per_state_arrival_rates(mix, rule, 1.0) for mix in mixtures]
-    )
+    # Per-node contraction g_i on observed states: one Eq. 22 call over
+    # the K mixtures.
+    g = per_state_arrival_rates(mixtures, rule, 1.0)
     # Each dispatcher injects M·lam/K, split uniformly over its samples.
     weight = (m * lam / topology.num_dispatchers) / topology.degree
     targets = topology.neighbors.ravel()

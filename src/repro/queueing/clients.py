@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.meanfield.decision_rule import DecisionRule
+from repro.meanfield.discretization import per_state_arrival_rates
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -222,38 +223,6 @@ def sample_client_choices_batched(
     return sampled, slots, committed
 
 
-#: ``numpy.einsum`` letters for the rule's state axes; ``e`` (replica)
-#: and ``k`` (dispatcher) label the batch axes.
-_STATE_AXES = "abcdfghijlmnopqrstuvwxyz"
-
-
-def _unit_choice_rates(hists: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Eq. (22) at unit intensity, batched over replicas and dispatchers.
-
-    ``hists`` holds state distributions ``ν`` shaped ``(E, K, S)`` and
-    ``probs`` a stacked rule table ``(E, S, ..., S, d)`` from
-    :func:`stack_rules`. Returns ``g[e, k, z] = λ_t(ν_ek, z) / λ_t`` in the
-    shape of ``hists``: per slot ``u``, one :func:`numpy.einsum`
-    contracts ``h_e(u | ·)`` with ``ν_ek`` along every state axis except
-    ``u``, and the slots add up in order.
-    """
-    d = probs.ndim - 2
-    if d == 1:
-        # A single sample is always joined: g(z) = h(0 | z) = 1.
-        return np.broadcast_to(probs[:, None, :, 0], hists.shape).copy()
-    axes = _STATE_AXES[:d]
-    total = None
-    for u in range(d):
-        others = ["ek" + axes[i] for i in range(d) if i != u]
-        term = np.einsum(
-            ",".join(["e" + axes, *others]) + "->ek" + axes[u],
-            probs[..., u],
-            *[hists] * (d - 1),
-        )
-        total = term if total is None else total + term
-    return total
-
-
 def choice_probabilities(
     observed: np.ndarray,
     probs: np.ndarray,
@@ -297,7 +266,9 @@ def choice_probabilities(
     hists = np.bincount(
         (seen + offsets).ravel(), minlength=e * k * s
     ).reshape(e, k, s) / degree
-    rates = np.take_along_axis(_unit_choice_rates(hists, probs), seen, axis=-1)
+    rates = np.take_along_axis(
+        per_state_arrival_rates(hists, probs, 1.0), seen, axis=-1
+    )
     # Normalizing, rather than dividing by the degree, absorbs the row-sum
     # round-off a valid rule may carry, so the probabilities sum to 1.
     p = rates / rates.sum(axis=-1, keepdims=True)

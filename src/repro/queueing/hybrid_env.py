@@ -60,10 +60,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.delayed import DelayedMeanFieldPropagator
 from repro.meanfield.discretization import per_state_arrival_rates
 from repro.queueing.batched_env import RulesLike, _BatchedQueueSystemBase
+from repro.queueing.clients import stack_rules
 from repro.queueing.delayed_env import SnapshotRing
 from repro.queueing.delays import DelayModel
 from repro.utils.rng import as_generator
@@ -272,13 +272,13 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
         Age-``k`` dispatchers sample against the age-``k`` mixture law
         ``μ``; the closure transports their rates to current states
         through the field's own laws and propagator products. Eq. 22 is
-        evaluated only where an age has weight (elsewhere its rates stay
-        zero, or ``None`` for the whole age). With queues tracked, the
+        evaluated only where an age has weight, in one stacked call over
+        the replicas that weigh it (elsewhere its rates stay zero, or
+        ``None`` for the whole age). With queues tracked, the
         rates are then rescaled so the field absorbs exactly ``target``
         per queue.
         """
-        if isinstance(rules, DecisionRule):
-            rules = [rules] * self.num_replicas
+        probs = stack_rules(rules, self.num_replicas)
         hists = self._tracked_hists_by_age()
         w = self.tracked_fraction
         pmfs = (
@@ -296,10 +296,7 @@ class BatchedHybridFleetEnv(_BatchedQueueSystemBase):
             if hists is not None:
                 mix = (1.0 - w) * mix + w * hists[age]
             r_age = np.zeros(mix.shape)
-            for e in live:
-                r_age[e] = per_state_arrival_rates(
-                    mix[e], rules[e], float(lam[e])
-                )
+            r_age[live] = per_state_arrival_rates(mix[live], probs[live], lam[live])
             age_rates.append(r_age)
         rates = self._field.frozen_rates(age_rates, pmfs)
         if hists is not None:

@@ -223,7 +223,8 @@ class TestUnweightedAges:
         assert len(calls) == 5
 
     def test_hybrid_evaluates_weighted_replica_ages_only(self, monkeypatch):
-        """Delayed hybrid: one Eq. 22 call per (replica, weighted age)."""
+        """Delayed hybrid: one Eq. 22 row per (replica, weighted age), in
+        one stacked call per weighted age."""
         import repro.queueing.hybrid_env as hybrid_env
         from repro.queueing.hybrid_env import BatchedHybridFleetEnv
 
@@ -236,20 +237,22 @@ class TestUnweightedAges:
         env.reset(seed=3)
         policy = JoinShortestQueuePolicy(cfg.num_queue_states, cfg.d)
         rule = policy.decision_rule(np.eye(cfg.num_queue_states)[0], 0, None)
-        calls = []
+        rows = []
         real = hybrid_env.per_state_arrival_rates
         monkeypatch.setattr(
             hybrid_env,
             "per_state_arrival_rates",
-            lambda *a: calls.append(1) or real(*a),
+            lambda nu, *a: rows.append(len(nu)) or real(nu, *a),
         )
-        expected = 0
+        expected_rows = expected_calls = 0
         for _ in range(6):
             pmfs = model.pmfs[env._ring.regimes]
-            expected += int((pmfs > 0.0).sum())
+            expected_rows += int((pmfs > 0.0).sum())
+            expected_calls += int((pmfs > 0.0).any(axis=0).sum())
             env.step(rule)
-        assert len(calls) == expected
-        assert expected < 6 * 4 * (model.max_delay + 1)
+        assert sum(rows) == expected_rows
+        assert len(rows) == expected_calls
+        assert expected_rows < 6 * 4 * (model.max_delay + 1)
 
 
 class TestDelayedLocal:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from repro.meanfield.analytic import (
     mm1b_drop_rate,
@@ -19,8 +20,55 @@ from repro.meanfield.discretization import (
     extended_generator,
     per_state_arrival_rates,
     propagate_state,
-    uniformization_transition_matrix,
 )
+
+
+def uniformization_transition_matrix(
+    arrival: float,
+    service: float,
+    num_states: int,
+    delta_t: float,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """Epoch transition matrix via uniformization: the independent oracle.
+
+    ``P(Δt) = Σ_k e^{-ΛΔt} (ΛΔt)^k / k! · U^k`` with
+    ``U = I + G/Λ`` and ``Λ ≥ max_i |G_ii|``. Every term is
+    non-negative, so nothing cancels. Truncates the Poisson sum once the
+    remaining mass falls below ``tol``.
+    """
+    g = birth_death_generator(arrival, service, num_states)
+    lam_unif = float(max(-g.diagonal().min(), 1e-12))
+    u = np.eye(num_states) + g / lam_unif
+    mean_jumps = lam_unif * delta_t
+    weight = np.exp(-mean_jumps)
+    term = np.eye(num_states)
+    total = weight * term
+    accumulated = weight
+    k = 0
+    # Poisson tail bound: stop when remaining probability mass < tol.
+    while 1.0 - accumulated > tol and k < 100_000:
+        k += 1
+        term = term @ u
+        weight = weight * mean_jumps / k
+        total += weight * term
+        accumulated += weight
+    # Renormalize the truncated sum so rows are exactly stochastic.
+    total /= total.sum(axis=1, keepdims=True)
+    return total
+
+
+def _expm_rows(rates, service, delta_t, num_states):
+    """Rows and drops from ``scipy.linalg.expm`` of every slice's
+    extended generator (Eq. 28 as written)."""
+    rates = np.asarray(rates, dtype=np.float64)
+    exp = expm(
+        extended_generator(rates, np.asarray(service)[..., None], num_states)
+        * delta_t
+    )
+    z = np.arange(num_states)
+    rows = exp[..., z, z, :]
+    return rows[..., :num_states], rows[..., num_states]
 
 
 class TestGenerators:
@@ -168,6 +216,169 @@ class TestPropagateState:
         pi = mm1b_stationary_distribution(lam, alpha, 5)
         for z in range(6):
             assert np.allclose(trans[z], pi, atol=1e-8)
+
+
+#: The closed-form gate grid: λ → 0, the paper's range and large λ/α.
+_GATE_RATES = (0.0, 1e-12, 1e-8, 1e-5, 1e-3, 0.02, 0.1, 0.5, 1.0, 1.8, 5.0, 30.0, 300.0)
+
+
+class TestClosedForm:
+    """The eigendecomposition rows with their per-slice ``expm`` fallback."""
+
+    @pytest.mark.parametrize("num_states", [2, 6, 11])
+    @pytest.mark.parametrize("service", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("dt", [1e-2, 1.0, 5.0, 100.0])
+    def test_grid_gate_against_expm(self, num_states, service, dt):
+        """Rows within 1e-12 absolute and drops within 1e-12 relative to
+        their scale λΔt of ``expm`` of the extended generator. The
+        tightest points (λΔt = 3e4 at S = 2, 9.4e-13) are ``expm``'s own
+        round-off: 60-digit arithmetic puts the closed form within 2e-16
+        there."""
+        rates = np.repeat(np.asarray(_GATE_RATES)[:, None], num_states, axis=1)
+        trans, drops = propagate_state(rates, service, dt, num_states)
+        ref_trans, ref_drops = _expm_rows(rates, service, dt, num_states)
+        assert np.abs(trans - ref_trans).max() <= 1e-12
+        assert np.all(
+            np.abs(drops - ref_drops)
+            <= 1e-12 * np.maximum(np.abs(ref_drops), rates * dt)
+        )
+
+    def test_gate_grid_exercises_both_branches(self):
+        """The grid runs the closed form on most of the paper's range and
+        falls back where the closed form would miss the gate: λ ≤ 1e-3 at
+        the far end of an S = 6 buffer, and λ ≥ 30 with α = 0.1."""
+        from repro.meanfield.discretization import _closed_form_slices
+
+        def closed(lam, alpha, z, s):
+            return bool(
+                _closed_form_slices(
+                    np.array([lam]), np.array([alpha]), np.array([z]), s
+                )[0]
+            )
+
+        for lam in np.linspace(0.07, 1.8, 36):
+            assert all(closed(lam, 1.0, z, 6) for z in range(6))
+        assert not closed(1e-3, 1.0, 5, 6)
+        assert closed(1e-3, 1.0, 0, 6)  # no growth towards z = 0
+        assert not closed(30.0, 0.1, 0, 6)
+        assert not closed(0.0, 1.0, 0, 6)
+        assert not closed(1.0, 0.0, 3, 6)
+
+    def test_extreme_rate_ratios_stay_finite(self):
+        """Closed-form slices at λ/α from a denormal to 1e30 (z = 0 at the
+        low end, z = B at the high end) stay finite and stochastic,
+        without overflow warnings."""
+        import warnings
+
+        for lam in (5e-324, 1e-200, 1e-30, 1e30):
+            for s in (2, 6, 21):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    trans, drops = propagate_state(np.full(s, lam), 1.0, 2.0, s)
+                assert np.abs(trans.sum(axis=-1) - 1.0).max() <= 1e-9
+                assert np.all(drops >= 0.0) and np.all(drops <= 2.0 * lam * (1 + 1e-9))
+
+    def test_matches_uniformization_at_paper_shapes(self):
+        """Against the non-negative uniformization series (nothing
+        cancels there): S = 6, α = 1, the paper's rate range and Δt."""
+        for dt in (0.5, 1.0, 2.0, 5.0, 10.0):
+            for lam in np.linspace(0.05, 1.8, 15):
+                trans, _ = propagate_state(np.full(6, lam), 1.0, dt, 6)
+                oracle = uniformization_transition_matrix(lam, 1.0, 6, dt, tol=1e-15)
+                assert np.abs(trans - oracle).max() <= 1e-12
+
+    def test_mixed_stack_equals_per_law_calls(self):
+        """A stack mixing closed-form and fallback slices equals its
+        per-law calls bit for bit: the branch is chosen per slice."""
+        from repro.meanfield.discretization import _closed_form_slices
+
+        rates = np.array(
+            [
+                [1.2, 0.9, 0.7, 0.5, 0.3, 0.2],  # closed form throughout
+                [1.5, 1.1, 0.6, 0.2, 1e-4, 0.0],  # fallback at z = 4, 5
+                [0.4, 0.8, 1.0, 1.3, 1.6, 1.8],
+            ]
+        )
+        service = np.array([1.0, 1.0, 0.5])
+        closed = _closed_form_slices(
+            rates.ravel(), np.repeat(service, 6), np.tile(np.arange(6), 3), 6
+        ).reshape(3, 6)
+        assert closed[0].all() and closed[2].all() and not closed[1].all()
+        trans, drops = propagate_state(rates, service, 5.0, 6)
+        for law in range(3):
+            own_trans, own_drops = propagate_state(rates[law], service[law], 5.0, 6)
+            assert np.array_equal(trans[law], own_trans)
+            assert np.array_equal(drops[law], own_drops)
+
+
+class TestNonFiniteInputs:
+    """The kernel names a non-finite input instead of returning NaN."""
+
+    def test_rejects_nan_arrival_rates(self):
+        with pytest.raises(ValueError, match="arrival_rates must be finite"):
+            propagate_state(np.full(6, np.nan), 1.0, 5.0, 6)
+
+    def test_rejects_nan_service(self):
+        with pytest.raises(ValueError, match="service must be finite"):
+            propagate_state(np.full(6, 0.5), np.nan, 5.0, 6)
+
+    def test_rejects_nan_delta_t(self):
+        with pytest.raises(ValueError, match="delta_t must be finite"):
+            propagate_state(np.full(6, 0.5), 1.0, np.nan, 6)
+
+    def test_rejects_infinite_delta_t(self):
+        with pytest.raises(ValueError, match="delta_t must be finite"):
+            propagate_state(np.full(6, 0.5), 1.0, np.inf, 6)
+
+    def test_rejects_nan_lambda(self):
+        rule = DecisionRule.uniform(6, 2)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            per_state_arrival_rates(np.full(6, 1 / 6), rule, np.nan)
+
+
+class TestStackedRatesAndPropagators:
+    def test_stacked_rates_equal_single_law_calls(self, rng):
+        """Stacked laws and rules, a shared rule over many laws and one
+        intensity per law: every row equals its single-law call."""
+        s, d, e = 6, 2, 5
+        rules = [DecisionRule.from_raw(rng.random(s**d * d), s, d) for _ in range(e)]
+        probs = np.stack([r.probs for r in rules])
+        nus = rng.dirichlet(np.ones(s), size=e)
+        lams = rng.uniform(0.3, 0.9, size=e)
+        stacked = per_state_arrival_rates(nus, probs, lams)
+        shared = per_state_arrival_rates(nus, rules[0], 0.7)
+        assert stacked.shape == shared.shape == (e, s)
+        for i in range(e):
+            assert np.array_equal(
+                stacked[i], per_state_arrival_rates(nus[i], rules[i], lams[i])
+            )
+            assert np.array_equal(
+                shared[i], per_state_arrival_rates(nus[i], rules[0], 0.7)
+            )
+
+    def test_stacked_rates_validate_pairing(self, rng):
+        probs = np.stack([DecisionRule.uniform(4, 2).probs] * 3)
+        with pytest.raises(ValueError):
+            per_state_arrival_rates(np.full((2, 4), 0.25), probs, 1.0)
+        with pytest.raises(ValueError):
+            per_state_arrival_rates(np.full(4, 0.25), probs, 1.0)
+
+    @pytest.mark.parametrize("kind", ["exact", "tabulated"])
+    def test_propagators_take_stacks(self, rng, kind):
+        s = 6
+        prop = (
+            ExactPropagator(s, 1.0, 2.0)
+            if kind == "exact"
+            else TabulatedPropagator(s, 1.0, 2.0, max_arrival=1.8)
+        )
+        nus = rng.dirichlet(np.ones(s), size=4)
+        rates = rng.uniform(0.0, 1.8, size=(4, s))
+        nu_next, drops = prop.propagate(nus, rates)
+        assert nu_next.shape == (4, s) and drops.shape == (4,)
+        for i in range(4):
+            own_nu, own_drops = prop.propagate(nus[i], rates[i])
+            assert np.array_equal(nu_next[i], own_nu)
+            assert drops[i] == own_drops
 
 
 class TestEpochUpdate:
