@@ -17,7 +17,7 @@ from repro.meanfield.discretization import (
     propagate_laws,
     propagate_state,
 )
-from repro.meanfield.mfc_env import MeanFieldEnv, MeanFieldState, observation_dim
+from repro.meanfield.mfc_env import MeanFieldEnv, MeanFieldState
 from repro.meanfield.analytic import (
     mm1b_loss_probability,
     mm1b_stationary_distribution,
@@ -86,7 +86,6 @@ __all__ = [
     "epoch_update",
     "MeanFieldEnv",
     "MeanFieldState",
-    "observation_dim",
     "mm1b_loss_probability",
     "mm1b_stationary_distribution",
     "mmpp_stationary_distribution",

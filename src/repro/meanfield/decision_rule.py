@@ -151,7 +151,7 @@ class DecisionRule:
                 f"{expected}) (= S^d * d with S={num_states}, d={d})"
             )
         shaped = raw.reshape(raw.shape[:-1] + (num_states,) * d + (d,))
-        clipped = np.clip(shaped, 0.0, 1.0) + floor
+        clipped = np.minimum(np.maximum(shaped, 0.0), 1.0) + floor
         return clipped / clipped.sum(axis=-1, keepdims=True)
 
     @classmethod

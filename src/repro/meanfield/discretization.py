@@ -100,10 +100,8 @@ def per_state_arrival_rates(
     nu = np.asarray(nu, dtype=np.float64)
     probs, hists = _paired_laws(nu, rule)
     lam = np.asarray(lam, dtype=np.float64)
-    if not np.isfinite(lam).all():
-        raise ValueError(f"arrival intensity lam must be finite, got {lam}")
-    if np.any(lam < 0):
-        raise ValueError(f"arrival intensity must be >= 0, got {lam}")
+    if not ((lam >= 0) & (lam < np.inf)).all():
+        raise ValueError(f"arrival intensity lam must be finite and >= 0, got {lam}")
     d = probs.ndim - 2
     if d == 1:
         # A single sample is always joined: g(z) = h(0 | z) = 1.
@@ -188,10 +186,8 @@ def extended_generator(
 
 def _require_rates(values: np.ndarray, name: str) -> None:
     """Reject non-finite or negative rates, naming the input."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    if np.any(values < 0):
-        raise ValueError(f"{name} must be non-negative")
+    if not ((values >= 0) & (values < np.inf)).all():
+        raise ValueError(f"{name} must be finite and non-negative")
 
 
 def propagate_state(

@@ -35,13 +35,7 @@ from repro.queueing.arrivals import MarkovModulatedRate
 from repro.queueing.clients import stack_rules
 from repro.utils.rng import as_generator
 
-__all__ = [
-    "FleetStep",
-    "MeanFieldEnv",
-    "MeanFieldState",
-    "gather_fleet_step",
-    "observation_dim",
-]
+__all__ = ["FleetStep", "MeanFieldEnv", "MeanFieldState", "gather_fleet_step"]
 
 
 @dataclass(frozen=True)
@@ -54,11 +48,6 @@ class MeanFieldState:
 
     def copy(self) -> "MeanFieldState":
         return MeanFieldState(self.nu.copy(), self.lam_mode, self.t)
-
-
-def observation_dim(config: SystemConfig, num_modes: int = 2) -> int:
-    """Flat observation size: ``ν`` (S floats) + one-hot arrival mode."""
-    return config.num_queue_states + num_modes
 
 
 class FleetStep(NamedTuple):
@@ -89,22 +78,26 @@ def gather_fleet_step(
     own step, before the next row steps: on a generator the rows share,
     that is the draw order of stepping the environments one at a time.
     """
-    obs, rewards, dones, infos, next_obs = [], [], [], [], []
+    obs, rewards, dones, infos, resets = [], [], [], [], {}
     for i, (row_obs, reward, done, info) in enumerate(row_steps):
-        row_obs = np.asarray(row_obs, dtype=np.float64)
         obs.append(row_obs)
         rewards.append(reward)
         dones.append(done)
         infos.append(info)
         if done and reset_rngs is not None:
-            row_obs = np.asarray(envs[i].reset(reset_rngs[i]), dtype=np.float64)
-        next_obs.append(row_obs)
+            resets[i] = envs[i].reset(reset_rngs[i])
+    obs = np.array(obs, dtype=np.float64)
+    next_obs = obs
+    if resets:
+        next_obs = obs.copy()
+        for i, row_obs in resets.items():
+            next_obs[i] = row_obs
     return FleetStep(
-        np.stack(obs),
+        obs,
         np.asarray(rewards, dtype=np.float64),
         np.asarray(dones, dtype=bool),
         infos,
-        np.stack(next_obs),
+        next_obs,
     )
 
 
@@ -124,9 +117,12 @@ class MeanFieldEnv:
         Episode length in decision epochs; defaults to
         ``config.episode_length`` (the paper's ``T = 500``).
     propagator:
-        ``"exact"`` (one stacked matrix exponential per step) or
-        ``"tabulated"`` (grid-interpolated exponentials, ~10x faster,
-        error measured by
+        ``"exact"`` (the closed-form epoch rows of
+        :func:`repro.meanfield.discretization.propagate_state`) or
+        ``"tabulated"`` (grid-interpolated exponentials; a lock-step
+        step of 8 environments costs about 0.5-0.65x the exact one, a
+        single-environment step about 0.4x, per
+        ``benchmarks/bench_ablation_propagator.py``; error measured by
         :meth:`repro.meanfield.discretization.TabulatedPropagator.max_interpolation_error`).
     arrival_process:
         Optional custom modulating chain; defaults to the two-level chain

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.meanfield.decision_rule import DecisionRule
-from repro.meanfield.mfc_env import MeanFieldEnv, observation_dim
+from repro.meanfield.mfc_env import MeanFieldEnv
 from repro.meanfield.analytic import mm1b_drop_rate
 from repro.policies.static import (
     ConstantRulePolicy,
@@ -26,15 +26,12 @@ class TestLifecycle:
     def test_reset_gives_initial_state(self, small_config):
         env = MeanFieldEnv(small_config, seed=0)
         obs = env.reset()
-        assert obs.shape == (env.observation_size,)
+        assert obs.shape == (env.observation_size,) == (8,)
         state = env.state
         assert state.nu[small_config.initial_state] == 1.0
         assert state.t == 0
         # one-hot arrival mode appended
         assert obs[6:].sum() == pytest.approx(1.0)
-
-    def test_observation_dim_helper(self, small_config):
-        assert observation_dim(small_config) == 8
 
     def test_action_size(self, small_config):
         env = MeanFieldEnv(small_config)
