@@ -53,6 +53,7 @@ from repro.meanfield.decision_rule import DecisionRule
 
 __all__ = [
     "per_state_arrival_rates",
+    "unit_arrival_rates",
     "birth_death_generator",
     "extended_generator",
     "propagate_state",
@@ -102,22 +103,33 @@ def per_state_arrival_rates(
     lam = np.asarray(lam, dtype=np.float64)
     if not ((lam >= 0) & (lam < np.inf)).all():
         raise ValueError(f"arrival intensity lam must be finite and >= 0, got {lam}")
+    return lam[..., None] * unit_arrival_rates(hists, probs).reshape(nu.shape)
+
+
+def unit_arrival_rates(hists: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Eq. 22 at unit intensity, ``g[e, k, z] = λ_t(ν_ek, z) / λ_t``.
+
+    ``hists`` holds laws ``(E, K, S)`` and ``probs`` a stacked rule table
+    ``(E, S, ..., S, d)``; the result has the shape of ``hists``. The
+    unchecked core of :func:`per_state_arrival_rates`, which the finite
+    clients call on their own histograms
+    (:func:`repro.queueing.clients.choice_probabilities`).
+    """
     d = probs.ndim - 2
     if d == 1:
         # A single sample is always joined: g(z) = h(0 | z) = 1.
-        unit = np.broadcast_to(probs[:, None, :, 0], hists.shape).copy()
-    else:
-        axes = _STATE_AXES[:d]
-        unit = None
-        for u in range(d):
-            others = ["ek" + axes[i] for i in range(d) if i != u]
-            term = np.einsum(
-                ",".join(["e" + axes, *others]) + "->ek" + axes[u],
-                probs[..., u],
-                *[hists] * (d - 1),
-            )
-            unit = term if unit is None else unit + term
-    return lam[..., None] * unit.reshape(nu.shape)
+        return np.broadcast_to(probs[:, None, :, 0], hists.shape).copy()
+    axes = _STATE_AXES[:d]
+    total = None
+    for u in range(d):
+        others = ["ek" + axes[i] for i in range(d) if i != u]
+        term = np.einsum(
+            ",".join(["e" + axes, *others]) + "->ek" + axes[u],
+            probs[..., u],
+            *[hists] * (d - 1),
+        )
+        total = term if total is None else total + term
+    return total
 
 
 def _paired_laws(

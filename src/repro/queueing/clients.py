@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.meanfield.decision_rule import DecisionRule
-from repro.meanfield.discretization import per_state_arrival_rates
+from repro.meanfield.discretization import unit_arrival_rates
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -266,9 +266,7 @@ def choice_probabilities(
     hists = np.bincount(
         (seen + offsets).ravel(), minlength=e * k * s
     ).reshape(e, k, s) / degree
-    rates = np.take_along_axis(
-        per_state_arrival_rates(hists, probs, 1.0), seen, axis=-1
-    )
+    rates = np.take_along_axis(unit_arrival_rates(hists, probs), seen, axis=-1)
     # Normalizing, rather than dividing by the degree, absorbs the row-sum
     # round-off a valid rule may carry, so the probabilities sum to 1.
     p = rates / rates.sum(axis=-1, keepdims=True)
