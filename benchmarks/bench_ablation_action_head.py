@@ -43,7 +43,7 @@ def _common_config(**extra) -> PPOConfig:
 def _run_both_heads():
     cfg = paper_system_config(delta_t=5.0, num_queues=100)
 
-    env_g = MeanFieldEnv(cfg, horizon=100, propagator="tabulated", seed=0)
+    env_g = MeanFieldEnv(cfg, horizon=100, seed=0)
     gaussian = PPOTrainer(
         env_g, _common_config(initial_log_std=-1.0), seed=0
     )
@@ -54,7 +54,7 @@ def _run_both_heads():
     )
     g_final = evaluate_policy_mfc(env_g, g_policy, episodes=10, seed=7).mean
 
-    env_d = MeanFieldEnv(cfg, horizon=100, propagator="tabulated", seed=0)
+    env_d = MeanFieldEnv(cfg, horizon=100, seed=0)
     dirichlet = DirichletPPOTrainer(
         env_d, block_size=cfg.d, config=_common_config(), seed=0
     )

@@ -24,7 +24,7 @@ DELTA_T = 5.0
 
 def _run():
     cfg = paper_system_config(delta_t=DELTA_T, num_queues=100)
-    env = MeanFieldEnv(cfg, horizon=100, propagator="tabulated", seed=0)
+    env = MeanFieldEnv(cfg, horizon=100, seed=0)
     ppo_policy, source = get_mf_policy(DELTA_T)
     cem = optimize_constant_rule(
         env, generations=10, population=24, episodes_per_candidate=2, seed=3

@@ -21,7 +21,7 @@ def _sweep_d():
     results = {}
     for d in (1, 2, 3):
         cfg = SystemConfig(delta_t=1.0, d=d)
-        env = MeanFieldEnv(cfg, horizon=200, propagator="tabulated", seed=0)
+        env = MeanFieldEnv(cfg, horizon=200, seed=0)
         policy = JoinShortestQueuePolicy(cfg.num_queue_states, d)
         returns = [env.rollout_return(policy, seed=s) for s in range(6)]
         results[d] = -float(np.mean(returns))  # drops (positive)

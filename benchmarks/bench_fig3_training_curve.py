@@ -130,7 +130,7 @@ def test_fig3_final_level_beats_baselines(benchmark, results_dir):
 
     def evaluate():
         cfg = paper_system_config(delta_t=DELTA_T, num_queues=100)
-        env = MeanFieldEnv(cfg, horizon=HORIZON, propagator="tabulated", seed=0)
+        env = MeanFieldEnv(cfg, horizon=HORIZON, seed=0)
         mf_policy, source = get_mf_policy(DELTA_T)
         evals = evaluate_policies_mfc(
             env,

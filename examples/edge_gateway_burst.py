@@ -57,7 +57,6 @@ def main() -> None:
         mfc_env = MeanFieldEnv(
             config,
             horizon=num_epochs,
-            propagator="tabulated",
             arrival_process=build_arrivals(burst, 0.5),
             seed=args.seed,
         )

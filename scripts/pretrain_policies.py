@@ -67,16 +67,14 @@ def pretrain_one(
     horizon: int = 100,
     eval_episodes: int = 30,
     seed: int = 0,
-    num_envs: int = 1,
+    num_envs: int = 8,
     verbose: bool = True,
 ) -> dict:
     """Run the full pipeline for one delay; returns the metadata dict."""
     t_start = time.perf_counter()
     cfg = paper_system_config(delta_t=delta_t, num_queues=100)
-    env = MeanFieldEnv(cfg, horizon=horizon, propagator="tabulated", seed=seed)
-    eval_env = MeanFieldEnv(
-        cfg, horizon=horizon, propagator="tabulated", seed=seed + 1
-    )
+    env = MeanFieldEnv(cfg, horizon=horizon, seed=seed)
+    eval_env = MeanFieldEnv(cfg, horizon=horizon, seed=seed + 1)
     s, d = cfg.num_queue_states, cfg.d
 
     baselines = {
@@ -180,7 +178,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--num-envs",
         type=int,
-        default=1,
+        default=8,
         help="lock-step MFC envs for PPO collection (vectorized rollouts)",
     )
     parser.add_argument("--seed", type=int, default=0)

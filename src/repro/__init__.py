@@ -44,7 +44,7 @@ from repro.policies import (
 # Kept in sync with pyproject.toml; also salts the experiment-store
 # cache keys (repro.store.keys.CODE_SALT), so bump it whenever a change
 # alters the simulation random streams.
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "PPOConfig",

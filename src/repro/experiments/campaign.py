@@ -152,7 +152,6 @@ class RegimeSpec:
         return DelayedMeanFieldEnv(
             self.config,
             horizon=self.horizon,
-            propagator="tabulated",
             arrival_process=arrivals,
             seed=seed,
             delay_model=delay,

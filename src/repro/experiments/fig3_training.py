@@ -7,6 +7,10 @@ reference lines for the MF-JSQ(2) and MF-RND rules evaluated in the same
 mean-field model. This module reproduces that experiment at a
 configurable budget: the same MDP, the same loss, the same
 hyperparameters (Table 2), fewer iterations by default.
+
+PPO collects from 8 lock-step environments (the shape of the
+``ppo-train-dt5`` benchmark workload), so every time slice moves all 8
+laws with one batched step of the closed-form epoch map.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from repro.rl.ppo import PPOTrainer
 from repro.utils.tables import format_table, series_to_csv
 
 __all__ = ["TrainingCurveResult", "run_fig3"]
+
+#: Lock-step environments PPO collects from; every caller's
+#: ``train_batch_size`` must be a multiple of it.
+_NUM_ENVS = 8
 
 
 @dataclass
@@ -65,7 +73,6 @@ def run_fig3(
     ppo_config: PPOConfig | None = None,
     baseline_episodes: int = 30,
     seed: int = 0,
-    propagator: str = "tabulated",
     callback=None,
 ) -> TrainingCurveResult:
     """Train PPO on the MFC MDP and compare to the static baselines.
@@ -73,13 +80,16 @@ def run_fig3(
     Parameters
     ----------
     iterations:
-        PPO iterations of ``train_batch_size`` env steps each. The paper
-        uses ~6000 (2.5e7 steps); the default regenerates the curve's
-        shape in minutes.
+        PPO iterations of ``train_batch_size`` env steps each, collected
+        from 8 lock-step environments (so the batch size must be a
+        multiple of 8). The paper uses ~6000 (2.5e7 steps); the default
+        regenerates the curve's shape in minutes.
     horizon:
         Episode length in decision epochs (paper: 500). Returns scale
         linearly with it, so baselines and the learned curve stay
-        comparable at any value.
+        comparable at any value. An iteration in which no episode ends
+        (``horizon`` above ``train_batch_size / 8`` steps per
+        environment) records a NaN mean return.
     """
     cfg = (
         config
@@ -90,10 +100,8 @@ def run_fig3(
         cfg = cfg.with_updates(delta_t=delta_t)
     ppo = ppo_config if ppo_config is not None else paper_ppo_config(seed=seed)
 
-    env = MeanFieldEnv(cfg, horizon=horizon, propagator=propagator, seed=seed)
-    eval_env = MeanFieldEnv(
-        cfg, horizon=horizon, propagator=propagator, seed=seed + 1
-    )
+    env = MeanFieldEnv(cfg, horizon=horizon, seed=seed)
+    eval_env = MeanFieldEnv(cfg, horizon=horizon, seed=seed + 1)
 
     baselines = {
         f"MF-JSQ({cfg.d})": JoinShortestQueuePolicy(cfg.num_queue_states, cfg.d),
@@ -104,7 +112,7 @@ def run_fig3(
     )
     baseline_returns = {name: ci.mean for name, ci in baseline_cis.items()}
 
-    trainer = PPOTrainer(env, config=ppo, seed=seed)
+    trainer = PPOTrainer(env, config=ppo, seed=seed, num_envs=_NUM_ENVS)
     env_steps: list[int] = []
     mean_returns: list[float] = []
     stats_history = []

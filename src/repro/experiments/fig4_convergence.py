@@ -140,9 +140,7 @@ def run_fig4(
     # Mean-field reference (the red dotted line): expected cumulative
     # drops of the same policy in the limiting MDP over the same horizon.
     mf_cfg = paper_system_config(delta_t=delta_t, num_queues=m_grid[-1])
-    mf_env = MeanFieldEnv(
-        mf_cfg, horizon=num_epochs, propagator="tabulated", seed=seed
-    )
+    mf_env = MeanFieldEnv(mf_cfg, horizon=num_epochs, seed=seed)
     mf_ci = evaluate_policy_mfc(
         mf_env, policy, episodes=mf_eval_episodes, seed=seed
     )

@@ -26,7 +26,7 @@ from repro.config import SystemConfig, paper_system_config
 if TYPE_CHECKING:
     from repro.policies.base import UpperLevelPolicy
 
-__all__ = ["checkpoint_path", "get_mf_policy", "available_checkpoints"]
+__all__ = ["checkpoint_path", "get_mf_policy"]
 
 _FALLBACK_CACHE: dict[tuple, "UpperLevelPolicy"] = {}
 
@@ -35,21 +35,6 @@ def checkpoint_path(delta_t: float, directory: Path | None = None) -> Path:
     """Canonical checkpoint location for a given delay."""
     base = directory if directory is not None else POLICY_DIR
     return base / f"mf_dt{delta_t:g}.npz"
-
-
-def available_checkpoints(directory: Path | None = None) -> dict[float, Path]:
-    """Map of delay -> packaged checkpoint file."""
-    base = directory if directory is not None else POLICY_DIR
-    out: dict[float, Path] = {}
-    if not base.exists():
-        return out
-    for path in sorted(base.glob("mf_dt*.npz")):
-        try:
-            delta_t = float(path.stem[len("mf_dt") :])
-        except ValueError:  # pragma: no cover - stray files
-            continue
-        out[delta_t] = path
-    return out
 
 
 def _cem_fallback(
@@ -62,9 +47,7 @@ def _cem_fallback(
     from repro.rl.cem import optimize_constant_rule
 
     horizon = config.resolved_eval_length()
-    env = MeanFieldEnv(
-        config, horizon=horizon, propagator="tabulated", seed=seed
-    )
+    env = MeanFieldEnv(config, horizon=horizon, seed=seed)
     result = optimize_constant_rule(
         env,
         generations=generations,

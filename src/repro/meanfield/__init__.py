@@ -9,7 +9,6 @@ resulting upper-level Markov decision process on ``P(Z) x Lambda``.
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import (
     ExactPropagator,
-    TabulatedPropagator,
     birth_death_generator,
     epoch_update,
     extended_generator,
@@ -27,19 +26,15 @@ from repro.meanfield.heterogeneous import HeterogeneousMeanFieldModel
 from repro.meanfield.stationary import (
     StationaryResult,
     stationary_distribution,
-    stationary_drops,
 )
 from repro.meanfield.convergence import (
     TrajectoryGap,
-    empirical_distribution,
     mean_field_trajectory,
     trajectory_gap,
 )
 from repro.meanfield.local import (
-    LocalMeanFieldTrajectory,
     local_arrival_rates,
     local_epoch_update,
-    local_mean_field_trajectory,
     neighborhood_mixtures,
     observed_distributions,
 )
@@ -69,15 +64,12 @@ __all__ = [
     "delayed_arrival_rates",
     "delayed_local_epoch_update",
     "delayed_mean_field_trajectory",
-    "LocalMeanFieldTrajectory",
     "local_arrival_rates",
     "local_epoch_update",
-    "local_mean_field_trajectory",
     "neighborhood_mixtures",
     "observed_distributions",
     "DecisionRule",
     "ExactPropagator",
-    "TabulatedPropagator",
     "birth_death_generator",
     "extended_generator",
     "per_state_arrival_rates",
@@ -92,9 +84,7 @@ __all__ = [
     "HeterogeneousMeanFieldModel",
     "StationaryResult",
     "stationary_distribution",
-    "stationary_drops",
     "TrajectoryGap",
-    "empirical_distribution",
     "mean_field_trajectory",
     "trajectory_gap",
 ]

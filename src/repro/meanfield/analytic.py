@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "mm1b_stationary_distribution",
     "mm1b_loss_probability",
-    "mm1b_expected_queue_length",
     "mm1b_drop_rate",
     "mmpp_stationary_distribution",
 ]
@@ -48,13 +47,6 @@ def mm1b_loss_probability(
     By PASTA this equals ``π(B)``.
     """
     return float(mm1b_stationary_distribution(arrival, service, buffer_size)[-1])
-
-
-def mm1b_expected_queue_length(
-    arrival: float, service: float, buffer_size: int
-) -> float:
-    pi = mm1b_stationary_distribution(arrival, service, buffer_size)
-    return float(pi @ np.arange(buffer_size + 1))
 
 
 def mm1b_drop_rate(arrival: float, service: float, buffer_size: int) -> float:

@@ -36,22 +36,10 @@ if TYPE_CHECKING:  # import cycle: policies build on top of the mean-field model
     from repro.policies.base import UpperLevelPolicy
 
 __all__ = [
-    "empirical_distribution",
     "mean_field_trajectory",
     "TrajectoryGap",
     "trajectory_gap",
 ]
-
-
-def empirical_distribution(states: np.ndarray, num_states: int) -> np.ndarray:
-    """Histogram of queue states as a probability vector (Eq. 2)."""
-    states = np.asarray(states)
-    if states.size == 0:
-        raise ValueError("need at least one queue")
-    if states.min() < 0 or states.max() >= num_states:
-        raise ValueError(f"states must lie in [0, {num_states - 1}]")
-    counts = np.bincount(states, minlength=num_states)
-    return counts.astype(np.float64) / states.size
 
 
 def mean_field_trajectory(

@@ -46,7 +46,7 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
 
     Parameters
     ----------
-    config, horizon, propagator, arrival_process, seed:
+    config, horizon, arrival_process, seed:
         As in :class:`repro.meanfield.mfc_env.MeanFieldEnv`.
     delay_model:
         Snapshot-age model; defaults to the paper's synchronous
@@ -70,7 +70,6 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
         self,
         config: SystemConfig,
         horizon: int | None = None,
-        propagator: str = "exact",
         arrival_process: MarkovModulatedRate | None = None,
         seed: int | np.random.Generator | None = None,
         delay_model: DelayModel | None = None,
@@ -82,7 +81,6 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
         super().__init__(
             config,
             horizon=horizon,
-            propagator=propagator,
             arrival_process=arrival_process,
             seed=seed,
         )
@@ -143,18 +141,14 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
     def clone(
         self, seed: int | np.random.Generator | None = None
     ) -> "DelayedMeanFieldEnv":
-        env = DelayedMeanFieldEnv(
+        return DelayedMeanFieldEnv(
             self.config,
             horizon=self.horizon,
-            propagator="exact",
             arrival_process=self.arrivals.replica(),
             seed=seed,
             delay_model=self.delay_model.replica(),
             features=self.features,
         )
-        env._propagator = self._propagator
-        env.propagator_kind = self.propagator_kind
-        return env
 
     def reset(
         self, seed: int | np.random.Generator | None = None
@@ -175,8 +169,7 @@ class DelayedMeanFieldEnv(MeanFieldEnv):
         cls, envs: list["DelayedMeanFieldEnv"], probs: np.ndarray, lams: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         # Rows whose delay model is all age 0 take the paper's batched
-        # epoch map through the configured propagator; the closure rows
-        # advance one by one.
+        # epoch map; the closure rows advance one by one.
         fresh = [i for i, env in enumerate(envs) if env.delay_model.max_delay == 0]
         if len(fresh) == len(envs):
             return super()._advance_batch(envs, probs, lams)

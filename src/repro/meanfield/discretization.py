@@ -60,7 +60,6 @@ __all__ = [
     "propagate_laws",
     "epoch_update",
     "ExactPropagator",
-    "TabulatedPropagator",
 ]
 
 #: Largest round-off growth factor (see :func:`_closed_form_slices`) at
@@ -70,6 +69,11 @@ __all__ = [
 #: and the drops relative to λΔt, stay within 2.1e-13 of it at this
 #: bound, against 4.8e-13 at 2e3 and 1.6e-12 at 1e4.
 _MAX_GROWTH = 1e3
+
+#: Largest deviation from 1 of an ``expm`` fallback row's sum that
+#: :func:`propagate_state` returns; ``expm`` loses digits as ``λΔt``
+#: grows (see :func:`_fallback_rows`).
+_MAX_FALLBACK_ROW_ERROR = 1e-6
 
 #: ``numpy.einsum`` letters for the rule's state axes; ``e`` (rule) and
 #: ``k`` (law) label the batch axes.
@@ -220,6 +224,14 @@ def propagate_state(
     that slice's own inputs and every step works slice by slice, so
     every batch entry equals its own unbatched call bit for bit.
 
+    Domain: finite, non-negative ``arrival_rates`` and ``service`` and a
+    finite ``delta_t > 0``. The paper's model stays far inside it (a
+    frozen rate is at most ``d·λ_max``). Fallback slices are only as
+    good as ``expm``, which degrades as ``λΔt`` grows; a fallback row
+    that comes back non-finite, or whose sum is off by more than
+    :data:`_MAX_FALLBACK_ROW_ERROR`, raises ``ValueError`` naming
+    ``arrival_rates`` and the largest ``λΔt`` rather than being returned.
+
     Returns
     -------
     transitions:
@@ -256,10 +268,9 @@ def propagate_state(
         )
     if not closed.all():
         other = ~closed
-        exp_stack = expm(
-            extended_generator(lam[other], alpha[other], num_states) * delta_t
+        flat[other] = _fallback_rows(
+            lam[other], alpha[other], z[other], delta_t, num_states
         )
-        flat[other] = exp_stack[np.arange(len(exp_stack)), z[other]]
     drops = rows[..., num_states]
     # The drop integral is non-negative; round-off at vanishing rates can
     # leave it a denormal below zero. Clamped in place: a contiguous copy
@@ -284,6 +295,38 @@ def _closed_form_slices(
     log_r = 0.5 * np.log(np.divide(lam, alpha, out=np.ones_like(lam), where=positive))
     steps = np.where(log_r > 0, num_states - 1 - z, z)
     return positive & (np.abs(log_r) * steps <= np.log(_MAX_GROWTH))
+
+
+def _fallback_rows(
+    lam: np.ndarray,
+    alpha: np.ndarray,
+    z: np.ndarray,
+    delta_t: float,
+    num_states: int,
+) -> np.ndarray:
+    """``[P_z(Δt), D_z(Δt)]`` of each slice from ``expm`` of its
+    extended generator, checked for the simplex.
+
+    ``expm``'s round-off grows with ``λΔt``. Over S ∈ {2, 6, 11},
+    α ∈ {0.1, 0.3, 1} and Δt ∈ {0.5, 2, 10} its worst row-sum error is
+    3e-13 below ``λΔt = 1e4``, 6e-11 below 1e6 and 3e-7 below 1e10; it
+    first passes 1e-6 at ``λΔt ≈ 1.8e10`` and is of order one near 1e16,
+    where the drops exceed ``λΔt``. From about 1e50 the rows are NaN.
+    Rows off by more than :data:`_MAX_FALLBACK_ROW_ERROR` raise instead
+    of reaching the laws.
+    """
+    exp_stack = expm(extended_generator(lam, alpha, num_states) * delta_t)
+    rows = exp_stack[np.arange(len(exp_stack)), z]
+    error = np.abs(rows[:, :num_states].sum(axis=-1) - 1.0)
+    bad = ~(np.isfinite(rows).all(axis=-1) & (error <= _MAX_FALLBACK_ROW_ERROR))
+    if bad.any():
+        raise ValueError(
+            "arrival_rates outside the propagator's domain: expm rows lose "
+            f"the simplex at λΔt up to {lam[bad].max() * delta_t:.3g} "
+            f"(worst row-sum error {error[bad].max():.2g}, bound "
+            f"{_MAX_FALLBACK_ROW_ERROR:g})"
+        )
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,86 +467,3 @@ class ExactPropagator:
             nu, arrival_rates, self.service, self.delta_t
         )
         return nu_next, drops
-
-
-class TabulatedPropagator:
-    """Grid-interpolated epoch propagator (training fast path).
-
-    Pre-computes the extended matrix exponential on a uniform grid of
-    arrival-rate values and answers queries by linear interpolation of
-    the exponentials. Interpolation is a convex combination of stochastic
-    matrices, so the returned ``ν_{t+1}`` is always a valid distribution
-    and drops are always non-negative; the dynamics error is
-    ``O(grid_step²)`` and is measured explicitly in the ablation bench.
-    """
-
-    def __init__(
-        self,
-        num_states: int,
-        service: float,
-        delta_t: float,
-        max_arrival: float,
-        grid_size: int = 257,
-    ) -> None:
-        if grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
-        if max_arrival <= 0:
-            raise ValueError("max_arrival must be > 0")
-        self.num_states = num_states
-        self.service = service
-        self.delta_t = delta_t
-        self.max_arrival = max_arrival
-        self.grid = np.linspace(0.0, max_arrival, grid_size)
-        self._step = self.grid[1] - self.grid[0]
-        # Table of expm rows: shape (grid, S, S+1); entry [g, z, :] is the
-        # z-th row of expm(Ā(grid[g]) Δt) (state distribution + drops).
-        self._table = expm(
-            extended_generator(self.grid, service, num_states) * delta_t
-        )[:, :num_states, :]
-
-    def _rows(self, arrival_rates: np.ndarray) -> np.ndarray:
-        """Interpolated (state-distribution + drop) rows per initial state.
-
-        ``arrival_rates`` has shape ``(..., S)``; the rows ``(..., S, S+1)``.
-        """
-        rates = np.asarray(arrival_rates, dtype=np.float64)
-        if rates.ndim == 0 or rates.shape[-1] != self.num_states:
-            raise ValueError(
-                f"arrival_rates must have shape (..., {self.num_states})"
-            )
-        if rates.min() < -1e-12 or rates.max() > self.max_arrival + 1e-9:
-            raise ValueError(
-                f"arrival rates {rates} outside tabulated range "
-                f"[0, {self.max_arrival}]"
-            )
-        pos = np.clip(rates, 0.0, self.max_arrival) / self._step
-        low = np.minimum(pos.astype(np.intp), len(self.grid) - 2)
-        frac = (pos - low)[..., None]
-        z_idx = np.arange(self.num_states)
-        row_low = self._table[low, z_idx, :]
-        row_high = self._table[low + 1, z_idx, :]
-        return row_low * (1.0 - frac) + row_high * frac
-
-    def propagate(
-        self, nu: np.ndarray, arrival_rates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """As :meth:`ExactPropagator.propagate`, from interpolated rows."""
-        rows = self._rows(arrival_rates)
-        nu_next, drops = _contract(
-            np.asarray(nu, dtype=np.float64),
-            rows[..., : self.num_states],
-            rows[..., self.num_states],
-        )
-        return _on_simplex(nu_next), drops
-
-    def max_interpolation_error(self, probe_points: int = 100) -> float:
-        """Sup-norm error of interpolated rows at grid midpoints."""
-        probes = np.linspace(
-            self._step / 2.0, self.max_arrival - self._step / 2.0, probe_points
-        )
-        rates = np.repeat(probes[:, None], self.num_states, axis=1)
-        exact, drops = propagate_state(
-            rates, self.service, self.delta_t, self.num_states
-        )
-        exact_rows = np.concatenate([exact, drops[..., None]], axis=-1)
-        return float(np.abs(exact_rows - self._rows(rates)).max())

@@ -38,9 +38,6 @@ operate on the ``Z × C`` observed states of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.meanfield.decision_rule import DecisionRule
@@ -50,16 +47,11 @@ from repro.meanfield.discretization import (
 )
 from repro.queueing.topology import TopologySpec
 
-if TYPE_CHECKING:  # import cycle: policies build on top of the mean-field model
-    from repro.policies.base import UpperLevelPolicy
-
 __all__ = [
     "observed_distributions",
     "neighborhood_mixtures",
     "local_arrival_rates",
     "local_epoch_update",
-    "LocalMeanFieldTrajectory",
-    "local_mean_field_trajectory",
 ]
 
 
@@ -175,77 +167,3 @@ def local_epoch_update(
     )
     nus_next, drops, _ = propagate_laws(nus, rates, service, delta_t)
     return nus_next, drops
-
-
-@dataclass
-class LocalMeanFieldTrajectory:
-    """Deterministic per-node trajectory on a sparse topology."""
-
-    nus: np.ndarray  # (T+1, M, S) per-queue laws
-    drops: np.ndarray  # (T, M) expected per-queue drops per epoch
-
-    @property
-    def mean_nus(self) -> np.ndarray:
-        """Population-averaged laws, shape ``(T+1, S)`` — comparable to
-        the global mean-field trajectory."""
-        return self.nus.mean(axis=1)
-
-    @property
-    def total_drops_per_queue(self) -> float:
-        """Cumulative expected drops averaged over queues (the Figure
-        4-6 y-axis quantity in the limit model)."""
-        return float(self.drops.sum(axis=0).mean())
-
-
-def local_mean_field_trajectory(
-    topology: TopologySpec,
-    policy: "UpperLevelPolicy",
-    mode_sequence: np.ndarray,
-    arrival_levels: np.ndarray,
-    service_rates: np.ndarray | float,
-    delta_t: float,
-    num_states: int,
-    initial_state: int = 0,
-    classes: np.ndarray | None = None,
-    num_classes: int = 1,
-) -> LocalMeanFieldTrajectory:
-    """Replay a scripted arrival-mode sequence through the local model.
-
-    The per-node counterpart of
-    :func:`repro.meanfield.convergence.mean_field_trajectory`: the
-    upper-level policy is queried once per epoch on the *population
-    mixture* (what a delayed broadcast would carry) and the emitted rule
-    drives every node. MF / JSQ(d) / SED(d) / RND can all be evaluated
-    under delay on sparse graphs this way.
-    """
-    mode_sequence = np.asarray(mode_sequence, dtype=np.intp)
-    levels = np.asarray(arrival_levels, dtype=np.float64)
-    m = topology.num_queues
-    if not 0 <= initial_state < num_states:
-        raise ValueError(
-            f"initial_state must lie in [0, {num_states - 1}]"
-        )
-    nus = np.zeros((m, num_states))
-    nus[:, initial_state] = 1.0
-    t_len = mode_sequence.size
-    out_nus = np.empty((t_len + 1, m, num_states))
-    out_drops = np.empty((t_len, m))
-    out_nus[0] = nus
-    for t, mode in enumerate(mode_sequence):
-        mixture = observed_distributions(nus, classes, num_classes).mean(
-            axis=0
-        )
-        rule = policy.decision_rule(mixture, int(mode), None)
-        nus, drops = local_epoch_update(
-            nus,
-            topology,
-            rule,
-            float(levels[mode]),
-            service_rates,
-            delta_t,
-            classes=classes,
-            num_classes=num_classes,
-        )
-        out_nus[t + 1] = nus
-        out_drops[t] = drops
-    return LocalMeanFieldTrajectory(nus=out_nus, drops=out_drops)

@@ -10,11 +10,12 @@ The environment exposes a gym-like ``reset``/``step`` API plus a
 the RL stack and normalizes them onto the simplex the way the paper does
 (Gaussian policy output + manual normalization).
 
-Lock-step ensembles (the PPO collector, lock-step evaluation) advance
-through :meth:`MeanFieldEnv.step_batch` and
-:meth:`MeanFieldEnv.step_raw_batch`: one Eq. 22 call and one propagator
-call move all ``E`` laws, and ``step``/``step_raw`` are the ``E = 1``
-case.
+Lock-step ensembles (the PPO collector, lock-step evaluation, CEM's
+candidate fleets) advance through :meth:`MeanFieldEnv.step_batch` and
+:meth:`MeanFieldEnv.step_raw_batch`: one Eq. 22 call and one call of
+the closed-form propagator
+(:class:`repro.meanfield.discretization.ExactPropagator`, the only one)
+move all ``E`` laws, and ``step``/``step_raw`` are the ``E = 1`` case.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.meanfield.decision_rule import DecisionRule
-from repro.meanfield.discretization import (
-    ExactPropagator,
-    TabulatedPropagator,
-    per_state_arrival_rates,
-)
+from repro.meanfield.discretization import ExactPropagator, per_state_arrival_rates
 from repro.queueing.arrivals import MarkovModulatedRate
 from repro.queueing.clients import stack_rules
 from repro.utils.rng import as_generator
@@ -117,13 +114,11 @@ class MeanFieldEnv:
         Episode length in decision epochs; defaults to
         ``config.episode_length`` (the paper's ``T = 500``).
     propagator:
-        ``"exact"`` (the closed-form epoch rows of
-        :func:`repro.meanfield.discretization.propagate_state`) or
-        ``"tabulated"`` (grid-interpolated exponentials; a lock-step
-        step of 8 environments costs about 0.5-0.65x the exact one, a
-        single-environment step about 0.4x, per
-        ``benchmarks/bench_ablation_propagator.py``; error measured by
-        :meth:`repro.meanfield.discretization.TabulatedPropagator.max_interpolation_error`).
+        Must be ``"exact"``: the epoch map always runs on the closed-form
+        rows of :func:`repro.meanfield.discretization.propagate_state`.
+        The keyword remains because callers name the kernel explicitly
+        (the ``ppo-train-dt5`` workload of ``perfbench/workloads.py``
+        does); any other value raises ``ValueError``.
     arrival_process:
         Optional custom modulating chain; defaults to the two-level chain
         of Eq. (32)-(33) built from ``config``.
@@ -146,23 +141,14 @@ class MeanFieldEnv:
             if arrival_process is not None
             else MarkovModulatedRate.from_config(config)
         )
-        s = config.num_queue_states
-        if propagator == "exact":
-            self._propagator = ExactPropagator(
-                s, config.service_rate, config.delta_t
-            )
-        elif propagator == "tabulated":
-            # Frozen arrival rates are bounded by d * λ_max (Section 3:
-            # λ_t(ν, z) <= d λ_t); keep a small safety margin.
-            max_arrival = config.d * self.arrivals.max_rate() * (1.0 + 1e-9)
-            self._propagator = TabulatedPropagator(
-                s, config.service_rate, config.delta_t, max_arrival
-            )
-        else:
+        if propagator != "exact":
             raise ValueError(
-                f"unknown propagator {propagator!r}; use 'exact' or 'tabulated'"
+                f"unknown propagator {propagator!r}; the closed-form 'exact' "
+                "kernel is the only one"
             )
-        self.propagator_kind = propagator
+        self._propagator = ExactPropagator(
+            config.num_queue_states, config.service_rate, config.delta_t
+        )
         self._rng = as_generator(seed)
         self._nu: np.ndarray | None = None
         self._lam_mode: int = 0
@@ -230,20 +216,14 @@ class MeanFieldEnv:
     def clone(self, seed: int | np.random.Generator | None = None) -> "MeanFieldEnv":
         """Fresh environment with the same configuration (used to build
         lock-step ensembles for the vectorized rollout collector)."""
-        env = MeanFieldEnv(
+        return MeanFieldEnv(
             self.config,
             horizon=self.horizon,
-            propagator="exact",
             # replica(): stateful processes (ScriptedRate's replay cursor)
             # must not be shared across lock-step clones.
             arrival_process=self.arrivals.replica(),
             seed=seed,
         )
-        # Propagators are stateless; share ours instead of re-tabulating
-        # (a TabulatedPropagator rebuild is ~100ms of matrix exponentials).
-        env._propagator = self._propagator
-        env.propagator_kind = self.propagator_kind
-        return env
 
     def reset(self, seed: int | np.random.Generator | None = None) -> np.ndarray:
         """Start a fresh episode: ``ν_0 = δ_{z0}``, ``λ_0 ~ Unif``."""
@@ -299,24 +279,33 @@ class MeanFieldEnv:
         """Advance ``E`` lock-step environments by one epoch.
 
         ``rules`` is one rule for every row, one rule per row, or a
-        stacked rule table ``(E, S, ..., S, d)``. The laws move together:
+        stacked rule table ``(E, S, ..., S, d)``. The rows must share
+        ``(S, d)``, the service rate and ``Δt``. The laws move together:
         one Eq. 22 call over the ``(E, S)`` stack and one call of the
-        shared propagator (one per distinct propagator, if the rows do
-        not share one). Each row then steps its exogenous chains, in row
-        order and from its own generator; with ``reset_rngs`` a row whose
-        episode ended resets right after its own draw (see
+        first row's propagator. Each row then steps its exogenous chains,
+        in row order and from its own generator; with ``reset_rngs`` a
+        row whose episode ended resets right after its own draw (see
         :func:`gather_fleet_step`). Every row equals its own ``E = 1``
         step bit for bit.
         """
         envs = list(envs)
         if not envs:
             raise ValueError("need at least one environment")
-        s, d = envs[0].num_queue_states, envs[0].config.d
+        first = envs[0].config
+        s, d = envs[0].num_queue_states, first.d
         for env in envs:
             if env._nu is None:
                 raise RuntimeError("environment must be reset before use")
             if env.num_queue_states != s or env.config.d != d:
                 raise ValueError("lock-step environments must share (S, d)")
+            if (env.config.service_rate, env.config.delta_t) != (
+                first.service_rate,
+                first.delta_t,
+            ):
+                raise ValueError(
+                    "lock-step environments must share service_rate and "
+                    "delta_t: one propagator moves every row"
+                )
         if not isinstance(rules, np.ndarray):
             rules = stack_rules(rules, len(envs))
         expected = (len(envs),) + (s,) * d + (d,)
@@ -344,18 +333,7 @@ class MeanFieldEnv:
         ``(E, S)`` and the expected drops per queue ``(E,)``."""
         nus = np.stack([env._nu for env in envs])
         rates = per_state_arrival_rates(nus, probs, lams)
-        groups: dict[int, list[int]] = {}
-        for i, env in enumerate(envs):
-            groups.setdefault(id(env._propagator), []).append(i)
-        if len(groups) == 1:
-            nus_next, drops = envs[0]._propagator.propagate(nus, rates)
-        else:
-            nus_next, drops = np.empty_like(nus), np.empty(len(envs))
-            for rows in groups.values():
-                propagator = envs[rows[0]]._propagator
-                nus_next[rows], drops[rows] = propagator.propagate(
-                    nus[rows], rates[rows]
-                )
+        nus_next, drops = envs[0]._propagator.propagate(nus, rates)
         for env, nu in zip(envs, nus_next):
             env._nu = nu
         return rates, drops

@@ -24,7 +24,7 @@ import numpy as np
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import epoch_update
 
-__all__ = ["StationaryResult", "stationary_distribution", "stationary_drops"]
+__all__ = ["StationaryResult", "stationary_distribution"]
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,3 @@ def stationary_distribution(
         iterations=iterations,
         converged=residual < tol,
     )
-
-
-def stationary_drops(
-    rule: DecisionRule,
-    lam: float,
-    service: float,
-    delta_t: float,
-    **kwargs,
-) -> float:
-    """Steady-state drops per queue per unit time under a constant rule."""
-    result = stationary_distribution(rule, lam, service, delta_t, **kwargs)
-    return result.drops_per_epoch / delta_t

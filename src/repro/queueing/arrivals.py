@@ -209,7 +209,7 @@ class MarkovModulatedRate:
         return float(self.stationary_distribution() @ self.levels)
 
     def max_rate(self) -> float:
-        """Largest level — the propagator tabulation bound."""
+        """Largest level; ``d`` times it bounds every frozen per-state rate."""
         return float(self.levels.max())
 
     def simulate_modes(self, num_steps: int, rng=None) -> np.ndarray:

@@ -10,6 +10,13 @@ interpolates between MF-JSQ and MF-RND as ``Δt`` grows and serves as
 * a fast stand-in for the learned policy in quick-running benches, and
 * the ablation A4 reference ("how much does state feedback buy over the
   best constant rule?").
+
+Each generation is scored as one lock-step fleet: every candidate's
+episodes are clones of the environment, and one
+:meth:`~repro.meanfield.mfc_env.MeanFieldEnv.step_batch` call per epoch
+moves all of them under their stacked rules. Eq. 22 and the propagator
+are batch-invariant, so each row's return equals its candidate scored
+alone on the same generator, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.mfc_env import MeanFieldEnv
 from repro.policies.static import ConstantRulePolicy
-from repro.utils.rng import as_generator
+from repro.utils.rng import as_generator, spawn_generators
 
 __all__ = ["CEMResult", "optimize_constant_rule"]
 
@@ -40,20 +47,36 @@ class CEMResult:
         return ConstantRulePolicy(self.rule, name="CEM")
 
 
-def _evaluate_raw(
+def _generation_returns(
     env: MeanFieldEnv,
-    raw: np.ndarray,
+    candidates: np.ndarray,
     episodes: int,
     steps: int,
     rng: np.random.Generator,
-) -> float:
-    """Mean undiscounted return of the constant rule encoded by ``raw``."""
-    rule = DecisionRule.from_raw(raw, env.num_queue_states, env.config.d)
-    policy = ConstantRulePolicy(rule)
-    total = 0.0
-    for _ in range(episodes):
-        total += env.rollout_return(policy, num_steps=steps, seed=rng)
-    return total / episodes
+) -> np.ndarray:
+    """Mean undiscounted return of each candidate's constant rule.
+
+    One fleet of ``len(candidates) × episodes`` clones of ``env``, each
+    seeded by its own generator spawned from ``rng`` (row
+    ``i·episodes + k`` plays candidate ``i``'s episode ``k``), steps the
+    stacked rules in lock-step.
+    """
+    fleet = [
+        env.clone(seed=child)
+        for child in spawn_generators(rng, len(candidates) * episodes)
+    ]
+    for clone in fleet:
+        clone.reset()
+    rules = DecisionRule.stack_from_raw(
+        np.repeat(candidates, episodes, axis=0), env.num_queue_states, env.config.d
+    )
+    totals = np.zeros(len(fleet))
+    for _ in range(steps):
+        step = type(env).step_batch(fleet, rules)
+        totals += step.rewards
+        if step.dones.any():  # shared horizon: every row truncates together
+            break
+    return totals.reshape(len(candidates), episodes).mean(axis=1)
 
 
 def optimize_constant_rule(
@@ -99,11 +122,9 @@ def optimize_constant_rule(
         candidates = mean[None, :] + std[None, :] * rng.standard_normal(
             (population, dim)
         )
-        returns = np.empty(population)
-        for i in range(population):
-            returns[i] = _evaluate_raw(
-                env, candidates[i], episodes_per_candidate, steps, rng
-            )
+        returns = _generation_returns(
+            env, candidates, episodes_per_candidate, steps, rng
+        )
         order = np.argsort(returns)[::-1]
         elites = candidates[order[:n_elite]]
         mean = elites.mean(axis=0)

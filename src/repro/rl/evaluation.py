@@ -5,15 +5,15 @@ modest number of rollouts gives tight estimates of the expected
 undiscounted episode return (the paper's Figure 3 y-axis).
 
 Evaluation episodes are independent, so they run in *lock-step*: all
-``E`` episode environments advance together and the upper-level policy
-is queried once per epoch for the whole ensemble
-(``decision_rules_batch`` — one network forward pass for neural
-policies). Each episode keeps its own spawned generator, so the
-lock-step mode trajectories match the historical one-episode-at-a-time
-loop exactly and, for deterministic policies, the returns agree up to
-floating-point association in the batched forward pass (tested); pass
-``lockstep=False`` to force the sequential path, e.g. for policies that
-consume the per-episode generator.
+``E`` episode environments advance together through one
+:meth:`~repro.meanfield.mfc_env.MeanFieldEnv.step_batch` call per epoch,
+and the upper-level policy is queried once per epoch for the whole
+ensemble (``decision_rules_batch`` — one network forward pass for neural
+policies). Each episode keeps its own spawned generator, so the mode
+trajectories match a one-episode-at-a-time loop of
+:meth:`~repro.meanfield.mfc_env.MeanFieldEnv.rollout_return` on the same
+generators exactly and, for deterministic policies, the returns agree up
+to floating-point association in the batched forward pass (tested).
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ def evaluate_policy_mfc(
     discount: float | None = None,
     seed: int | np.random.Generator | None = None,
     level: float = 0.95,
-    lockstep: bool = True,
 ) -> ConfidenceInterval:
     """Mean (un)discounted return of ``policy`` over fresh MFC episodes."""
     if episodes < 1:
@@ -114,22 +113,14 @@ def evaluate_policy_mfc(
     # episodes env generators + one policy-query generator; the first
     # `episodes` children match a plain spawn_generators(seed, episodes).
     rngs = spawn_generators(seed, episodes + 1)
-    if lockstep:
-        returns = rollout_returns_lockstep(
-            env,
-            policy,
-            rngs[:episodes],
-            num_steps=num_steps,
-            discount=discount,
-            policy_rng=rngs[episodes],
-        )
-    else:
-        returns = [
-            env.rollout_return(
-                policy, num_steps=num_steps, discount=discount, seed=rng
-            )
-            for rng in rngs[:episodes]
-        ]
+    returns = rollout_returns_lockstep(
+        env,
+        policy,
+        rngs[:episodes],
+        num_steps=num_steps,
+        discount=discount,
+        policy_rng=rngs[episodes],
+    )
     return mean_confidence_interval(returns, level=level)
 
 
@@ -139,7 +130,6 @@ def evaluate_policies_mfc(
     episodes: int = 20,
     num_steps: int | None = None,
     seed: int | np.random.Generator | None = None,
-    lockstep: bool = True,
 ) -> dict[str, ConfidenceInterval]:
     """Evaluate several policies on a *common* set of arrival-mode seeds
     (common random numbers sharpen the comparison)."""
@@ -147,15 +137,8 @@ def evaluate_policies_mfc(
     episode_seeds = [int(root.integers(2**62)) for _ in range(episodes)]
     results: dict[str, ConfidenceInterval] = {}
     for name, policy in policies.items():
-        if lockstep:
-            returns = rollout_returns_lockstep(
-                env, policy, episode_seeds, num_steps=num_steps,
-                policy_rng=root,
-            )
-        else:
-            returns = [
-                env.rollout_return(policy, num_steps=num_steps, seed=s)
-                for s in episode_seeds
-            ]
+        returns = rollout_returns_lockstep(
+            env, policy, episode_seeds, num_steps=num_steps, policy_rng=root
+        )
         results[name] = mean_confidence_interval(returns)
     return results

@@ -1,6 +1,6 @@
 """Shared utilities: seeding, statistics, tables, serialization."""
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
+from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.stats import (
     ConfidenceInterval,
     WelfordAccumulator,
@@ -10,7 +10,6 @@ from repro.utils.tables import format_table, series_to_csv
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
 
 __all__ = [
-    "RngFactory",
     "as_generator",
     "spawn_generators",
     "ConfidenceInterval",

@@ -12,11 +12,9 @@ stable).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-__all__ = ["as_generator", "spawn_generators", "RngFactory"]
+__all__ = ["as_generator", "spawn_generators"]
 
 SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
 
@@ -55,42 +53,3 @@ def spawn_generators(
         return [np.random.default_rng(s) for s in seed.spawn(count)]
     root = np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in root.spawn(count)]
-
-
-class RngFactory:
-    """A reproducible stream of named generators.
-
-    Example
-    -------
-    >>> factory = RngFactory(seed=7)
-    >>> rng_env = factory.make("env")
-    >>> rng_policy = factory.make("policy")
-
-    The generator for a name is a pure function of ``(seed, name)``; the
-    order in which names are requested does not matter. Requesting the
-    same name twice returns *distinct* generators from consecutive
-    children of that name's sequence so that repeated Monte-Carlo
-    repetitions stay independent.
-    """
-
-    def __init__(self, seed: int | None = 0) -> None:
-        self._root = np.random.SeedSequence(seed)
-        self._counters: dict[str, int] = {}
-
-    def make(self, name: str) -> np.random.Generator:
-        """Return the next generator in the stream for ``name``."""
-        index = self._counters.get(name, 0)
-        self._counters[name] = index + 1
-        # Derive entropy from the name deterministically, then spawn by
-        # occurrence index so repeated calls differ but remain reproducible.
-        name_entropy = [ord(c) for c in name] or [0]
-        child = np.random.SeedSequence(
-            entropy=self._root.entropy,
-            spawn_key=(*self._root.spawn_key, *name_entropy, index),
-        )
-        return np.random.default_rng(child)
-
-    def stream(self, name: str) -> Iterator[np.random.Generator]:
-        """Infinite iterator of fresh generators for ``name``."""
-        while True:
-            yield self.make(name)

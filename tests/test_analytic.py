@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.meanfield.analytic import (
     mm1b_drop_rate,
-    mm1b_expected_queue_length,
     mm1b_loss_probability,
     mm1b_stationary_distribution,
     mmpp_stationary_distribution,
@@ -50,7 +49,10 @@ class TestMM1B:
         assert losses == sorted(losses, reverse=True)
 
     def test_expected_length_monotone_in_load(self):
-        lens = [mm1b_expected_queue_length(lam, 1.0, 5) for lam in (0.2, 0.6, 1.0)]
+        lens = [
+            mm1b_stationary_distribution(lam, 1.0, 5) @ np.arange(6)
+            for lam in (0.2, 0.6, 1.0)
+        ]
         assert lens == sorted(lens)
 
     def test_drop_rate_is_lambda_times_loss(self):

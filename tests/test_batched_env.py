@@ -323,6 +323,19 @@ class TestRunnerBackends:
             )
 
 
+def _one_episode_at_a_time(env, policy, episodes, seed):
+    """Reference for lock-step evaluation: ``env.rollout_return`` per
+    episode on the generators ``evaluate_policy_mfc`` spawns."""
+    from repro.utils.rng import spawn_generators
+
+    return np.mean(
+        [
+            env.rollout_return(policy, seed=rng)
+            for rng in spawn_generators(seed, episodes)
+        ]
+    )
+
+
 class TestBatchedPolicyQueries:
     def test_neural_batch_matches_loop(self, small_config):
         from repro.policies.learned import NeuralPolicy
@@ -344,9 +357,9 @@ class TestBatchedPolicyQueries:
 
         env = MeanFieldEnv(small_config, horizon=15, seed=0)
         policy = JoinShortestQueuePolicy(6, 2)
-        fast = evaluate_policy_mfc(env, policy, episodes=6, seed=11, lockstep=True)
-        slow = evaluate_policy_mfc(env, policy, episodes=6, seed=11, lockstep=False)
-        assert fast.mean == pytest.approx(slow.mean, rel=1e-9)
+        fast = evaluate_policy_mfc(env, policy, episodes=6, seed=11)
+        slow = _one_episode_at_a_time(env, policy, episodes=6, seed=11)
+        assert fast.mean == pytest.approx(slow, rel=1e-9)
 
     def test_lockstep_clones_do_not_share_scripted_cursor(self, small_config):
         """Each lock-step clone replays the full scripted trajectory
@@ -359,9 +372,9 @@ class TestBatchedPolicyQueries:
             small_config, horizon=12, arrival_process=scripted, seed=0
         )
         policy = JoinShortestQueuePolicy(6, 2)
-        fast = evaluate_policy_mfc(env, policy, episodes=4, seed=3, lockstep=True)
-        slow = evaluate_policy_mfc(env, policy, episodes=4, seed=3, lockstep=False)
-        assert fast.mean == pytest.approx(slow.mean, rel=1e-9)
+        fast = evaluate_policy_mfc(env, policy, episodes=4, seed=3)
+        slow = _one_episode_at_a_time(env, policy, episodes=4, seed=3)
+        assert fast.mean == pytest.approx(slow, rel=1e-9)
 
     def test_lockstep_keeps_stochastic_policies_stochastic(self, small_config):
         from repro.meanfield.mfc_env import MeanFieldEnv
@@ -373,6 +386,6 @@ class TestBatchedPolicyQueries:
         noisy = NeuralPolicy(net, num_states=6, d=2, deterministic=False)
         mean_only = NeuralPolicy(net, num_states=6, d=2, deterministic=True)
         env = MeanFieldEnv(small_config, horizon=10, seed=0)
-        a = evaluate_policy_mfc(env, noisy, episodes=4, seed=7, lockstep=True)
-        b = evaluate_policy_mfc(env, mean_only, episodes=4, seed=7, lockstep=True)
+        a = evaluate_policy_mfc(env, noisy, episodes=4, seed=7)
+        b = evaluate_policy_mfc(env, mean_only, episodes=4, seed=7)
         assert a.mean != pytest.approx(b.mean)

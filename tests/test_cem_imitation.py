@@ -16,7 +16,7 @@ from repro.rl.nn import GaussianPolicyNetwork
 @pytest.fixture
 def env():
     cfg = SystemConfig(delta_t=5.0)
-    return MeanFieldEnv(cfg, horizon=40, propagator="tabulated", seed=0)
+    return MeanFieldEnv(cfg, horizon=40, seed=0)
 
 
 class TestCEM:
@@ -57,6 +57,30 @@ class TestCEM:
             seed=3,
         )
         assert evals["cem"].mean > evals["rnd"].mean
+
+    def test_generation_fleet_equals_candidates_scored_alone(self, env, rng):
+        """A generation is scored as one lock-step fleet; candidate i's
+        return equals its episodes played alone, one at a time, on the
+        same spawned generators, bit for bit."""
+        from repro.policies.static import ConstantRulePolicy
+        from repro.rl.cem import _generation_returns
+        from repro.utils.rng import spawn_generators
+
+        candidates = rng.random((5, env.action_size))
+        episodes, steps = 3, 12
+        fleet = _generation_returns(
+            env, candidates, episodes, steps, np.random.default_rng(4)
+        )
+        seeds = spawn_generators(np.random.default_rng(4), 5 * episodes)
+        for i, raw in enumerate(candidates):
+            policy = ConstantRulePolicy(DecisionRule.from_raw(raw, 6, 2))
+            alone = [
+                env.rollout_return(
+                    policy, num_steps=steps, seed=seeds[i * episodes + k]
+                )
+                for k in range(episodes)
+            ]
+            assert fleet[i] == np.mean(alone)
 
     def test_reproducible(self, env):
         a = optimize_constant_rule(env, generations=2, population=6, seed=5)

@@ -11,18 +11,30 @@ ranking (MF at or below JSQ from ``Δt = 5``) under the bench seed.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.assets import POLICY_DIR
 from repro.config import paper_system_config
 from repro.experiments.campaign import (
     available_regime_checkpoints,
     get_regime_policy,
     regime_checkpoint_path,
 )
-from repro.experiments.pretrained import available_checkpoints, get_mf_policy
+from repro.experiments.pretrained import get_mf_policy
 from repro.policies.learned import NeuralPolicy
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
+
+
+def available_checkpoints() -> dict[float, Path]:
+    """Map of delay -> packaged ``mf_dt{Δt}.npz`` checkpoint."""
+    return {
+        float(path.stem[len("mf_dt") :]): path
+        for path in sorted(POLICY_DIR.glob("mf_dt*.npz"))
+    }
+
 
 PAPER_CHECKPOINTS = available_checkpoints()
 REGIME_CHECKPOINTS = available_regime_checkpoints()

@@ -3,27 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.meanfield.convergence import (
-    empirical_distribution,
-    mean_field_trajectory,
-    trajectory_gap,
-)
+from repro.meanfield.convergence import mean_field_trajectory, trajectory_gap
 from repro.meanfield.discretization import epoch_update
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
-
-
-class TestEmpiricalDistribution:
-    def test_basic_histogram(self):
-        hist = empirical_distribution(np.array([0, 0, 1, 3]), 4)
-        assert np.allclose(hist, [0.5, 0.25, 0.0, 0.25])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_distribution(np.array([], dtype=int), 4)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            empirical_distribution(np.array([0, 4]), 4)
 
 
 class TestMeanFieldTrajectory:

@@ -14,7 +14,6 @@ from repro.meanfield.analytic import (
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import (
     ExactPropagator,
-    TabulatedPropagator,
     birth_death_generator,
     epoch_update,
     extended_generator,
@@ -336,6 +335,25 @@ class TestNonFiniteInputs:
             per_state_arrival_rates(np.full(6, 1 / 6), rule, np.nan)
 
 
+class TestFallbackDomain:
+    """``expm`` loses the simplex as λΔt grows (S = 6, α = 1, Δt = 2:
+    rows summing to 1 ± 3.6e-2 at λ = 1e15, NaN at 1e100); such rows
+    raise instead of reaching the laws."""
+
+    @pytest.mark.parametrize("lam", [1e15, 1e100])
+    def test_rejects_fallback_rows_off_the_simplex(self, lam):
+        with pytest.raises(ValueError, match="arrival_rates") as info:
+            propagate_state(np.full(6, lam), 1.0, 2.0, 6)
+        assert f"λΔt up to {2.0 * lam:.3g}" in str(info.value)
+
+    def test_accepts_fallback_rows_within_the_bound(self):
+        """At λΔt = 2e10 the fallback rows are off by ≈ 1e-7, inside the
+        bound, and come back."""
+        trans, drops = propagate_state(np.full(6, 1e10), 1.0, 2.0, 6)
+        assert np.abs(trans.sum(axis=-1) - 1.0).max() <= 1e-6
+        assert np.all(np.isfinite(drops))
+
+
 class TestStackedRatesAndPropagators:
     def test_stacked_rates_equal_single_law_calls(self, rng):
         """Stacked laws and rules, a shared rule over many laws and one
@@ -363,14 +381,9 @@ class TestStackedRatesAndPropagators:
         with pytest.raises(ValueError):
             per_state_arrival_rates(np.full(4, 0.25), probs, 1.0)
 
-    @pytest.mark.parametrize("kind", ["exact", "tabulated"])
-    def test_propagators_take_stacks(self, rng, kind):
+    def test_propagators_take_stacks(self, rng):
         s = 6
-        prop = (
-            ExactPropagator(s, 1.0, 2.0)
-            if kind == "exact"
-            else TabulatedPropagator(s, 1.0, 2.0, max_arrival=1.8)
-        )
+        prop = ExactPropagator(s, 1.0, 2.0)
         nus = rng.dirichlet(np.ones(s), size=4)
         rates = rng.uniform(0.0, 1.8, size=(4, s))
         nu_next, drops = prop.propagate(nus, rates)
@@ -435,47 +448,6 @@ class TestPropagators:
         nu_b, drops_b = epoch_update(nu, rule, lam, 1.0, 2.0)
         assert np.allclose(nu_a, nu_b)
         assert drops_a == pytest.approx(drops_b)
-
-    def test_tabulated_close_to_exact(self, rng):
-        s = 6
-        tab = TabulatedPropagator(s, 1.0, 2.0, max_arrival=1.8, grid_size=257)
-        exact = ExactPropagator(s, 1.0, 2.0)
-        for _ in range(20):
-            nu = rng.dirichlet(np.ones(s))
-            rates = rng.uniform(0, 1.8, size=s)
-            nu_t, d_t = tab.propagate(nu, rates)
-            nu_e, d_e = exact.propagate(nu, rates)
-            assert np.abs(nu_t - nu_e).max() < 1e-3
-            assert abs(d_t - d_e) < 1e-3
-
-    def test_tabulated_stays_on_simplex(self, rng):
-        tab = TabulatedPropagator(6, 1.0, 5.0, max_arrival=1.8, grid_size=17)
-        for _ in range(20):
-            nu = rng.dirichlet(np.ones(6))
-            rates = rng.uniform(0, 1.8, size=6)
-            nu_t, d_t = tab.propagate(nu, rates)
-            assert np.all(nu_t >= 0) and nu_t.sum() == pytest.approx(1.0)
-            assert d_t >= 0
-
-    def test_tabulated_error_shrinks_with_grid(self):
-        coarse = TabulatedPropagator(6, 1.0, 2.0, 1.8, grid_size=9)
-        fine = TabulatedPropagator(6, 1.0, 2.0, 1.8, grid_size=129)
-        assert fine.max_interpolation_error(25) < coarse.max_interpolation_error(25)
-
-    def test_tabulated_rejects_out_of_range(self):
-        tab = TabulatedPropagator(4, 1.0, 1.0, max_arrival=1.0)
-        with pytest.raises(ValueError):
-            tab.propagate(np.full(4, 0.25), np.array([0.0, 0.5, 0.9, 1.5]))
-
-    def test_exact_grid_points_are_exact(self):
-        tab = TabulatedPropagator(4, 1.0, 1.5, max_arrival=1.0, grid_size=11)
-        rates = np.array([0.0, 0.1, 0.5, 1.0])  # all on the grid
-        exact = ExactPropagator(4, 1.0, 1.5)
-        nu = np.full(4, 0.25)
-        nu_t, d_t = tab.propagate(nu, rates)
-        nu_e, d_e = exact.propagate(nu, rates)
-        assert np.allclose(nu_t, nu_e, atol=1e-12)
-        assert d_t == pytest.approx(d_e, abs=1e-12)
 
 
 @given(

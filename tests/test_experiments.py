@@ -8,11 +8,7 @@ from repro.experiments.fig3_training import run_fig3
 from repro.experiments.fig4_convergence import run_fig4
 from repro.experiments.fig5_delay_sweep import run_fig5
 from repro.experiments.fig6_small_n import run_fig6
-from repro.experiments.pretrained import (
-    available_checkpoints,
-    checkpoint_path,
-    get_mf_policy,
-)
+from repro.experiments.pretrained import checkpoint_path, get_mf_policy
 from repro.experiments.runner import evaluate_policy_finite, policy_suite
 from repro.experiments.tables import (
     render_table1,
@@ -74,14 +70,12 @@ class TestPretrainedRegistry:
         assert checkpoint_path(5.0, tmp_path).name == "mf_dt5.npz"
         assert checkpoint_path(2.5, tmp_path).name == "mf_dt2.5.npz"
 
-    def test_available_checkpoints_empty_dir(self, tmp_path):
-        assert available_checkpoints(tmp_path) == {}
-
     def test_packaged_checkpoints_exist(self):
         """The repo ships pretrained policies for all paper delays."""
-        ckpts = available_checkpoints()
         for dt in (1.0, 3.0, 5.0, 7.0, 10.0):
-            assert dt in ckpts, f"missing packaged checkpoint for Δt={dt}"
+            assert checkpoint_path(dt).exists(), (
+                f"missing packaged checkpoint for Δt={dt}"
+            )
 
     def test_get_policy_from_checkpoint(self):
         policy, source = get_mf_policy(5.0)

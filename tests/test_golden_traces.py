@@ -193,13 +193,11 @@ def _mfc_episode(env) -> dict:
 
 def _build_meanfield_family_trace() -> dict:
     """The mean-field models no other reference pins: the delayed MFC
-    env (two delay models, both propagators, live age features), the
-    delayed hybrid fleet, the three-class heterogeneous model and the
-    tabulated MFC env."""
+    env (two delay models, live age features), the delayed hybrid fleet
+    and the three-class heterogeneous model."""
     from repro.meanfield.delayed_env import DelayedMeanFieldEnv
     from repro.meanfield.features import ObservationFeatures
     from repro.meanfield.heterogeneous import HeterogeneousMeanFieldModel
-    from repro.meanfield.mfc_env import MeanFieldEnv
     from repro.queueing.delays import MarkovModulatedDelay
     from repro.queueing.heterogeneous import sed_rule
     from repro.queueing.hybrid_env import BatchedHybridFleetEnv
@@ -213,18 +211,16 @@ def _build_meanfield_family_trace() -> dict:
         ),
     }
     delayed_env = {
-        f"{name}-{kind}": _mfc_episode(
+        f"{name}-exact": _mfc_episode(
             DelayedMeanFieldEnv(
                 _CONFIG,
                 horizon=_EPOCHS,
-                propagator=kind,
                 seed=_SEED,
                 delay_model=model,
                 features=features,
             )
         )
         for name, model in delay_models.items()
-        for kind in ("exact", "tabulated")
     }
     hybrid = BatchedHybridFleetEnv(
         _CONFIG,
@@ -250,11 +246,6 @@ def _build_meanfield_family_trace() -> dict:
         "delayed_env": delayed_env,
         "hybrid_delayed": _trace_payload(hybrid, JoinShortestQueuePolicy(6, 2)),
         "heterogeneous": {"nus": nus, "drops": drops},
-        "tabulated_env": _mfc_episode(
-            MeanFieldEnv(
-                _CONFIG, horizon=_EPOCHS, propagator="tabulated", seed=_SEED
-            )
-        ),
     }
 
 

@@ -1,5 +1,7 @@
 """Tests for the local (per-node) mean-field propagator."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.meanfield.discretization import epoch_update
 from repro.meanfield.local import (
     local_arrival_rates,
     local_epoch_update,
-    local_mean_field_trajectory,
     neighborhood_mixtures,
     observed_distributions,
 )
@@ -17,6 +18,71 @@ from repro.queueing.heterogeneous import ServerClassSpec, sed_rule
 from repro.queueing.topology import TopologySpec
 
 S, D, M = 6, 2, 12
+
+
+@dataclass
+class LocalMeanFieldTrajectory:
+    """Deterministic per-node trajectory on a sparse topology."""
+
+    nus: np.ndarray  # (T+1, M, S) per-queue laws
+    drops: np.ndarray  # (T, M) expected per-queue drops per epoch
+
+    @property
+    def mean_nus(self) -> np.ndarray:
+        """Population-averaged laws ``(T+1, S)``."""
+        return self.nus.mean(axis=1)
+
+    @property
+    def total_drops_per_queue(self) -> float:
+        """Cumulative expected drops averaged over queues."""
+        return float(self.drops.sum(axis=0).mean())
+
+
+def local_mean_field_trajectory(
+    topology,
+    policy,
+    mode_sequence,
+    arrival_levels,
+    service_rates,
+    delta_t,
+    num_states,
+    initial_state=0,
+    classes=None,
+    num_classes=1,
+) -> LocalMeanFieldTrajectory:
+    """Replay a scripted arrival-mode sequence through the local model.
+
+    The per-node counterpart of
+    :func:`repro.meanfield.convergence.mean_field_trajectory`: the
+    policy is queried once per epoch on the population mixture and the
+    emitted rule drives every node.
+    """
+    mode_sequence = np.asarray(mode_sequence, dtype=np.intp)
+    levels = np.asarray(arrival_levels, dtype=np.float64)
+    m = topology.num_queues
+    if not 0 <= initial_state < num_states:
+        raise ValueError(f"initial_state must lie in [0, {num_states - 1}]")
+    nus = np.zeros((m, num_states))
+    nus[:, initial_state] = 1.0
+    out_nus = np.empty((mode_sequence.size + 1, m, num_states))
+    out_drops = np.empty((mode_sequence.size, m))
+    out_nus[0] = nus
+    for t, mode in enumerate(mode_sequence):
+        mixture = observed_distributions(nus, classes, num_classes).mean(axis=0)
+        rule = policy.decision_rule(mixture, int(mode), None)
+        nus, drops = local_epoch_update(
+            nus,
+            topology,
+            rule,
+            float(levels[mode]),
+            service_rates,
+            delta_t,
+            classes=classes,
+            num_classes=num_classes,
+        )
+        out_nus[t + 1] = nus
+        out_drops[t] = drops
+    return LocalMeanFieldTrajectory(nus=out_nus, drops=out_drops)
 
 
 @pytest.fixture

@@ -168,23 +168,13 @@ class TestRolloutReturn:
         discounted = env.rollout_return(policy, discount=0.9, seed=3)
         assert abs(discounted) < abs(undiscounted)
 
-    def test_propagator_choice_consistent(self, small_config):
-        rule = DecisionRule.join_shortest(6, 2)
-        policy = ConstantRulePolicy(rule)
-        script = ScriptedRate([0.9, 0.6], [0, 1] * 25)
-        env_exact = MeanFieldEnv(
-            small_config, horizon=50, propagator="exact", arrival_process=script
-        )
-        env_tab = MeanFieldEnv(
-            small_config, horizon=50, propagator="tabulated", arrival_process=script
-        )
-        r_exact = env_exact.rollout_return(policy, seed=0)
-        r_tab = env_tab.rollout_return(policy, seed=0)
-        assert r_exact == pytest.approx(r_tab, abs=0.05)
-
     def test_unknown_propagator_rejected(self, small_config):
-        with pytest.raises(ValueError):
-            MeanFieldEnv(small_config, propagator="magic")
+        """The closed form is the only kernel: naming the grid-interpolated
+        table fails like any unknown name."""
+        for kind in ("magic", "tabulated"):
+            with pytest.raises(ValueError, match="propagator"):
+                MeanFieldEnv(small_config, propagator=kind)
+        assert MeanFieldEnv(small_config, propagator="exact").horizon == 50
 
 
 def _coin_arrivals() -> MarkovModulatedRate:
@@ -195,11 +185,10 @@ def _coin_arrivals() -> MarkovModulatedRate:
     )
 
 
-def _fleet(config, count, horizon=3, propagator="exact", **kwargs):
+def _fleet(config, count, horizon=3, **kwargs):
     env = MeanFieldEnv(
         config,
         horizon=horizon,
-        propagator=propagator,
         arrival_process=_coin_arrivals(),
         **kwargs,
     )
@@ -263,14 +252,11 @@ class TestLockstepStep:
         with pytest.raises(ValueError):
             MeanFieldEnv.step_raw_batch(envs, np.zeros((2, 5)))
 
-    @pytest.mark.parametrize("propagator", ["exact", "tabulated"])
-    def test_fleet_equals_single_rows_with_own_streams(
-        self, small_config, rng, propagator
-    ):
+    def test_fleet_equals_single_rows_with_own_streams(self, small_config, rng):
         """Under independent streams a fleet of E equals E single-row
         steps bit for bit, resets included."""
         e = 4
-        fleet = _fleet(small_config, e, propagator=propagator)
+        fleet = _fleet(small_config, e)
         rows = [env.clone() for env in fleet]
         fleet_rngs = [np.random.default_rng(100 + i) for i in range(e)]
         row_rngs = [np.random.default_rng(100 + i) for i in range(e)]
@@ -322,17 +308,11 @@ class TestLockstepStep:
         assert shared_a.bit_generator.state == shared_b.bit_generator.state
 
     def test_rows_with_their_own_propagators(self, small_config, rng):
-        """Rows that share no propagator are grouped per propagator and
-        still equal their single-row steps."""
-        kinds = ["exact", "tabulated", "exact"]
-        fleet = [
-            MeanFieldEnv(small_config, propagator=k, seed=i)
-            for i, k in enumerate(kinds)
-        ]
-        rows = [
-            MeanFieldEnv(small_config, propagator=k, seed=i)
-            for i, k in enumerate(kinds)
-        ]
+        """Rows built apart each hold their own propagator; the fleet
+        moves them all with the first row's and still equals their
+        single-row steps."""
+        fleet = [MeanFieldEnv(small_config, seed=i) for i in range(3)]
+        rows = [MeanFieldEnv(small_config, seed=i) for i in range(3)]
         for env in fleet + rows:
             env.reset()
         for _ in range(5):
@@ -342,3 +322,16 @@ class TestLockstepStep:
                 obs, reward, _, _ = env.step_raw(raw[i])
                 assert np.array_equal(batched.obs[i], obs)
                 assert batched.rewards[i] == reward
+
+    def test_rows_must_share_service_rate_and_delta_t(self, small_config):
+        """One propagator moves every row, so a row whose service rate
+        or Δt differs from the first row's is rejected."""
+        for update in ({"service_rate": 2.0}, {"delta_t": 2.0}):
+            fleet = [
+                MeanFieldEnv(small_config, seed=0),
+                MeanFieldEnv(small_config.with_updates(**update), seed=1),
+            ]
+            for env in fleet:
+                env.reset()
+            with pytest.raises(ValueError, match="service_rate and delta_t"):
+                MeanFieldEnv.step_batch(fleet, DecisionRule.uniform(6, 2))

@@ -71,7 +71,7 @@ class TestDirichletPPO:
 
     def test_runs_on_mfc_env(self):
         cfg = SystemConfig(delta_t=5.0)
-        env = MeanFieldEnv(cfg, horizon=20, propagator="tabulated", seed=0)
+        env = MeanFieldEnv(cfg, horizon=20, seed=0)
         ppo = PPOConfig(
             learning_rate=1e-3,
             train_batch_size=80,
@@ -92,7 +92,7 @@ class TestDirichletPPO:
         """Training is float32; the deterministic policy evaluates a
         float64 copy of the network as it was when the policy was made."""
         cfg = SystemConfig(delta_t=5.0)
-        env = MeanFieldEnv(cfg, horizon=20, propagator="tabulated", seed=0)
+        env = MeanFieldEnv(cfg, horizon=20, seed=0)
         ppo = PPOConfig(
             learning_rate=1e-2,
             train_batch_size=40,

@@ -9,10 +9,13 @@ from repro.meanfield.analytic import (
 )
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.discretization import epoch_update
-from repro.meanfield.stationary import (
-    stationary_distribution,
-    stationary_drops,
-)
+from repro.meanfield.stationary import stationary_distribution
+
+
+def _drops_per_time(rule, lam, service, delta_t) -> float:
+    """Steady-state drops per queue per unit time under a constant rule."""
+    result = stationary_distribution(rule, lam, service, delta_t)
+    return result.drops_per_epoch / delta_t
 
 
 class TestFixedPoint:
@@ -50,7 +53,7 @@ class TestFixedPoint:
     def test_jsq_beats_rnd_in_steady_state_at_small_delay(self):
         jsq = DecisionRule.join_shortest(6, 2)
         rnd = DecisionRule.uniform(6, 2)
-        assert stationary_drops(jsq, 0.9, 1.0, 0.5) < stationary_drops(
+        assert _drops_per_time(jsq, 0.9, 1.0, 0.5) < _drops_per_time(
             rnd, 0.9, 1.0, 0.5
         )
 
@@ -60,13 +63,13 @@ class TestFixedPoint:
         jsq = DecisionRule.join_shortest(6, 2)
         rnd = DecisionRule.uniform(6, 2)
         lam = 0.9
-        rnd_rate = stationary_drops(rnd, lam, 1.0, 10.0)
-        jsq_rate = stationary_drops(jsq, lam, 1.0, 10.0)
+        rnd_rate = _drops_per_time(rnd, lam, 1.0, 10.0)
+        jsq_rate = _drops_per_time(jsq, lam, 1.0, 10.0)
         assert jsq_rate > rnd_rate
 
     def test_drop_rate_monotone_in_load(self):
         rule = DecisionRule.join_shortest(6, 2)
-        rates = [stationary_drops(rule, lam, 1.0, 2.0) for lam in (0.5, 0.7, 0.9)]
+        rates = [_drops_per_time(rule, lam, 1.0, 2.0) for lam in (0.5, 0.7, 0.9)]
         assert rates == sorted(rates)
 
     def test_result_properties(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
+from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
 from repro.utils.stats import (
     WelfordAccumulator,
@@ -42,20 +42,6 @@ class TestRng:
     def test_spawn_rejects_negative(self):
         with pytest.raises(ValueError):
             spawn_generators(0, -1)
-
-    def test_factory_name_independence(self):
-        f1 = RngFactory(0)
-        env_first = f1.make("env").random(4)
-        f2 = RngFactory(0)
-        f2.make("policy")  # request order must not matter
-        env_second = f2.make("env").random(4)
-        assert np.allclose(env_first, env_second)
-
-    def test_factory_repeated_names_differ(self):
-        f = RngFactory(0)
-        a = f.make("mc").random(4)
-        b = f.make("mc").random(4)
-        assert not np.allclose(a, b)
 
 
 class TestWelford:
