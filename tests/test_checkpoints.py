@@ -23,7 +23,6 @@ from repro.experiments.campaign import (
     get_regime_policy,
     regime_checkpoint_path,
 )
-from repro.experiments.pretrained import get_mf_policy
 from repro.policies.learned import NeuralPolicy
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
 
