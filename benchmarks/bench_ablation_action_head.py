@@ -5,21 +5,24 @@ The paper reports that Dirichlet-parameterized upper-level policies
 than the Gaussian policy with manual normalization — a result observed
 over its full 2.5e7-step training budget. At bench scale neither head
 separates definitively, so this bench *characterizes* the two heads at
-a strictly matched budget (same env, batch size, epochs, learning rate)
-and records training curves and final deterministic evaluations to
-``results/ablation_action_head.txt``; EXPERIMENTS.md discusses the
+a strictly matched budget: both train through one ``PPOTrainer`` with
+the same config, env, seed and collector, and only ``action_head``
+differs. It records training curves and final deterministic evaluations
+to ``results/ablation_action_head.txt``; ``docs/paper-map.md`` notes the
 budget caveat. Hard assertions cover validity and comparability, not a
 winner.
+
+    python -m pytest benchmarks/bench_ablation_action_head.py --benchmark-disable -q
 """
 
 import numpy as np
 
 from repro.config import PPOConfig, paper_system_config
 from repro.meanfield.mfc_env import MeanFieldEnv
-from repro.policies.learned import NeuralPolicy
+from repro.policies.learned import DirichletMeanPolicy, NeuralPolicy
+from repro.rl.distributions import DirichletBlocks
 from repro.rl.evaluation import evaluate_policy_mfc
 from repro.rl.ppo import PPOTrainer
-from repro.rl.ppo_dirichlet import DirichletPPOTrainer
 from repro.utils.tables import format_table
 
 from conftest import run_once
@@ -27,41 +30,37 @@ from conftest import run_once
 ITERATIONS = 4
 
 
-def _common_config(**extra) -> PPOConfig:
-    return PPOConfig(
-        learning_rate=3e-4,
-        train_batch_size=2000,
-        minibatch_size=500,
-        num_epochs=8,
-        hidden_sizes=(64, 64),
-        gae_lambda=0.95,
-        value_clip_param=5000.0,
-        **extra,
-    )
+# ``initial_log_std`` only shapes the Gaussian head.
+CONFIG = PPOConfig(
+    learning_rate=3e-4,
+    train_batch_size=2000,
+    minibatch_size=500,
+    num_epochs=8,
+    hidden_sizes=(64, 64),
+    gae_lambda=0.95,
+    value_clip_param=5000.0,
+    initial_log_std=-1.0,
+)
+
+
+def _train_and_evaluate(cfg, head):
+    """Train one head (``None``: the Gaussian) and score its deterministic
+    policy; everything but the head is shared."""
+    env = MeanFieldEnv(cfg, horizon=100, seed=0)
+    trainer = PPOTrainer(env, CONFIG, seed=0, action_head=head)
+    curve = [trainer.train_iteration().mean_episode_return
+             for _ in range(ITERATIONS)]
+    policy_cls = NeuralPolicy if head is None else DirichletMeanPolicy
+    policy = policy_cls(trainer.policy, cfg.num_queue_states, cfg.d, env.num_modes)
+    return curve, evaluate_policy_mfc(env, policy, episodes=10, seed=7).mean
 
 
 def _run_both_heads():
     cfg = paper_system_config(delta_t=5.0, num_queues=100)
-
-    env_g = MeanFieldEnv(cfg, horizon=100, seed=0)
-    gaussian = PPOTrainer(
-        env_g, _common_config(initial_log_std=-1.0), seed=0
+    g_curve, g_final = _train_and_evaluate(cfg, None)
+    d_curve, d_final = _train_and_evaluate(
+        cfg, DirichletBlocks(cfg.num_queue_states**cfg.d, cfg.d)
     )
-    g_curve = [gaussian.train_iteration().mean_episode_return
-               for _ in range(ITERATIONS)]
-    g_policy = NeuralPolicy(
-        gaussian.policy, cfg.num_queue_states, cfg.d, env_g.num_modes
-    )
-    g_final = evaluate_policy_mfc(env_g, g_policy, episodes=10, seed=7).mean
-
-    env_d = MeanFieldEnv(cfg, horizon=100, seed=0)
-    dirichlet = DirichletPPOTrainer(
-        env_d, block_size=cfg.d, config=_common_config(), seed=0
-    )
-    d_curve = [dirichlet.train_iteration().mean_episode_return
-               for _ in range(ITERATIONS)]
-    d_policy = dirichlet.mean_rule_policy(cfg.num_queue_states, cfg.d)
-    d_final = evaluate_policy_mfc(env_d, d_policy, episodes=10, seed=7).mean
     return g_curve, g_final, d_curve, d_final
 
 

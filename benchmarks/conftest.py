@@ -1,10 +1,9 @@
 """Shared machinery for the benchmark suite.
 
-Each benchmark regenerates one table/figure of the paper (at a scaled
-grid — see DESIGN.md §3 for the scaling policy), times the regeneration
+Each benchmark regenerates one table/figure of the paper at a scaled
+grid (the artifact map in README.md lists them), times the regeneration
 via pytest-benchmark, asserts the paper's qualitative shape, and writes
-the regenerated numbers to ``results/`` so EXPERIMENTS.md can reference
-them.
+the regenerated numbers to ``results/``.
 """
 
 from __future__ import annotations

@@ -495,34 +495,16 @@ class SweepExecutor:
         key: str | None,
         drops: np.ndarray,
     ) -> None:
-        """Write one completed shard back to the store (if attached).
-
-        Persistence failures (disk full, store turned read-only, ...)
-        must not lose the freshly simulated result or abort the sweep:
-        the merged statistics are already correct without the cache, so
-        the error is downgraded to a warning and counted on the store's
-        ``write_errors`` stat — the worst case of an unwritable store is
-        recomputation next run, mirroring the read path's recovery
-        discipline.
-        """
+        """Write one completed shard back to the store (if attached); a
+        failed write only warns (see
+        :meth:`repro.store.store.ExperimentStore.put_entry`)."""
         if self.store is None or key is None:
             return
-        try:
-            self.store.put_shard(
-                key,
-                drops,
-                meta={"policy": request.policy.name, "offset": shard.offset},
-            )
-        except OSError as exc:
-            import warnings
-
-            self.store.stats.write_errors += 1
-            warnings.warn(
-                f"experiment store write failed ({exc}); continuing "
-                "without persisting this shard",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        self.store.put_shard(
+            key,
+            drops,
+            meta={"policy": request.policy.name, "offset": shard.offset},
+        )
 
     def run(self, requests: Sequence[EvalRequest]) -> "list[MonteCarloResult]":
         """Evaluate every request; returns one merged

@@ -16,7 +16,7 @@ from repro.policies.static import (
     RandomPolicy,
     ThresholdPolicy,
 )
-from repro.policies.learned import NeuralPolicy
+from repro.policies.learned import DirichletMeanPolicy, NeuralPolicy
 
 __all__ = [
     "UpperLevelPolicy",
@@ -25,4 +25,5 @@ __all__ = [
     "RandomPolicy",
     "ThresholdPolicy",
     "NeuralPolicy",
+    "DirichletMeanPolicy",
 ]

@@ -7,6 +7,9 @@ limiting) queue-state distribution and the arrival mode, the network's
 :meth:`repro.meanfield.decision_rule.DecisionRule.from_raw` into the
 epoch's decision rule. The same object drives the MFC MDP and the finite
 ``N, M`` system (Figure 2 / Algorithm 1).
+
+:class:`DirichletMeanPolicy` is the deterministic policy of the paper's
+Dirichlet ablation head, for comparing the two heads.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import numpy as np
 from repro.meanfield.decision_rule import DecisionRule
 from repro.meanfield.features import ObservationFeatures
 from repro.policies.base import UpperLevelPolicy
-from repro.rl.nn import GaussianPolicyNetwork
+from repro.rl.nn import DirichletPolicyNetwork, GaussianPolicyNetwork
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
 
-__all__ = ["NeuralPolicy"]
+__all__ = ["NeuralPolicy", "DirichletMeanPolicy"]
 
 
 class NeuralPolicy(UpperLevelPolicy):
@@ -246,3 +249,41 @@ class NeuralPolicy(UpperLevelPolicy):
             features=features,
             age_context=age_context,
         )
+
+
+class DirichletMeanPolicy(UpperLevelPolicy):
+    """Deterministic policy of a Dirichlet-head network: every block of
+    the decision rule is that block's Dirichlet mean.
+
+    Evaluation is float64: the policy holds a float64 copy of
+    ``network`` made here, so later training does not reach it.
+    """
+
+    def __init__(
+        self,
+        network: DirichletPolicyNetwork,
+        num_states: int,
+        d: int,
+        num_modes: int = 2,
+    ) -> None:
+        self.network = network.astype(np.float64)
+        self.num_states = num_states
+        self.d = d
+        self.num_modes = num_modes
+
+    @property
+    def name(self) -> str:
+        return "MF-Dirichlet"
+
+    def decision_rule(
+        self,
+        nu: np.ndarray,
+        lam_mode: int,
+        rng: np.random.Generator | None = None,
+    ) -> DecisionRule:
+        one_hot = np.zeros(self.num_modes)
+        one_hot[lam_mode] = 1.0
+        obs = np.concatenate([np.asarray(nu), one_hot])
+        logits = self.network(obs[None, :])
+        mean = self.network.distribution.mean_action(logits)[0]
+        return DecisionRule.from_flat(mean, self.num_states, self.d)

@@ -208,10 +208,6 @@ class MarkovModulatedRate:
         """Long-run mean intensity ``E[λ_t]`` (sets the offered load ρ)."""
         return float(self.stationary_distribution() @ self.levels)
 
-    def max_rate(self) -> float:
-        """Largest level; ``d`` times it bounds every frozen per-state rate."""
-        return float(self.levels.max())
-
     def simulate_modes(self, num_steps: int, rng=None) -> np.ndarray:
         """Sample a mode trajectory of length ``num_steps`` (incl. t=0).
 

@@ -2,16 +2,19 @@
 
 Re-implements everything the paper takes from RLlib/PyTorch: multi-layer
 perceptrons with manual backpropagation, a diagonal-Gaussian policy head
-with free log-std (plus a Dirichlet head for the paper's negative
-ablation), Adam, generalized advantage estimation and proximal policy
-optimization with clipped surrogate + adaptive KL penalty — the exact
-loss family of RLlib's PPO with the Table 2 hyperparameters. A
+with free log-std, Adam, generalized advantage estimation and proximal
+policy optimization with clipped surrogate + adaptive KL penalty — the
+exact loss family of RLlib's PPO with the Table 2 hyperparameters. The
+paper's negative ablation, a Dirichlet head that samples simplex
+actions directly, runs through the same trainer
+(``PPOTrainer(..., action_head=DirichletBlocks(...))``). A
 cross-entropy-method solver for stationary decision rules is provided as
 a cheap direct optimizer / ablation.
 """
 
 from repro.rl.nn import (
     MLP,
+    DirichletPolicyNetwork,
     GaussianPolicyNetwork,
     ValueNetwork,
     widen_input_weights,
@@ -22,7 +25,6 @@ from repro.rl.gae import compute_gae
 from repro.rl.rollout import RolloutBatch
 from repro.rl.vector_rollout import VectorRolloutCollector
 from repro.rl.ppo import PPOTrainer, TrainIterationStats
-from repro.rl.ppo_dirichlet import DirichletPPOTrainer
 from repro.rl.imitation import clone_rule, collect_visited_observations
 from repro.rl.cem import CEMResult, optimize_constant_rule
 from repro.rl.evaluation import (
@@ -34,6 +36,7 @@ from repro.rl.evaluation import (
 __all__ = [
     "MLP",
     "GaussianPolicyNetwork",
+    "DirichletPolicyNetwork",
     "ValueNetwork",
     "widen_input_weights",
     "DiagGaussian",
@@ -46,7 +49,6 @@ __all__ = [
     "VectorRolloutCollector",
     "PPOTrainer",
     "TrainIterationStats",
-    "DirichletPPOTrainer",
     "clone_rule",
     "collect_visited_observations",
     "CEMResult",

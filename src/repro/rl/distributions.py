@@ -1,23 +1,26 @@
 """Action distributions with analytic gradients.
 
 :class:`DiagGaussian` implements the diagonal Gaussian used by the
-paper's PPO policy (mean from the network, free log-std). All quantities
-PPO needs — log-probabilities, entropy, KL divergence — are provided
-together with their partial derivatives w.r.t. the distribution
-parameters, so the trainer can chain them through the network backward
-pass.
-
+paper's PPO policy (mean from the network, free log-std).
 :class:`DirichletBlocks` implements the paper's *negative ablation*: an
 upper-level policy that outputs simplex-valued actions directly through
 per-state Dirichlet distributions ("we found that performance was
 significantly worse"). The action vector is a concatenation of ``S^d``
 independent Dirichlet(d) blocks, one per sampled-state combination.
+
+Both take the parameters a policy network's ``forward`` returns ahead of
+its cache — ``(mu, log_std)`` for the Gaussian, ``(logits,)`` for the
+Dirichlet blocks — as ``sample(*params, rng)``, ``log_prob(a, *params)``
+and ``kl(*old, *new)``. Log-probability and KL gradients come back as one
+array per parameter, in that order, ready for the network's
+``backward(cache, *grads)``, so :class:`repro.rl.ppo.PPOTrainer` chains
+either head through the same code.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import digamma, gammaln
 
 from repro.utils.rng import as_generator
 
@@ -61,13 +64,16 @@ class DiagGaussian:
         return d_mu, d_log_std
 
     @staticmethod
-    def entropy(log_std: np.ndarray) -> np.ndarray:
+    def entropy(mu: np.ndarray, log_std: np.ndarray) -> np.ndarray:
+        """Per-sample entropy; it does not depend on ``mu``."""
         return (log_std + 0.5 * (_LOG_2PI + 1.0)).sum(axis=-1)
 
     @staticmethod
-    def entropy_grad_log_std(log_std: np.ndarray) -> np.ndarray:
-        """``d entropy / d log_std`` — identically one."""
-        return np.ones_like(log_std)
+    def entropy_grads(
+        mu: np.ndarray, log_std: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(d entropy / d mu, d entropy / d log_std)`` — zero and one."""
+        return np.zeros_like(mu), np.ones_like(log_std)
 
     @staticmethod
     def kl(
@@ -110,7 +116,8 @@ class DirichletBlocks:
     the density bounded, mirroring common practice and RLlib's Dirichlet
     action distribution). The action is the concatenation of
     ``num_blocks`` independent draws ``x_b ~ Dir(alpha_b)``, each of size
-    ``block_size`` — i.e. already a valid decision-rule table.
+    ``block_size`` — i.e. already a valid decision-rule table. There is
+    no entropy gradient, so PPO with this head takes no entropy bonus.
     """
 
     def __init__(self, num_blocks: int, block_size: int) -> None:
@@ -155,10 +162,10 @@ class DirichletBlocks:
         )
         return per_block.sum(axis=-1)
 
-    def log_prob_grad_logits(
+    def log_prob_grads(
         self, actions: np.ndarray, logits: np.ndarray
-    ) -> np.ndarray:
-        """``d logp / d logits`` (chain rule through softplus)."""
+    ) -> tuple[np.ndarray]:
+        """``(d logp / d logits,)`` (chain rule through softplus)."""
         alpha = self._blocked(self.concentrations(logits))
         x = np.clip(self._blocked(actions), 1e-12, 1.0)
         alpha0 = alpha.sum(axis=-1, keepdims=True)
@@ -166,7 +173,7 @@ class DirichletBlocks:
         # softplus'(logit) = sigmoid(logit)
         sig = 1.0 / (1.0 + np.exp(-self._blocked(logits)))
         grad = d_alpha * sig
-        return grad.reshape(*logits.shape[:-1], self.flat_dim)
+        return (grad.reshape(*logits.shape[:-1], self.flat_dim),)
 
     def entropy(self, logits: np.ndarray) -> np.ndarray:
         alpha = self._blocked(self.concentrations(logits))
@@ -194,10 +201,10 @@ class DirichletBlocks:
         )
         return term.sum(axis=-1)
 
-    def kl_grad_logits_new(
+    def kl_grads_new(
         self, logits_old: np.ndarray, logits_new: np.ndarray
-    ) -> np.ndarray:
-        """``d KL(old || new) / d logits_new``."""
+    ) -> tuple[np.ndarray]:
+        """``(d KL(old || new) / d logits_new,)``."""
         a = self._blocked(self.concentrations(logits_old))
         b = self._blocked(self.concentrations(logits_new))
         a0 = a.sum(axis=-1, keepdims=True)
@@ -206,17 +213,10 @@ class DirichletBlocks:
         d_b = -digamma(b0) + digamma(b) - (digamma(a) - digamma(a0))
         sig = 1.0 / (1.0 + np.exp(-self._blocked(logits_new)))
         grad = d_b * sig
-        return grad.reshape(*logits_new.shape[:-1], self.flat_dim)
+        return (grad.reshape(*logits_new.shape[:-1], self.flat_dim),)
 
     def mean_action(self, logits: np.ndarray) -> np.ndarray:
         """Deterministic action: per-block Dirichlet mean ``alpha / alpha0``."""
         alpha = self._blocked(self.concentrations(logits))
         mean = alpha / alpha.sum(axis=-1, keepdims=True)
         return mean.reshape(*logits.shape[:-1], self.flat_dim)
-
-    def fisher_diag(self, logits: np.ndarray) -> np.ndarray:  # pragma: no cover
-        """Diagonal of the per-block Fisher information (diagnostics)."""
-        alpha = self._blocked(self.concentrations(logits))
-        alpha0 = alpha.sum(axis=-1, keepdims=True)
-        diag = polygamma(1, alpha) - polygamma(1, alpha0)
-        return diag.reshape(*logits.shape[:-1], self.flat_dim)

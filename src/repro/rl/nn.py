@@ -15,8 +15,8 @@ into one contiguous 1-D :attr:`~MLP.buffer`, and ``backward`` writes
 into one gradient buffer :attr:`~MLP.grad` with the same layout (made
 by the first ``backward``, so evaluation networks never hold one), so
 :class:`repro.rl.optim.Adam` updates a whole network in a handful of
-elementwise passes. A network's dtype is its buffer's. The PPO trainers
-train float32 copies (:meth:`~MLP.astype`); :meth:`~MLP.state_dict`
+elementwise passes. A network's dtype is its buffer's. The PPO trainer
+trains float32 copies (:meth:`~MLP.astype`); :meth:`~MLP.state_dict`
 always returns float64 (an exact upcast) and :meth:`~MLP.load_state_dict`
 rounds into the buffer's dtype, so checkpoints are float64 whatever
 dtype a network trained at.
@@ -31,11 +31,13 @@ from types import MappingProxyType
 
 import numpy as np
 
+from repro.rl.distributions import DiagGaussian, DirichletBlocks
 from repro.utils.rng import as_generator
 
 __all__ = [
     "MLP",
     "GaussianPolicyNetwork",
+    "DirichletPolicyNetwork",
     "ValueNetwork",
     "widen_input_weights",
 ]
@@ -313,6 +315,8 @@ class GaussianPolicyNetwork(_FlatNetwork):
     model. Parameter keys are the trunk's plus ``log_std``, which sits
     at the tail of the buffer, after the trunk's parameters."""
 
+    distribution = DiagGaussian
+
     def __init__(
         self,
         obs_dim: int,
@@ -396,6 +400,24 @@ class GaussianPolicyNetwork(_FlatNetwork):
             out=self.grads["log_std"],
         )
         return self.grad
+
+
+class DirichletPolicyNetwork(MLP):
+    """Dirichlet-block policy (the paper's ablation head): an MLP whose
+    output is one concentration logit per action component of its
+    :attr:`distribution`. ``forward`` returns ``(logits, cache)``."""
+
+    def __init__(
+        self,
+        obs_dim: int,
+        head: DirichletBlocks,
+        hidden_sizes: tuple[int, ...] = (256, 256),
+        rng: int | np.random.Generator | None = None,
+    ) -> None:
+        super().__init__(obs_dim, hidden_sizes, head.flat_dim, rng=rng)
+        self.distribution = head
+        self.obs_dim = obs_dim
+        self.action_dim = head.flat_dim
 
 
 class ValueNetwork(_FlatNetwork):

@@ -12,6 +12,11 @@ with advantages standardized per batch, minibatch Adam for
 ``num_epochs`` passes, global-norm gradient clipping, and the classic
 adaptive-β rule: β ×= 1.5 if KL > 2·target, β ×= 0.5 if KL < target/2.
 
+The action head is the policy network's distribution: the paper's
+diagonal Gaussian by default, or per-block Dirichlet concentrations
+(``action_head=``, the paper's negative ablation of Section 4). The
+loss, the collector and every knob below are shared by both heads.
+
 Training runs in float32 (:data:`TRAINING_DTYPE`), as RLlib/PyTorch
 does: the trainer draws its networks' float64 ``normc`` initialization,
 casts the networks to float32, and casts each collected batch to
@@ -38,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import PPOConfig
-from repro.rl.distributions import DiagGaussian
-from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
+from repro.rl.distributions import DirichletBlocks
+from repro.rl.nn import DirichletPolicyNetwork, GaussianPolicyNetwork, ValueNetwork
 from repro.rl.optim import Adam, clip_grads_by_global_norm
 from repro.rl.vector_rollout import VectorRolloutCollector
 from repro.utils.rng import as_generator
@@ -54,7 +59,7 @@ __all__ = [
 ]
 
 
-#: The one dtype the PPO trainers train at; there is no option.
+#: The one dtype PPO trains at, whatever the action head; there is no option.
 TRAINING_DTYPE = np.float32
 
 
@@ -184,6 +189,15 @@ class PPOTrainer:
         (see :class:`repro.rl.vector_rollout.VectorRolloutCollector`).
         The training campaign uses this; the default (``False``) keeps
         the faster shared-stream collection and its historical streams.
+    action_head:
+        ``None`` (default) trains the paper's diagonal-Gaussian policy,
+        whose raw actions the environment normalizes. A
+        :class:`repro.rl.distributions.DirichletBlocks` whose ``flat_dim``
+        is ``env.action_size`` trains a
+        :class:`repro.rl.nn.DirichletPolicyNetwork` that samples
+        simplex-valued blocks directly (the Section 4 ablation); it has
+        no entropy gradient, so ``entropy_coeff`` must be 0, and
+        ``initial_log_std`` does not apply to it.
     """
 
     def __init__(
@@ -194,6 +208,7 @@ class PPOTrainer:
         num_envs: int = 1,
         env_factory=None,
         independent_streams: bool = False,
+        action_head: DirichletBlocks | None = None,
     ) -> None:
         self.config = config if config is not None else PPOConfig()
         if num_envs < 1:
@@ -209,13 +224,29 @@ class PPOTrainer:
         )
         obs_dim = int(env.observation_size)
         act_dim = int(env.action_size)
-        self.policy = GaussianPolicyNetwork(
-            obs_dim,
-            act_dim,
-            hidden_sizes=self.config.hidden_sizes,
-            initial_log_std=self.config.initial_log_std,
-            rng=init_rng,
-        ).astype(TRAINING_DTYPE)
+        if action_head is None:
+            policy = GaussianPolicyNetwork(
+                obs_dim,
+                act_dim,
+                hidden_sizes=self.config.hidden_sizes,
+                initial_log_std=self.config.initial_log_std,
+                rng=init_rng,
+            )
+        else:
+            if action_head.flat_dim != act_dim:
+                raise ValueError(
+                    f"action head covers {action_head.flat_dim} components, "
+                    f"the environment's action_size is {act_dim}"
+                )
+            if self.config.entropy_coeff > 0.0:
+                raise ValueError(
+                    "the Dirichlet head has no entropy gradient; "
+                    "set entropy_coeff = 0"
+                )
+            policy = DirichletPolicyNetwork(
+                obs_dim, action_head, self.config.hidden_sizes, rng=init_rng
+            )
+        self.policy = policy.astype(TRAINING_DTYPE)
         self.value = ValueNetwork(
             obs_dim, hidden_sizes=self.config.hidden_sizes, rng=init_rng
         ).astype(TRAINING_DTYPE)
@@ -251,26 +282,29 @@ class PPOTrainer:
         actions: np.ndarray,
         logp_old: np.ndarray,
         advantages: np.ndarray,
-        mu_old: np.ndarray,
-        log_std_old: np.ndarray,
+        *params_old: np.ndarray,
     ) -> tuple[float, float, float, float, float]:
-        """One Adam step on the policy; returns loss diagnostics."""
+        """One Adam step on the policy; returns loss diagnostics.
+
+        ``params_old`` are the old policy's distribution parameters on
+        this minibatch (``mu, log_std`` or ``logits``)."""
         cfg = self.config
+        dist = self.policy.distribution
         eps = clip_param_at(cfg, self.iteration)
         n = obs.shape[0]
-        mu, log_std, cache = self.policy.forward(obs)
-        logp = DiagGaussian.log_prob(actions, mu, log_std)
-        ratio = np.exp(logp - logp_old)
+        *params, cache = self.policy.forward(obs)
+        logp = dist.log_prob(actions, *params)
+        # The clip only keeps exp from overflowing: it changes nothing
+        # while |logp - logp_old| <= 30.
+        ratio = np.exp(np.clip(logp - logp_old, -30.0, 30.0))
         clipped_ratio = np.clip(ratio, 1.0 - eps, 1.0 + eps)
         unclipped = ratio * advantages
         clipped = clipped_ratio * advantages
         surrogate = np.minimum(unclipped, clipped)
         policy_loss = -float(surrogate.mean())
 
-        kl = DiagGaussian.kl(mu_old, log_std_old, mu, log_std)
-        kl_mean = float(kl.mean())
-        entropy = DiagGaussian.entropy(log_std)
-        entropy_mean = float(entropy.mean())
+        kl_mean = float(dist.kl(*params_old, *params).mean())
+        entropy_mean = float(dist.entropy(*params).mean())
         clip_fraction = float((np.abs(ratio - 1.0) > eps).mean())
 
         # --- gradient wrt log-prob of the surrogate term ---------------
@@ -278,26 +312,21 @@ class PPOTrainer:
         # active, else 0; loss is the negative mean.
         active = unclipped <= clipped
         g_logp = np.where(active, ratio * advantages, 0.0) / n  # d(mean surr)
-        d_mu_logp, d_ls_logp = DiagGaussian.log_prob_grads(actions, mu, log_std)
-        grad_mu = -g_logp[:, None] * d_mu_logp
-        grad_ls = -g_logp[:, None] * d_ls_logp
+        grads = [
+            -g_logp[:, None] * d_logp
+            for d_logp in dist.log_prob_grads(actions, *params)
+        ]
 
         # --- KL penalty -------------------------------------------------
-        d_mu_kl, d_ls_kl = DiagGaussian.kl_grads_new(
-            mu_old, log_std_old, mu, log_std
-        )
-        grad_mu += self.kl_coeff * d_mu_kl / n
-        grad_ls += self.kl_coeff * d_ls_kl / n
+        for grad, d_kl in zip(grads, dist.kl_grads_new(*params_old, *params)):
+            grad += self.kl_coeff * d_kl / n
 
         # --- entropy bonus ----------------------------------------------
         if cfg.entropy_coeff > 0.0:
-            grad_ls -= (
-                cfg.entropy_coeff
-                * DiagGaussian.entropy_grad_log_std(log_std)
-                / n
-            )
+            for grad, d_ent in zip(grads, dist.entropy_grads(*params)):
+                grad -= cfg.entropy_coeff * d_ent / n
 
-        grad = self.policy.backward(cache, grad_mu, grad_ls)
+        grad = self.policy.backward(cache, *grads)
         grad_norm = clip_grads_by_global_norm(grad, cfg.grad_clip)
         self._policy_opt.step(grad)
         return policy_loss, kl_mean, entropy_mean, clip_fraction, grad_norm
@@ -356,10 +385,9 @@ class PPOTrainer:
         )
 
         # Snapshot the old distribution for ratios and KL.
-        mu_old_all, log_std_old_all, _ = self.policy.forward(obs)
-        logp_old_all = DiagGaussian.log_prob(
-            actions, mu_old_all, log_std_old_all
-        )
+        dist = self.policy.distribution
+        *params_old_all, _ = self.policy.forward(obs)
+        logp_old_all = dist.log_prob(actions, *params_old_all)
 
         policy_losses: list[float] = []
         value_losses: list[float] = []
@@ -379,8 +407,7 @@ class PPOTrainer:
                             actions[idx],
                             logp_old_all[idx],
                             advantages[idx],
-                            mu_old_all[idx],
-                            log_std_old_all[idx],
+                            *(p[idx] for p in params_old_all),
                         )
                     )
                     policy_losses.append(p_loss)
@@ -400,21 +427,15 @@ class PPOTrainer:
                 # KL early stopping: once the full-batch divergence has
                 # left the trust region, further epochs on the same batch
                 # only push it further out (torchrl's ESS-style guard).
-                mu_e, log_std_e, _ = self.policy.forward(obs)
-                epoch_kl = float(
-                    DiagGaussian.kl(
-                        mu_old_all, log_std_old_all, mu_e, log_std_e
-                    ).mean()
-                )
+                *params_e, _ = self.policy.forward(obs)
+                epoch_kl = float(dist.kl(*params_old_all, *params_e).mean())
                 if epoch_kl > cfg.kl_early_stop_factor * cfg.kl_target:
                     break
 
         # Adaptive KL coefficient (RLlib's update_kl rule) based on the
         # post-update divergence over the full batch.
-        mu_new, log_std_new, _ = self.policy.forward(obs)
-        final_kl = float(
-            DiagGaussian.kl(mu_old_all, log_std_old_all, mu_new, log_std_new).mean()
-        )
+        *params_new, _ = self.policy.forward(obs)
+        final_kl = float(dist.kl(*params_old_all, *params_new).mean())
         self.kl_coeff = adapted_kl_coeff(self.kl_coeff, final_kl, cfg)
 
         values_pred = self.value(obs)

@@ -9,7 +9,9 @@ advance through :func:`step_lockstep`, once per slice: mean-field
 environments move all ``E`` laws with one Eq. 22 call and one
 propagator call (:meth:`repro.meanfield.mfc_env.MeanFieldEnv.step_raw_batch`);
 other environments step one by one. A single environment is the
-``E = 1`` case.
+``E = 1`` case. Actions are drawn from the policy network's own
+``distribution`` (the Gaussian head or the Dirichlet ablation head of
+:mod:`repro.rl.nn`), so one collector serves both.
 
 Episodes keep running across batch boundaries, time-limit ends
 (``info["truncated"]``) are bootstrapped with the value of the final
@@ -46,9 +48,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.meanfield.mfc_env import FleetStep, gather_fleet_step
-from repro.rl.distributions import DiagGaussian
 from repro.rl.gae import compute_gae
-from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
+from repro.rl.nn import DirichletPolicyNetwork, GaussianPolicyNetwork, ValueNetwork
 from repro.rl.rollout import RolloutBatch
 from repro.utils.rng import as_generator, spawn_generators
 
@@ -91,7 +92,10 @@ class VectorRolloutCollector:
         ``step_raw(action) -> (obs, reward, done, info)``. All must share
         observation/action geometry.
     policy, value:
-        The actor and critic networks being trained.
+        The actor and critic networks being trained. The policy is a
+        :class:`~repro.rl.nn.GaussianPolicyNetwork` or a
+        :class:`~repro.rl.nn.DirichletPolicyNetwork`; actions are sampled
+        from its ``distribution``.
     gamma, gae_lambda:
         Discounting parameters for advantage estimation.
     seed:
@@ -115,7 +119,7 @@ class VectorRolloutCollector:
     def __init__(
         self,
         envs,
-        policy: GaussianPolicyNetwork,
+        policy: GaussianPolicyNetwork | DirichletPolicyNetwork,
         value: ValueNetwork,
         gamma: float,
         gae_lambda: float,
@@ -192,6 +196,7 @@ class VectorRolloutCollector:
 
         obs_dim = self.policy.obs_dim
         act_dim = self.policy.action_dim
+        dist = self.policy.distribution
         obs_buf = np.empty((steps, e, obs_dim))
         act_buf = np.empty((steps, e, act_dim))
         logp_buf = np.empty((steps, e))
@@ -211,19 +216,15 @@ class VectorRolloutCollector:
                 values = np.empty(e)
                 for i in range(e):
                     row = obs[i : i + 1]
-                    mu_i, log_std_i, _ = self.policy.forward(row)
-                    action_i = DiagGaussian.sample(
-                        mu_i, log_std_i, self._env_rngs[i]
-                    )
+                    *params_i, _ = self.policy.forward(row)
+                    action_i = dist.sample(*params_i, self._env_rngs[i])
                     actions[i] = action_i[0]
-                    logps[i] = DiagGaussian.log_prob(
-                        action_i, mu_i, log_std_i
-                    )[0]
+                    logps[i] = dist.log_prob(action_i, *params_i)[0]
                     values[i] = self.value(row)[0]
             else:
-                mu, log_std, _ = self.policy.forward(obs)
-                actions = DiagGaussian.sample(mu, log_std, self._rng)
-                logps = DiagGaussian.log_prob(actions, mu, log_std)
+                *params, _ = self.policy.forward(obs)
+                actions = dist.sample(*params, self._rng)
+                logps = dist.log_prob(actions, *params)
                 values = self.value(obs)
 
             obs_buf[t] = obs

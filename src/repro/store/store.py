@@ -17,6 +17,10 @@ Durability discipline:
   quarantined (removed) and reported as a cache miss, never an error:
   the worst case of a damaged store is recomputation, not a crash or a
   wrong result.
+* **Write-failure tolerance** — the mirror rule on the write path: an
+  entry that cannot be written (disk full, store turned read-only) is
+  a ``RuntimeWarning`` counted on ``write_errors``, never an error, so
+  no sweep, stream or campaign loses the result it just computed.
 
 The store keeps running :class:`StoreStats` counters; callers that need
 per-phase numbers (e.g. the reproduction pipeline's per-artifact cache
@@ -36,6 +40,7 @@ import json
 import os
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -56,7 +61,7 @@ _DROPS_KEY = "drops"
 @dataclass
 class StoreStats:
     """Running cache counters (``invalid`` entries also count as misses;
-    ``write_errors`` counts persists the sweep layer tolerated)."""
+    ``write_errors`` counts writes that failed and were skipped)."""
 
     hits: int = 0
     misses: int = 0
@@ -166,8 +171,9 @@ class ExperimentStore:
         key: str,
         drops: np.ndarray,
         meta: Mapping[str, Any] | None = None,
-    ) -> Path:
-        """Persist one shard result atomically; returns the entry path."""
+    ) -> Path | None:
+        """Persist one shard result atomically; returns the entry path
+        (``None`` when the write failed, see :meth:`put_entry`)."""
         drops = np.asarray(drops, dtype=np.float64)
         if drops.ndim != 1:
             raise ValueError(f"drops must be 1-D, got shape {drops.shape}")
@@ -218,28 +224,45 @@ class ExperimentStore:
         key: str,
         arrays: Mapping[str, np.ndarray],
         meta: Mapping[str, Any] | None = None,
-    ) -> Path:
-        """Persist a multi-array entry atomically; returns the entry path."""
+    ) -> Path | None:
+        """Persist a multi-array entry atomically; returns the entry path.
+
+        A write that fails with :class:`OSError` (disk full, store turned
+        read-only, ...) leaves no entry behind, warns, counts on
+        ``stats.write_errors`` and returns ``None``: the caller's result
+        is already correct without the cache, so the worst case of an
+        unwritable store is recomputation next run.
+        """
         if not arrays:
             raise ValueError("entry must hold at least one array")
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": STORE_SCHEMA_VERSION,
             "key": key,
             **dict(meta or {}),
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".npz"
-        )
-        os.close(fd)
-        tmp_path = Path(tmp_name)
         try:
-            save_npz_checkpoint(tmp_path, dict(arrays), meta=payload)
-            os.replace(tmp_path, path)  # atomic publish
-        except BaseException:
-            tmp_path.unlink(missing_ok=True)
-            raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                dir=path.parent, prefix=".tmp-", suffix=".npz"
+            )
+            os.close(fd)
+            tmp_path = Path(tmp_name)
+            try:
+                save_npz_checkpoint(tmp_path, dict(arrays), meta=payload)
+                os.replace(tmp_path, path)  # atomic publish
+            except BaseException:
+                tmp_path.unlink(missing_ok=True)
+                raise
+        except OSError as exc:
+            self.stats.write_errors += 1
+            warnings.warn(
+                f"experiment store write failed ({exc}); continuing "
+                f"without persisting entry {key}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return None
         self.stats.writes += 1
         return path
 

@@ -7,6 +7,8 @@ still exercising every code path of the full-scale system.
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,13 @@ def fast_ppo_config() -> PPOConfig:
         hidden_sizes=(32, 32),
         initial_log_std=-0.5,
     )
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every experiment-store file write fails as it would on a full disk."""
+
+    def write(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("repro.store.store.save_npz_checkpoint", write)

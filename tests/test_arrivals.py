@@ -67,10 +67,6 @@ class TestDynamics:
         with pytest.raises(ValueError):
             chain.step_mode(5, rng)
 
-    def test_max_rate(self, small_config):
-        chain = MarkovModulatedRate.from_config(small_config)
-        assert chain.max_rate() == 0.9
-
     def test_reproducible_with_seed(self, small_config):
         chain = MarkovModulatedRate.from_config(small_config)
         a = chain.simulate_modes(100, np.random.default_rng(1))

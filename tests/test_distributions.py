@@ -23,7 +23,7 @@ class TestDiagGaussianValues:
 
     def test_entropy_matches_scipy(self, rng):
         log_std = rng.uniform(-1, 1, size=(4, 3))
-        ours = DiagGaussian.entropy(log_std)
+        ours = DiagGaussian.entropy(rng.standard_normal((4, 3)), log_std)
         ref = np.array([
             sp_stats.multivariate_normal(
                 mean=np.zeros(3), cov=np.diag(np.exp(2 * log_std[i]))
@@ -107,8 +107,16 @@ class TestDiagGaussianGrads:
         assert np.allclose(d_ls, num_ls, atol=1e-5)
 
     def test_entropy_grad(self, rng):
+        mu = rng.standard_normal((4, 3))
         log_std = rng.uniform(-1, 1, (4, 3))
-        assert np.allclose(DiagGaussian.entropy_grad_log_std(log_std), 1.0)
+        d_mu, d_ls = DiagGaussian.entropy_grads(mu, log_std)
+        num_mu = self._fd(lambda: DiagGaussian.entropy(mu, log_std).sum(), mu)
+        num_ls = self._fd(
+            lambda: DiagGaussian.entropy(mu, log_std).sum(), log_std
+        )
+        assert np.allclose(d_mu, num_mu, atol=1e-5)
+        assert np.allclose(d_ls, num_ls, atol=1e-5)
+        assert np.allclose(d_ls, 1.0)
 
 
 class TestDirichletBlocks:
@@ -150,7 +158,7 @@ class TestDirichletBlocks:
         head = DirichletBlocks(num_blocks=2, block_size=3)
         logits = rng.standard_normal((1, 6))
         x = head.sample(logits, rng)
-        analytic = head.log_prob_grad_logits(x, logits)
+        (analytic,) = head.log_prob_grads(x, logits)
         eps = 1e-6
         numeric = np.zeros_like(logits)
         for j in range(6):
@@ -167,7 +175,7 @@ class TestDirichletBlocks:
         head = DirichletBlocks(num_blocks=2, block_size=2)
         old = rng.standard_normal((1, 4))
         new = rng.standard_normal((1, 4))
-        analytic = head.kl_grad_logits_new(old, new)
+        (analytic,) = head.kl_grads_new(old, new)
         eps = 1e-6
         numeric = np.zeros_like(new)
         for j in range(4):

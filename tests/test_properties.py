@@ -1,8 +1,8 @@
 """Cross-cutting property-based tests (hypothesis).
 
-These encode the invariants listed in DESIGN.md §6 over *randomized*
-rules, distributions and parameters — the places where a subtle indexing
-or normalization bug would silently skew every experiment.
+These encode the simulator's invariants over *randomized* rules,
+distributions and parameters — the places where a subtle indexing or
+normalization bug would silently skew every experiment.
 """
 
 import numpy as np

@@ -368,6 +368,34 @@ class TestStreamRequest:
         assert np.array_equal(cold.summaries, warm.summaries)
         assert np.allclose(cold.window_rows, warm.window_rows)
 
+    def test_full_disk_store_write_only_warns(
+        self, config, jsq, tmp_path, full_disk
+    ):
+        """A stream whose store cannot be written returns the storeless
+        result; the failed writes warn and are counted, not raised."""
+        from repro.store import ExperimentStore
+
+        request = StreamRequest(
+            config=config,
+            policy=jsq,
+            horizon=10,
+            window=4,
+            num_replicas=4,
+            seed=5,
+            max_batch_replicas=2,
+        )
+        cold = run_stream_request(request)
+        store = ExperimentStore(tmp_path / "store")
+        with pytest.warns(RuntimeWarning, match="store write failed"):
+            result = run_stream_request(
+                request, context=ExecutionContext(store=store)
+            )
+        assert np.array_equal(cold.summaries, result.summaries)
+        assert np.array_equal(cold.window_rows, result.window_rows)
+        assert store.stats.write_errors == 2
+        assert store.stats.writes == 0
+        assert len(store) == 0
+
     def test_shared_stateful_arrival_process_still_cache_hits(
         self, config, jsq, tmp_path
     ):

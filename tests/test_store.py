@@ -656,16 +656,11 @@ class TestReproduce:
 
 class TestWriteFailureTolerance:
     def test_unwritable_store_degrades_to_warning(
-        self, config, jsq, store, monkeypatch
+        self, config, jsq, store, full_disk
     ):
         """A store that cannot persist must not abort the sweep or change
         its numbers — the simulated result is already correct."""
         cold = SweepExecutor(workers=1).run_drops([_request(config, jsq)])
-
-        def broken_put(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(store, "put_shard", broken_put)
         with pytest.warns(RuntimeWarning, match="store write failed"):
             cached = SweepExecutor(workers=1, store=store).run_drops(
                 [_request(config, jsq)]

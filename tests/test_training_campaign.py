@@ -273,6 +273,22 @@ class TestCampaignResume:
         assert not redone.from_cache
         assert _states_equal(first.policy, redone.policy)
 
+    def test_full_disk_store_write_only_warns(self, tmp_path, full_disk):
+        """A regime whose store cannot be written still returns its
+        trained policy, equal to a storeless run; the failed write warns
+        and is counted, not raised."""
+        regime = _tiny_regime()
+        ref = train_regime(regime, _PPO, _BUDGET, seed=2)
+        store = ExperimentStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="store write failed"):
+            result = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
+        assert not result.from_cache
+        assert _states_equal(ref.policy, result.policy)
+        assert np.array_equal(ref.curve, result.curve)
+        assert result.meta == ref.meta
+        assert store.stats.write_errors == 1
+        assert len(store) == 0
+
 
 class TestWorkerInvariance:
     def test_results_invariant_to_worker_count(self, tmp_path):

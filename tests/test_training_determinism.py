@@ -19,7 +19,8 @@ one root generator. This module pins that property two ways:
   a fleet's batch is the column-interleave of its chunks' batches and
   one PPO update is invariant to how the fleet was chunked across
   collectors (the property that lets the training campaign shard
-  collection). Verified property-style over fleet sizes and splits.
+  collection). Verified property-style over fleet sizes, splits and
+  both action heads.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import PPOConfig, SystemConfig
 from repro.meanfield.mfc_env import MeanFieldEnv
-from repro.rl.nn import GaussianPolicyNetwork, ValueNetwork
+from repro.rl.distributions import DirichletBlocks
+from repro.rl.nn import DirichletPolicyNetwork, GaussianPolicyNetwork, ValueNetwork
 from repro.rl.ppo import PPOTrainer
 from repro.rl.rollout import RolloutBatch
 from repro.rl.vector_rollout import VectorRolloutCollector
@@ -169,14 +171,20 @@ _CHUNK_HORIZON = 5  # short episodes: exercises resets + truncation bootstrap
 _CHUNK_STEPS = 8  # per-env steps; one episode completes mid-batch
 
 
-def _make_nets(obs_dim: int, act_dim: int):
-    policy = GaussianPolicyNetwork(
-        obs_dim,
-        act_dim,
-        hidden_sizes=(16,),
-        initial_log_std=-0.5,
-        rng=np.random.default_rng(7),
-    )
+def _make_nets(obs_dim: int, act_dim: int, dirichlet: bool = False):
+    if dirichlet:
+        head = DirichletBlocks(act_dim // _SYSTEM.d, _SYSTEM.d)
+        policy = DirichletPolicyNetwork(
+            obs_dim, head, hidden_sizes=(16,), rng=np.random.default_rng(7)
+        )
+    else:
+        policy = GaussianPolicyNetwork(
+            obs_dim,
+            act_dim,
+            hidden_sizes=(16,),
+            initial_log_std=-0.5,
+            rng=np.random.default_rng(7),
+        )
     value = ValueNetwork(obs_dim, hidden_sizes=(16,), rng=np.random.default_rng(8))
     return policy, value
 
@@ -225,14 +233,17 @@ def _collect_chunk(env, policy, value, num, offset, seed) -> RolloutBatch:
     fleet=st.integers(2, 5),
     split=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
+    dirichlet=st.booleans(),
 )
-def test_collection_is_chunk_invariant(fleet, split, seed):
+@example(fleet=4, split=1, seed=11, dirichlet=False)
+@example(fleet=4, split=1, seed=11, dirichlet=True)
+def test_collection_is_chunk_invariant(fleet, split, seed, dirichlet):
     """A fleet's batch equals the column-interleave of its chunks' batches,
     bit for bit — every column is a pure function of (networks, seed,
-    global env index), independent of fleet size."""
+    global env index), independent of fleet size and of the action head."""
     split = min(split, fleet - 1)
     env = MeanFieldEnv(_SYSTEM, horizon=_CHUNK_HORIZON, seed=0)
-    policy, value = _make_nets(env.observation_size, env.action_size)
+    policy, value = _make_nets(env.observation_size, env.action_size, dirichlet)
     full = _collect_chunk(env, policy, value, fleet, 0, seed)
     left = _collect_chunk(env, policy, value, split, 0, seed)
     right = _collect_chunk(env, policy, value, fleet - split, split, seed)

@@ -26,9 +26,9 @@ class TestDiurnalRate:
         d = DiurnalRate(mean=0.8, amplitude=0.15, period=32)
         assert d.stationary_mean_rate() == pytest.approx(0.8)
 
-    def test_max_rate_bounds_profile(self):
+    def test_peak_level_bounds_profile(self):
         d = DiurnalRate(mean=0.7, amplitude=0.2, period=20)
-        assert d.max_rate() <= 0.9 + 1e-12
+        assert d.levels.max() <= 0.9 + 1e-12
 
     @pytest.mark.parametrize(
         "kwargs",
