@@ -76,15 +76,9 @@ class ExecutionContext:
                 "max_batch_replicas must be >= 1, "
                 f"got {self.max_batch_replicas}"
             )
-        from repro.queueing.backends import available_backends
+        from repro.queueing.backends import check_sim_backend
 
-        if self.sim_backend != "auto" and (
-            self.sim_backend not in available_backends()
-        ):
-            raise ValueError(
-                f"unknown sim_backend {self.sim_backend!r}; registered "
-                f"kernels: {available_backends()} (or 'auto')"
-            )
+        check_sim_backend(self.sim_backend)
 
     def resolved_max_batch_replicas(self, default: int = 64) -> int:
         """The chunk size with the callee's default applied."""

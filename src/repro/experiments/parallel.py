@@ -1,4 +1,4 @@
-"""Sharded multiprocess execution of Monte-Carlo sweeps.
+"""Sharded multiprocess execution of Monte-Carlo sweeps and streams.
 
 The paper's headline artifacts (Figures 4-6) are embarrassingly parallel:
 independent Monte-Carlo replicas of independent sweep points. This module
@@ -9,13 +9,13 @@ discipline.
 The key invariant is that the random streams are a pure function of each
 request's master seed and the *replica-chunk layout* — never of the
 worker count or completion order. :class:`SweepExecutor` decomposes every
-:class:`EvalRequest` into the exact same ``(sweep-point × replica-chunk)``
-shards the serial path of
+request into the exact same ``(request × replica-chunk)`` shards the
+serial path of
 :func:`repro.experiments.runner.evaluate_policy_finite` iterates over,
 spawns one ``SeedSequence`` child per chunk the same way
 :func:`repro.utils.rng.spawn_generators` does, executes the shards in
-any order on any number of processes, and reassembles the per-replica
-drops by offset. Consequently::
+any order on any number of processes, and hands every request its shard
+payloads back in chunk order. Consequently::
 
     SweepExecutor(workers=1).run(reqs)
     == SweepExecutor(workers=4).run(reqs)     # bit-identical
@@ -23,6 +23,15 @@ drops by offset. Consequently::
 
 ``workers=1`` never touches ``multiprocessing`` at all — the graceful
 in-process fallback used by tests, single-core boxes and nested callers.
+
+Sweeps (:class:`EvalRequest`) and streams
+(:class:`repro.serving.engine.StreamRequest`) share this one executor.
+Next to its ``config``, ``policy``, ``seed``, ``max_batch_replicas``,
+``env_cls``, ``env_kwargs`` and ``sim_backend``, a request provides
+``resolved_runs()``, ``payload_size(n)`` (the length of an
+``n``-replica shard's flat result), ``shard_payload(env, rng)`` (that
+result, on the shard's environment and generator) and
+``store_key(shard)``.
 
 Everything shipped to a worker (config, policy, environment class and
 kwargs, seed material) crosses the process boundary by pickling; the
@@ -48,10 +57,12 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.queueing.backends import available_backends
+from repro.execution import ExecutionContext
+from repro.queueing.backends import check_sim_backend
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
     _BatchedQueueSystemBase,
+    check_batched_env_cls,
     run_episodes_batched,
 )
 from repro.utils.stats import mean_confidence_interval
@@ -59,7 +70,6 @@ from repro.utils.stats import mean_confidence_interval
 if TYPE_CHECKING:
     from multiprocessing.context import BaseContext
 
-    from repro.execution import ExecutionContext
     from repro.experiments.runner import MonteCarloResult
     from repro.policies.base import UpperLevelPolicy
     from repro.store.store import ExperimentStore
@@ -102,21 +112,8 @@ class EvalRequest:
     sim_backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.env_cls is not None and not (
-            isinstance(self.env_cls, type)
-            and issubclass(self.env_cls, _BatchedQueueSystemBase)
-        ):
-            raise ValueError(
-                "sweeps require a batched environment class, got "
-                f"{self.env_cls!r}"
-            )
-        if self.sim_backend != "auto" and (
-            self.sim_backend not in available_backends()
-        ):
-            raise ValueError(
-                f"unknown sim_backend {self.sim_backend!r}; registered "
-                f"kernels: {available_backends()} (or 'auto')"
-            )
+        check_batched_env_cls(self.env_cls)
+        check_sim_backend(self.sim_backend)
         if self.max_batch_replicas < 1:
             raise ValueError("max_batch_replicas must be >= 1")
         if self.resolved_runs() < 1:
@@ -129,6 +126,24 @@ class EvalRequest:
             else self.config.monte_carlo_runs
         )
 
+    def payload_size(self, num_runs: int) -> int:
+        """A shard's payload holds one drop total per replica."""
+        return num_runs
+
+    def shard_payload(
+        self, env: _BatchedQueueSystemBase, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One shard's per-replica cumulative per-queue drops."""
+        return run_episodes_batched(
+            env, self.policy, num_epochs=self.num_epochs, seed=rng
+        ).total_drops_per_queue
+
+    def store_key(self, shard: "_Shard") -> str:
+        """The shard's content key (:func:`repro.store.keys.shard_key`)."""
+        from repro.store.keys import shard_key
+
+        return shard_key(self, shard)
+
 
 @dataclass(frozen=True)
 class _Shard:
@@ -140,6 +155,7 @@ class _Shard:
     # The chunk generator's seed: a SeedSequence (or an int for exotic
     # generators without a retrievable seed sequence), as a 1-tuple.
     seeds: "tuple[SeedMaterial, ...]"
+    payload_size: int
 
 
 def _spawn_seed_children(seed: "SeedLike", count: int) -> "list[SeedMaterial]":
@@ -165,7 +181,7 @@ def _chunk_sizes(runs: int, max_chunk: int) -> list[int]:
     return [min(max_chunk, runs - start) for start in range(0, runs, max_chunk)]
 
 
-def _decompose(requests: Sequence[EvalRequest]) -> list[_Shard]:
+def _decompose(requests: Sequence[Any]) -> list[_Shard]:
     """Split every request into its deterministic replica-chunk shards."""
     shards: list[_Shard] = []
     for index, request in enumerate(requests):
@@ -173,16 +189,19 @@ def _decompose(requests: Sequence[EvalRequest]) -> list[_Shard]:
         children = _spawn_seed_children(request.seed, len(sizes))
         offset = 0
         for size, child in zip(sizes, children):
-            shards.append(_Shard(index, offset, size, (child,)))
+            shards.append(
+                _Shard(index, offset, size, (child,), request.payload_size(size))
+            )
             offset += size
     return shards
 
 
-def _run_shard(request: EvalRequest, shard: _Shard) -> np.ndarray:
-    """Execute one shard; returns its per-replica cumulative drops.
+def _run_shard(request: Any, shard: _Shard) -> np.ndarray:
+    """Execute one shard of any request kind; returns its payload.
 
-    Must remain a module-level function (pickled by reference when
-    dispatched to worker processes).
+    Builds the shard's environment on the chunk's generator and hands
+    both to ``request.shard_payload``. Must remain a module-level
+    function (pickled by reference when dispatched to worker processes).
     """
     # The kernel choice travels as a kwarg only when it deviates from
     # the default, so custom env classes that predate the ``backend``
@@ -198,14 +217,15 @@ def _run_shard(request: EvalRequest, shard: _Shard) -> np.ndarray:
         seed=rng,
         **env_kwargs,
     )
-    result = run_episodes_batched(
-        env, request.policy, num_epochs=request.num_epochs, seed=rng
-    )
-    return result.total_drops_per_queue
+    return request.shard_payload(env, rng)
 
 
 class SweepExecutor:
-    """Shard ``(sweep-point × replica-chunk)`` work units across processes.
+    """Shard ``(request × replica-chunk)`` work units across processes.
+
+    Runs sweep points (:class:`EvalRequest`) and streams
+    (:class:`repro.serving.engine.StreamRequest`) alike; see the module
+    docstring for what a request provides.
 
     Parameters
     ----------
@@ -285,26 +305,18 @@ class SweepExecutor:
     ) -> None:
         import os
 
-        if context is not None:
-            if workers is not None or store is not None or claim or merge_only:
-                raise TypeError(
-                    "pass workers/store either via context= or "
-                    "individually, not both"
-                )
-            workers = context.workers
-            store = context.store
-            claim = getattr(context, "claim", False)
-            merge_only = getattr(context, "merge_only", False)
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if claim and merge_only:
-            raise ValueError("claim and merge_only are mutually exclusive")
-        if (claim or merge_only) and store is None:
-            raise ValueError(
-                "claim/merge_only coordinate through the experiment "
-                "store; pass store= as well"
+        if context is None:
+            # The context validates the four knobs for both styles.
+            context = ExecutionContext(
+                workers=(os.cpu_count() or 1) if workers is None else workers,
+                store=store,
+                claim=claim,
+                merge_only=merge_only,
+            )
+        elif workers is not None or store is not None or claim or merge_only:
+            raise TypeError(
+                "pass workers/store either via context= or "
+                "individually, not both"
             )
         if stale_claim_after is not None and stale_claim_after <= 0:
             raise ValueError("stale_claim_after must be > 0 (or None)")
@@ -312,15 +324,15 @@ class SweepExecutor:
             raise ValueError("claim_poll_interval must be > 0")
         if claim_timeout is not None and claim_timeout <= 0:
             raise ValueError("claim_timeout must be > 0 (or None)")
-        self.workers = int(workers)
+        self.workers = int(context.workers)
         if isinstance(mp_context, str):
             import multiprocessing
 
             mp_context = multiprocessing.get_context(mp_context)
         self._mp_context = mp_context
-        self.store = store
-        self.claim = bool(claim)
-        self.merge_only = bool(merge_only)
+        self.store = context.store
+        self.claim = bool(context.claim)
+        self.merge_only = bool(context.merge_only)
         if claim_owner is None:
             import socket
 
@@ -330,6 +342,33 @@ class SweepExecutor:
         self.claim_poll_interval = float(claim_poll_interval)
         self.claim_timeout = claim_timeout
 
+    def run_payloads(self, requests: Sequence[Any]) -> list[list[np.ndarray]]:
+        """Every request's shard payloads, in chunk order.
+
+        The entry point for any request kind (see the module docstring):
+        cached shards are read from the store, the rest are computed
+        (serially, pooled or claim-partitioned), and each request gets
+        its payloads back in chunk order whatever the completion order.
+        """
+        requests = list(requests)
+        shards = _decompose(requests)
+        done: dict[_Shard, np.ndarray] = {}
+        pending = self._resolve_cached(requests, shards, done)
+        if self.merge_only:
+            if pending:
+                raise RuntimeError(
+                    f"merge-only sweep is missing {len(pending)} shard(s) "
+                    "from the store; run the claimants to completion first"
+                )
+        elif self.claim:
+            self._run_claimed(requests, done, pending)
+        else:
+            self._execute(requests, done, pending)
+        payloads: list[list[np.ndarray]] = [[] for _ in requests]
+        for shard in shards:
+            payloads[shard.request_index].append(done[shard])
+        return payloads
+
     def run_drops(self, requests: Sequence[EvalRequest]) -> list[np.ndarray]:
         """Merged per-replica drops for every request, in request order.
 
@@ -337,34 +376,20 @@ class SweepExecutor:
         that do not want :class:`MonteCarloResult` objects (benchmarks,
         custom mergers) can consume shard output directly.
         """
-        requests = list(requests)
-        merged = [np.empty(req.resolved_runs()) for req in requests]
-        pending = self._resolve_cached(requests, _decompose(requests), merged)
-        if self.merge_only:
-            if pending:
-                raise RuntimeError(
-                    f"merge-only sweep is missing {len(pending)} shard(s) "
-                    "from the store; run the claimants to completion first"
-                )
-            return merged
-        if self.claim:
-            self._run_claimed(requests, merged, pending)
-            return merged
-        self._execute(requests, merged, pending)
-        return merged
+        return [np.concatenate(chunks) for chunks in self.run_payloads(requests)]
 
     def _execute(
         self,
-        requests: list[EvalRequest],
-        merged: list[np.ndarray],
+        requests: list[Any],
+        done: dict[_Shard, np.ndarray],
         pending: "list[tuple[_Shard, str | None]]",
     ) -> None:
-        """Compute ``pending`` shards (serially or pooled) and merge them."""
+        """Compute ``pending`` shards (serially or pooled) into ``done``."""
         if self.workers == 1 or len(pending) <= 1:
             for shard, key in pending:
-                drops = _run_shard(requests[shard.request_index], shard)
-                self._merge(merged, shard, drops)
-                self._persist(requests[shard.request_index], shard, key, drops)
+                payload = _run_shard(requests[shard.request_index], shard)
+                self._merge(done, shard, payload)
+                self._persist(requests[shard.request_index], shard, key, payload)
             return
         max_workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(
@@ -379,10 +404,10 @@ class SweepExecutor:
             try:
                 for future in as_completed(futures):
                     shard, key = futures[future]
-                    drops = future.result()
-                    self._merge(merged, shard, drops)
+                    payload = future.result()
+                    self._merge(done, shard, payload)
                     self._persist(
-                        requests[shard.request_index], shard, key, drops
+                        requests[shard.request_index], shard, key, payload
                     )
             except BaseException:
                 # Fail fast: drop every still-queued shard instead of
@@ -394,8 +419,8 @@ class SweepExecutor:
 
     def _run_claimed(
         self,
-        requests: list[EvalRequest],
-        merged: list[np.ndarray],
+        requests: list[Any],
+        done: dict[_Shard, np.ndarray],
         pending: "list[tuple[_Shard, str | None]]",
     ) -> None:
         """Claim-partitioned execution of ``pending`` against the store.
@@ -432,15 +457,15 @@ class SweepExecutor:
                 # entry proves nobody computed this shard — duplicates
                 # are impossible outside stale takeover of a live
                 # worker.
-                drops = self.store.get_shard(key, expected_runs=shard.num_runs)
-                if drops is not None:
-                    self._merge(merged, shard, drops)
+                payload = self.store.get_shard(key, expected_runs=shard.payload_size)
+                if payload is not None:
+                    self._merge(done, shard, payload)
                     self.store.release_claim(key)
                 else:
                     mine.append((shard, key))
             if mine:
                 try:
-                    self._execute(requests, merged, mine)
+                    self._execute(requests, done, mine)
                 finally:
                     # Results are persisted (or at least merged); drop
                     # the claims so crashes here don't strand shards
@@ -449,9 +474,9 @@ class SweepExecutor:
                         self.store.release_claim(key)
             remaining = []
             for shard, key in waiting:
-                drops = self.store.get_shard(key, expected_runs=shard.num_runs)
-                if drops is not None:
-                    self._merge(merged, shard, drops)
+                payload = self.store.get_shard(key, expected_runs=shard.payload_size)
+                if payload is not None:
+                    self._merge(done, shard, payload)
                 else:
                     remaining.append((shard, key))
             if remaining and not mine:
@@ -464,11 +489,11 @@ class SweepExecutor:
 
     def _resolve_cached(
         self,
-        requests: list[EvalRequest],
+        requests: list[Any],
         shards: list[_Shard],
-        merged: list[np.ndarray],
+        done: dict[_Shard, np.ndarray],
     ) -> "list[tuple[_Shard, str | None]]":
-        """Merge store hits in place; return the shards left to compute.
+        """Merge store hits into ``done``; return the shards left to compute.
 
         Each pending entry carries the shard's precomputed store key
         (``None`` without a store) so completion can persist the result
@@ -476,24 +501,22 @@ class SweepExecutor:
         """
         if self.store is None:
             return [(shard, None) for shard in shards]
-        from repro.store.keys import shard_key
-
         pending: list[tuple[_Shard, str | None]] = []
         for shard in shards:
-            key = shard_key(requests[shard.request_index], shard)
-            drops = self.store.get_shard(key, expected_runs=shard.num_runs)
-            if drops is not None:
-                self._merge(merged, shard, drops)
+            key = requests[shard.request_index].store_key(shard)
+            payload = self.store.get_shard(key, expected_runs=shard.payload_size)
+            if payload is not None:
+                self._merge(done, shard, payload)
             else:
                 pending.append((shard, key))
         return pending
 
     def _persist(
         self,
-        request: EvalRequest,
+        request: Any,
         shard: _Shard,
         key: str | None,
-        drops: np.ndarray,
+        payload: np.ndarray,
     ) -> None:
         """Write one completed shard back to the store (if attached); a
         failed write only warns (see
@@ -502,7 +525,7 @@ class SweepExecutor:
             return
         self.store.put_shard(
             key,
-            drops,
+            payload,
             meta={"policy": request.policy.name, "offset": shard.offset},
         )
 
@@ -526,12 +549,10 @@ class SweepExecutor:
 
     @staticmethod
     def _merge(
-        merged: list[np.ndarray], shard: _Shard, drops: np.ndarray
+        done: dict[_Shard, np.ndarray], shard: _Shard, payload: np.ndarray
     ) -> None:
-        if drops.shape != (shard.num_runs,):
+        if payload.shape != (shard.payload_size,):
             raise RuntimeError(
-                f"shard returned {drops.shape}, expected ({shard.num_runs},)"
+                f"shard returned {payload.shape}, expected ({shard.payload_size},)"
             )
-        merged[shard.request_index][
-            shard.offset : shard.offset + shard.num_runs
-        ] = drops
+        done[shard] = payload

@@ -33,8 +33,6 @@ def mm1b_stationary_distribution(
         raise ValueError("buffer_size must be >= 1")
     rho = arrival / service
     states = np.arange(buffer_size + 1)
-    if np.isclose(rho, 1.0):
-        return np.full(buffer_size + 1, 1.0 / (buffer_size + 1))
     weights = rho**states
     return weights / weights.sum()
 

@@ -26,6 +26,7 @@ from repro.queueing.backends.protocol import (
 from repro.queueing.backends.registry import (
     BackendSpec,
     available_backends,
+    check_sim_backend,
     get_backend,
     preserves_rng_contract,
     register_backend,
@@ -37,6 +38,7 @@ __all__ = [
     "draw_uniform_queue_samples",
     "BackendSpec",
     "available_backends",
+    "check_sim_backend",
     "get_backend",
     "preserves_rng_contract",
     "register_backend",

@@ -21,6 +21,7 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
+    "check_sim_backend",
     "runnable_backends",
     "preserves_rng_contract",
 ]
@@ -80,6 +81,19 @@ def available_backends() -> tuple[str, ...]:
     :func:`runnable_backends` for the names that run natively here.
     """
     return tuple(_REGISTRY)
+
+
+def check_sim_backend(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is registered or ``"auto"``.
+
+    The one check behind every request's and context's ``sim_backend``
+    field, so a typo fails where it is written, not inside a worker.
+    """
+    if name != AUTO and name not in _REGISTRY:
+        raise ValueError(
+            f"unknown sim_backend {name!r}; registered "
+            f"kernels: {available_backends()} (or 'auto')"
+        )
 
 
 def runnable_backends() -> tuple[str, ...]:

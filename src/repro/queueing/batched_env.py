@@ -395,6 +395,23 @@ class BatchedInfiniteClientEnv(_BatchedQueueSystemBase):
     infinite_clients = True
 
 
+def check_batched_env_cls(env_cls: type | None) -> None:
+    """Raise ``ValueError`` unless ``env_cls`` is ``None`` (the standard
+    finite system) or a batched environment class.
+
+    The one check behind the sweep and stream requests' ``env_cls``, so
+    a wrong class fails at construction, naming it, not inside a worker.
+    """
+    if env_cls is not None and not (
+        isinstance(env_cls, type)
+        and issubclass(env_cls, _BatchedQueueSystemBase)
+    ):
+        raise ValueError(
+            "sweeps and streams require a batched environment class, got "
+            f"{env_cls!r}"
+        )
+
+
 @dataclass
 class BatchedEpisodeResult:
     """Summary of ``E`` lock-step finite-system evaluation episodes."""

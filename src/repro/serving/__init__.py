@@ -12,10 +12,9 @@ instead of trajectories:
   quantiles for the discrete queue-length distribution, windowed
   drop-rate/throughput series with bounded coarsening.
 * :mod:`repro.serving.engine` — the chunked streaming driver, replica
-  sharding through the same seed discipline as
-  :class:`repro.experiments.parallel.SweepExecutor`, experiment-store
-  caching of streaming shards, and the scenario entry point behind the
-  ``stream`` CLI subcommand.
+  sharding, store caching and claiming on
+  :class:`repro.experiments.parallel.SweepExecutor` itself, and the
+  scenario entry point behind the ``stream`` CLI subcommand.
 * :mod:`repro.serving.control` — the closed-loop controller hook: a
   :class:`~repro.serving.control.Controller` observes the same delayed
   windowed surface a dispatcher sees and may switch/blend the active
@@ -28,7 +27,6 @@ delay models, memory model, closed-loop control).
 """
 
 from repro.serving.metrics import (
-    P2Quantile,
     StreamingMetrics,
     WindowedSeries,
     window_layout,
@@ -55,7 +53,6 @@ from repro.serving.control import (
 from repro.serving.regret import RegretReport, evaluate_regret
 
 __all__ = [
-    "P2Quantile",
     "StreamingMetrics",
     "WindowedSeries",
     "window_layout",

@@ -6,17 +6,15 @@ every epoch into :class:`repro.serving.metrics.StreamingMetrics` —
 memory stays O(E·M + max_windows), independent of the horizon (asserted
 by ``benchmarks/bench_streaming.py``).
 
-:func:`run_stream_request` shards a :class:`StreamRequest` over replica
-chunks with **exactly** the seed discipline of
-:class:`repro.experiments.parallel.SweepExecutor` (same chunk layout,
-same ``SeedSequence`` children), executes the chunks in-process or on a
-process pool, and merges per-replica summaries by offset — results are
-bit-identical for any worker count. With an
-:class:`repro.store.store.ExperimentStore` attached, each streaming
-shard is cached under a content key from
-:func:`repro.store.keys.stream_shard_key` — streaming shards
-fingerprint like finite-sweep shards, so killed streams resume where
-they stopped.
+:func:`run_stream_request` runs a :class:`StreamRequest` on
+:class:`repro.experiments.parallel.SweepExecutor`, the executor every
+sweep uses: the same replica-chunk layout and ``SeedSequence``
+children, in-process or on a process pool, with the same experiment
+store (shards keyed by :func:`repro.store.keys.stream_shard_key`, so
+killed streams resume where they stopped) and the same multi-node
+``claim``/``merge_only`` modes. The chunks are folded in chunk order,
+so summaries and window rows are bit-identical for any worker count,
+completion order and cache state.
 
 :func:`run_stream_scenario` is the entry point behind
 ``python -m repro.experiments.cli stream <scenario>``: it instantiates
@@ -26,7 +24,6 @@ suite.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -34,9 +31,11 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.execution import ExecutionContext
+from repro.experiments.parallel import SweepExecutor
+from repro.queueing.backends import check_sim_backend
 from repro.queueing.batched_env import (
-    BatchedFiniteSystemEnv,
     _BatchedQueueSystemBase,
+    check_batched_env_cls,
 )
 from repro.serving.control import Controller, ControlLoop
 from repro.serving.metrics import (
@@ -50,6 +49,7 @@ from repro.utils.stats import mean_confidence_interval
 from repro.utils.tables import format_table, series_to_csv
 
 if TYPE_CHECKING:
+    from repro.experiments.parallel import _Shard
     from repro.policies.base import UpperLevelPolicy
     from repro.queueing.chaos import DegradationSchedule
 
@@ -87,15 +87,8 @@ class StreamRequest:
     policies: "dict[str, UpperLevelPolicy] | None" = None
 
     def __post_init__(self) -> None:
-        from repro.queueing.backends import available_backends
-
-        if self.sim_backend != "auto" and (
-            self.sim_backend not in available_backends()
-        ):
-            raise ValueError(
-                f"unknown sim_backend {self.sim_backend!r}; registered "
-                f"kernels: {available_backends()} (or 'auto')"
-            )
+        check_batched_env_cls(self.env_cls)
+        check_sim_backend(self.sim_backend)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1 epoch")
         if self.window < 1:
@@ -106,13 +99,6 @@ class StreamRequest:
             raise ValueError("max_batch_replicas must be >= 1")
         if self.max_windows < 1:
             raise ValueError("max_windows must be >= 1")
-        if self.env_cls is not None and not issubclass(
-            self.env_cls, _BatchedQueueSystemBase
-        ):
-            raise ValueError(
-                "streaming requires a batched environment class, got "
-                f"{self.env_cls!r}"
-            )
         if self.controller is not None and not isinstance(
             self.controller, Controller
         ):
@@ -122,12 +108,49 @@ class StreamRequest:
         if self.policies is not None and self.controller is None:
             raise ValueError("policies requires a controller")
 
-    def resolved_env_cls(self) -> type:
-        return self.env_cls or BatchedFiniteSystemEnv
-
     def window_widths(self) -> np.ndarray:
         """Deterministic retained-window layout of this request."""
         return window_layout(self.horizon, self.window, self.max_windows)
+
+    def resolved_runs(self) -> int:
+        """Replica count (``num_replicas``, named as the executor asks)."""
+        return self.num_replicas
+
+    def payload_size(self, num_runs: int) -> int:
+        """Length of a shard's flat payload.
+
+        Layout: per-replica summaries ``(num_runs × F)`` raveled,
+        followed by the chunk's replica-averaged window rows ``(W × G)``
+        raveled — ``W`` is deterministic
+        (:func:`repro.serving.metrics.window_layout`), so the payload
+        reshapes without metadata.
+        """
+        num_windows = self.window_widths().size
+        return num_runs * len(SUMMARY_FIELDS) + num_windows * len(WINDOW_FIELDS)
+
+    def shard_payload(
+        self, env: _BatchedQueueSystemBase, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Stream one replica chunk; the flat payload of :meth:`payload_size`."""
+        metrics = run_stream(
+            env,
+            self.policy,
+            self.horizon,
+            self.window,
+            max_windows=self.max_windows,
+            seed=rng,
+            controller=self.controller,
+            policies=self.policies,
+        )
+        return np.concatenate(
+            [metrics.summaries().ravel(), metrics.windows.rows().ravel()]
+        )
+
+    def store_key(self, shard: "_Shard") -> str:
+        """The shard's content key (:func:`~repro.store.keys.stream_shard_key`)."""
+        from repro.store.keys import stream_shard_key
+
+        return stream_shard_key(self, shard.num_runs, shard.seeds[0])
 
 
 @dataclass
@@ -293,73 +316,23 @@ def run_stream(
         window=window,
         max_windows=max_windows,
     )
-    if controller is None:
-        for _ in range(horizon):
-            _, _, info = env.step_with_policy(policy)
-            if info.get("chaos_rates_changed"):
-                # A capacity event re-rated the fleet this epoch; the
-                # new rates applied during the epoch's serve, so the
-                # fold adopts them before consuming it.
-                metrics.resize(env.service_rates)
-            metrics.observe_epoch(
-                env.queue_states, info["drops_total"], info["arrival_rates"]
-            )
-        return metrics
-    loop = ControlLoop(env, metrics, controller, policy, policies)
+    loop = None
+    if controller is not None:
+        loop = ControlLoop(env, metrics, controller, policy, policies)
     for _ in range(horizon):
-        _, _, info = env.step_with_policy(loop.active_policy)
+        _, _, info = env.step_with_policy(
+            policy if loop is None else loop.active_policy
+        )
         states = env.queue_states
         if info.get("chaos_rates_changed"):
+            # A capacity event re-rated the fleet this epoch; the new
+            # rates applied during the epoch's serve, so the fold adopts
+            # them before consuming it.
             metrics.resize(env.service_rates)
-        metrics.observe_epoch(
-            states, info["drops_total"], info["arrival_rates"]
-        )
-        loop.after_epoch(states, info)
+        metrics.observe_epoch(states, info["drops_total"], info["arrival_rates"])
+        if loop is not None:
+            loop.after_epoch(states, info)
     return metrics
-
-
-def _run_stream_shard(
-    request: StreamRequest, num_runs: int, seed_material
-) -> np.ndarray:
-    """Execute one replica chunk; returns the flat cacheable payload.
-
-    Layout: per-replica summaries ``(num_runs × F)`` raveled, followed
-    by the chunk's replica-averaged window rows ``(W × G)`` raveled —
-    ``W`` is deterministic (:func:`repro.serving.metrics.window_layout`),
-    so the payload reshapes without metadata. Module-level for pickling.
-    """
-    rng = np.random.default_rng(seed_material)
-    env_kwargs = dict(request.env_kwargs)
-    if request.sim_backend != "numpy":
-        env_kwargs.setdefault("backend", request.sim_backend)
-    env = request.resolved_env_cls()(
-        request.config,
-        num_replicas=num_runs,
-        seed=rng,
-        **env_kwargs,
-    )
-    metrics = run_stream(
-        env,
-        request.policy,
-        request.horizon,
-        request.window,
-        max_windows=request.max_windows,
-        seed=rng,
-        controller=request.controller,
-        policies=request.policies,
-    )
-    return np.concatenate(
-        [metrics.summaries().ravel(), metrics.windows.rows().ravel()]
-    )
-
-
-def _shard_layout(request: StreamRequest) -> list[tuple[int, int]]:
-    """``(offset, num_runs)`` per chunk — SweepExecutor's exact layout."""
-    from repro.experiments.parallel import _chunk_sizes
-
-    sizes = _chunk_sizes(request.num_replicas, request.max_batch_replicas)
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return list(zip((int(o) for o in offsets), sizes))
 
 
 def run_stream_request(
@@ -375,11 +348,17 @@ def run_stream_request(
         ``max_batch_replicas`` — those are request properties here
         because they shape the cacheable shard payloads).
     context : ExecutionContext, optional
-        Execution knobs: ``workers`` is the process count (``1`` stays
-        in-process; never changes the merged result); ``store`` the
+        Execution knobs, applied exactly as for a sweep by
+        :class:`repro.experiments.parallel.SweepExecutor`: ``workers``
+        is the process count (``1`` stays in-process); ``store`` the
         content-addressed shard cache (chunks already streamed by a
         previous, possibly killed, run are merged from the store
-        instead of simulated, bit-identically). The context's
+        instead of simulated); ``claim``/``merge_only`` partition the
+        chunks between hosts sharing the store, or merge them without
+        computing any (``RuntimeError`` naming the missing count when
+        the store is incomplete). None of these changes the result: the
+        chunks are folded in chunk order, so summaries and window rows
+        are bit-identical. The context's
         ``sim_backend``/``max_batch_replicas`` are ignored in favor of
         the request's.
 
@@ -388,106 +367,31 @@ def run_stream_request(
     StreamResult
         Per-replica summaries and the merged windowed series.
     """
-    from repro.experiments.parallel import _spawn_seed_children
-    from repro.store.keys import stream_shard_key
-
     ctx = context if context is not None else ExecutionContext()
-    workers = ctx.workers
-    store = ctx.store
-    layout = _shard_layout(request)
-    children = _spawn_seed_children(request.seed, len(layout))
+    (chunks,) = SweepExecutor(context=ctx).run_payloads([request])
     widths = request.window_widths()
     n_sum = len(SUMMARY_FIELDS)
-    n_win = len(WINDOW_FIELDS)
-    flat_len = {
-        runs: runs * n_sum + widths.size * n_win for _, runs in layout
-    }
-
-    summaries = np.empty((request.num_replicas, n_sum))
-    window_acc = np.zeros((widths.size, n_win))
-    pending: list[tuple[int, int, Any, str | None]] = []
-    for (offset, runs), child in zip(layout, children):
-        key = None
-        if store is not None:
-            key = stream_shard_key(request, runs, child)
-            cached = store.get_shard(key, expected_runs=flat_len[runs])
-            if cached is not None:
-                _merge_stream_shard(
-                    summaries, window_acc, offset, runs, widths.size, cached
-                )
-                continue
-        pending.append((offset, runs, child, key))
-
-    def finish(offset, runs, key, payload):
-        _merge_stream_shard(
-            summaries, window_acc, offset, runs, widths.size, payload
-        )
-        if store is not None and key is not None:
-            store.put_shard(
-                key,
-                payload,
-                meta={"policy": request.policy.name, "offset": offset},
-            )
-
-    if workers == 1 or len(pending) <= 1:
-        for offset, runs, child, key in pending:
-            finish(offset, runs, key, _run_stream_shard(request, runs, child))
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(pending))
-        ) as pool:
-            futures = {
-                pool.submit(_run_stream_shard, request, runs, child): (
-                    offset,
-                    runs,
-                    key,
-                )
-                for offset, runs, child, key in pending
-            }
-            try:
-                for future in as_completed(futures):
-                    offset, runs, key = futures[future]
-                    finish(offset, runs, key, future.result())
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+    window_sum = np.zeros((widths.size, len(WINDOW_FIELDS)))
+    summaries = []
+    # Folding in chunk order keeps the float sum independent of worker
+    # count, completion order and which chunks came from the store.
+    for payload in chunks:
+        split = payload.size - window_sum.size
+        summaries.append(payload[:split].reshape(-1, n_sum))
+        window_sum += (split // n_sum) * payload[split:].reshape(window_sum.shape)
     return StreamResult(
         policy_name=request.policy.name,
         config=request.config,
         horizon=request.horizon,
         window=request.window,
-        summaries=summaries,
+        summaries=np.concatenate(summaries),
         window_widths=widths,
-        window_rows=window_acc / request.num_replicas,
-        workers=int(workers),
+        window_rows=window_sum / request.num_replicas,
+        workers=int(ctx.workers),
         controller_name=(
             request.controller.name if request.controller else None
         ),
     )
-
-
-def _merge_stream_shard(
-    summaries: np.ndarray,
-    window_acc: np.ndarray,
-    offset: int,
-    runs: int,
-    num_windows: int,
-    payload: np.ndarray,
-) -> None:
-    """Fold one shard's flat payload into the merged accumulators."""
-    n_sum = len(SUMMARY_FIELDS)
-    n_win = len(WINDOW_FIELDS)
-    expected = runs * n_sum + num_windows * n_win
-    if payload.shape != (expected,):
-        raise RuntimeError(
-            f"stream shard payload has shape {payload.shape}, "
-            f"expected ({expected},)"
-        )
-    summaries[offset : offset + runs] = payload[: runs * n_sum].reshape(
-        runs, n_sum
-    )
-    window_acc += runs * payload[runs * n_sum :].reshape(num_windows, n_win)
 
 
 def run_stream_scenario(

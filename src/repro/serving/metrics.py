@@ -2,9 +2,10 @@
 
 Everything here is O(1) memory in the horizon:
 
-* :class:`P2Quantile` — the P² algorithm (Jain & Chlamtać 1985): five
-  markers track one quantile of a scalar stream without storing
-  observations. Used for the continuous sojourn-time proxy;
+* P² sketches (Jain & Chlamtać 1985): five markers track one quantile
+  of a stream without storing observations. Used for the continuous
+  sojourn-time proxy, every ``(replica, quantile)`` sketch advanced in
+  lock-step by ``_P2Batch``; pinned to a scalar reference and
   property-tested against :func:`numpy.quantile` in
   ``tests/test_serving.py``.
 * exact streaming quantiles for *queue lengths*: the state space is the
@@ -26,12 +27,9 @@ Metric definitions are documented for operators in ``docs/serving.md``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
-    "P2Quantile",
     "WindowedSeries",
     "window_layout",
     "StreamingMetrics",
@@ -43,122 +41,16 @@ __all__ = [
 DEFAULT_MAX_WINDOWS = 512
 
 
-class P2Quantile:
-    """Streaming quantile estimate via the P² algorithm.
-
-    Parameters
-    ----------
-    p : float
-        Target quantile in ``(0, 1)``.
-
-    Notes
-    -----
-    Five markers (min, two intermediates, the target, max) are moved by
-    piecewise-parabolic interpolation as observations arrive; memory is
-    constant and one :meth:`add` is O(1). With five or fewer
-    observations the estimate is the exact (linearly interpolated)
-    sample quantile. Accuracy on well-behaved streams is typically a
-    fraction of a percent of the sample range — the property test pins
-    a tolerance against ``np.quantile`` on random streams.
-    """
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must lie in (0, 1), got {p}")
-        self.p = float(p)
-        self.count = 0
-        self._heights: list[float] = []  # marker heights q_i
-        self._positions = [0.0, 1.0, 2.0, 3.0, 4.0]  # marker positions n_i
-        self._desired = [0.0, 0.0, 0.0, 0.0, 0.0]  # desired positions n'_i
-        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the sketch."""
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite observation: {value!r}")
-        self.count += 1
-        if self.count <= 5:
-            self._heights.append(value)
-            self._heights.sort()
-            if self.count == 5:
-                p = self.p
-                self._positions = [0.0, 1.0, 2.0, 3.0, 4.0]
-                self._desired = [
-                    0.0,
-                    2.0 * p,
-                    4.0 * p,
-                    2.0 + 2.0 * p,
-                    4.0,
-                ]
-            return
-        q, n, nd = self._heights, self._positions, self._desired
-        # Locate the cell and bump the extreme markers if needed.
-        if value < q[0]:
-            q[0] = value
-            k = 0
-        elif value >= q[4]:
-            q[4] = value
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            nd[i] += self._increments[i]
-        # Adjust the three interior markers toward their desired spots.
-        for i in (1, 2, 3):
-            d = nd[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:  # parabolic move would break monotonicity
-                    j = i + int(step)
-                    q[i] += step * (q[j] - q[i]) / (n[j] - n[i])
-                n[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step)
-            * (q[i + 1] - q[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step)
-            * (q[i] - q[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def extend(self, values) -> None:
-        """Fold a batch of observations (in order)."""
-        for value in np.asarray(values, dtype=np.float64).ravel():
-            self.add(float(value))
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate."""
-        if self.count == 0:
-            raise ValueError("no observations folded")
-        if self.count <= 5:
-            return float(np.quantile(self._heights, self.p))
-        return float(self._heights[2])
-
-
 class _P2Batch:
     """``R`` independent P² sketches advanced in lock-step (vectorized).
 
     The streaming fold feeds one observation per replica per epoch into
-    ``len(quantiles)`` sketches each; looping scalar
-    :class:`P2Quantile` objects would put ``E × Q`` Python calls on the
-    hot path. This class stacks all marker state into ``(R, 5)`` arrays
-    and performs the identical update arithmetic with a handful of
-    NumPy operations per batch — per-row results match the scalar
-    implementation (pinned by a test).
+    ``len(quantiles)`` sketches each; looping scalar sketches would put
+    ``E × Q`` Python calls on the hot path. This class stacks all marker
+    state into ``(R, 5)`` arrays and performs the identical update
+    arithmetic with a handful of NumPy operations per batch — per-row
+    results match the scalar reference implementation kept in
+    ``tests/test_serving.py`` (pinned by a test there).
     """
 
     def __init__(self, ps: np.ndarray) -> None:

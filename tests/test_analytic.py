@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.meanfield.analytic import (
@@ -78,6 +78,8 @@ class TestMM1B:
         mu=st.floats(0.1, 3.0),
         b=st.integers(1, 12),
     )
+    # ρ just off 1: the law is geometric, not uniform, to 1e-8.
+    @example(lam=1.0, mu=0.99999, b=1)
     @settings(max_examples=60, deadline=None)
     def test_detailed_balance_property(self, lam, mu, b):
         """π satisfies the birth-death balance λ·π(z) = μ·π(z+1)."""

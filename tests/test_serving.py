@@ -1,5 +1,7 @@
 """Streaming serving engine: sketches, windows, sharding, store."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from repro.serving.engine import (
 )
 from repro.serving.metrics import (
     SUMMARY_FIELDS,
-    P2Quantile,
     StreamingMetrics,
     WindowedSeries,
     _P2Batch,
@@ -45,6 +46,112 @@ def _env(config, replicas=3, seed=0, **kwargs):
     return BatchedFiniteSystemEnv(
         config, num_replicas=replicas, seed=seed, **kwargs
     )
+
+
+class P2Quantile:
+    """Scalar P² quantile sketch: the reference ``_P2Batch`` is pinned to.
+
+    Parameters
+    ----------
+    p : float
+        Target quantile in ``(0, 1)``.
+
+    Notes
+    -----
+    Five markers (min, two intermediates, the target, max) are moved by
+    piecewise-parabolic interpolation as observations arrive; memory is
+    constant and one :meth:`add` is O(1). With five or fewer
+    observations the estimate is the exact (linearly interpolated)
+    sample quantile. Accuracy on well-behaved streams is typically a
+    fraction of a percent of the sample range — the property test pins
+    a tolerance against ``np.quantile`` on random streams.
+    """
+
+    def __init__(self, p: float) -> None:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"quantile must lie in (0, 1), got {p}")
+        self.p = float(p)
+        self.count = 0
+        self._heights: list[float] = []  # marker heights q_i
+        self._positions = [0.0, 1.0, 2.0, 3.0, 4.0]  # marker positions n_i
+        self._desired = [0.0, 0.0, 0.0, 0.0, 0.0]  # desired positions n'_i
+        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
+
+    def add(self, value: float) -> None:
+        """Fold one observation into the sketch."""
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite observation: {value!r}")
+        self.count += 1
+        if self.count <= 5:
+            self._heights.append(value)
+            self._heights.sort()
+            if self.count == 5:
+                p = self.p
+                self._positions = [0.0, 1.0, 2.0, 3.0, 4.0]
+                self._desired = [
+                    0.0,
+                    2.0 * p,
+                    4.0 * p,
+                    2.0 + 2.0 * p,
+                    4.0,
+                ]
+            return
+        q, n, nd = self._heights, self._positions, self._desired
+        # Locate the cell and bump the extreme markers if needed.
+        if value < q[0]:
+            q[0] = value
+            k = 0
+        elif value >= q[4]:
+            q[4] = value
+            k = 3
+        else:
+            k = 0
+            while k < 3 and value >= q[k + 1]:
+                k += 1
+        for i in range(k + 1, 5):
+            n[i] += 1.0
+        for i in range(5):
+            nd[i] += self._increments[i]
+        # Adjust the three interior markers toward their desired spots.
+        for i in (1, 2, 3):
+            d = nd[i] - n[i]
+            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
+                d <= -1.0 and n[i - 1] - n[i] < -1.0
+            ):
+                step = 1.0 if d >= 1.0 else -1.0
+                candidate = self._parabolic(i, step)
+                if q[i - 1] < candidate < q[i + 1]:
+                    q[i] = candidate
+                else:  # parabolic move would break monotonicity
+                    j = i + int(step)
+                    q[i] += step * (q[j] - q[i]) / (n[j] - n[i])
+                n[i] += step
+
+    def _parabolic(self, i: int, step: float) -> float:
+        q, n = self._heights, self._positions
+        return q[i] + step / (n[i + 1] - n[i - 1]) * (
+            (n[i] - n[i - 1] + step)
+            * (q[i + 1] - q[i])
+            / (n[i + 1] - n[i])
+            + (n[i + 1] - n[i] - step)
+            * (q[i] - q[i - 1])
+            / (n[i] - n[i - 1])
+        )
+
+    def extend(self, values) -> None:
+        """Fold a batch of observations (in order)."""
+        for value in np.asarray(values, dtype=np.float64).ravel():
+            self.add(float(value))
+
+    @property
+    def value(self) -> float:
+        """Current quantile estimate."""
+        if self.count == 0:
+            raise ValueError("no observations folded")
+        if self.count <= 5:
+            return float(np.quantile(self._heights, self.p))
+        return float(self._heights[2])
 
 
 class TestP2Quantile:
@@ -291,16 +398,44 @@ class TestStreamingMetrics:
             metrics.observe_extra_drops(np.zeros(3))
 
 
+def _four_chunk_request(config, jsq):
+    """7 replicas in chunks of 2, on a seed whose window rows change when
+    the chunks are summed out of order."""
+    return StreamRequest(
+        config=config,
+        policy=jsq,
+        horizon=12,
+        window=4,
+        num_replicas=7,
+        seed=2,
+        env_kwargs={"per_packet_randomization": True},
+        max_batch_replicas=2,
+    )
+
+
+def _drop_first_chunk(store):
+    """Delete the stored entry of the chunk at replica offset 0."""
+    (first,) = (
+        key for key in store.iter_keys() if store.get_entry(key)[1]["offset"] == 0
+    )
+    store.path_for(first).unlink()
+
+
 class TestStreamRequest:
     def test_validation(self, config, jsq):
         with pytest.raises(ValueError):
             StreamRequest(config=config, policy=jsq, horizon=0, window=5)
         with pytest.raises(ValueError):
             StreamRequest(config=config, policy=jsq, horizon=5, window=0)
-        with pytest.raises(ValueError):
-            StreamRequest(
-                config=config, policy=jsq, horizon=5, window=5, env_cls=dict
-            )
+        for env_cls in (dict, "not-a-class"):
+            with pytest.raises(ValueError, match="batched environment class"):
+                StreamRequest(
+                    config=config,
+                    policy=jsq,
+                    horizon=5,
+                    window=5,
+                    env_cls=env_cls,
+                )
 
     def test_worker_count_invariance(self, config, jsq):
         request = StreamRequest(
@@ -316,7 +451,72 @@ class TestStreamRequest:
         serial = run_stream_request(request, context=ExecutionContext(workers=1))
         pooled = run_stream_request(request, context=ExecutionContext(workers=2))
         assert np.array_equal(serial.summaries, pooled.summaries)
-        assert np.allclose(serial.window_rows, pooled.window_rows)
+        assert np.array_equal(serial.window_rows, pooled.window_rows)
+
+    def test_pool_completion_order_is_invisible(self, config, jsq):
+        """Four chunks on two workers finish in a different order on
+        every run; the merge folds them in chunk order regardless."""
+        request = _four_chunk_request(config, jsq)
+        cold = run_stream_request(request)
+        for _ in range(3):
+            pooled = run_stream_request(
+                request, context=ExecutionContext(workers=2)
+            )
+            assert np.array_equal(cold.summaries, pooled.summaries)
+            assert np.array_equal(cold.window_rows, pooled.window_rows)
+
+    def test_partially_cached_stream_is_bit_identical(
+        self, config, jsq, tmp_path
+    ):
+        """Cached chunks merge at their own position, not ahead of the
+        computed ones."""
+        from repro.store import ExperimentStore
+
+        request = _four_chunk_request(config, jsq)
+        cold = run_stream_request(request)
+        store = ExperimentStore(tmp_path / "store")
+        run_stream_request(request, context=ExecutionContext(store=store))
+        _drop_first_chunk(store)
+        before = store.stats.snapshot()
+        warm = run_stream_request(request, context=ExecutionContext(store=store))
+        delta = store.stats.since(before)
+        assert (delta.hits, delta.writes) == (3, 1)
+        assert np.array_equal(cold.summaries, warm.summaries)
+        assert np.array_equal(cold.window_rows, warm.window_rows)
+
+    def test_merge_only_incomplete_store_raises(self, config, jsq, tmp_path):
+        from repro.store import ExperimentStore
+
+        request = _four_chunk_request(config, jsq)
+        store = ExperimentStore(tmp_path / "store")
+        run_stream_request(request, context=ExecutionContext(store=store))
+        _drop_first_chunk(store)
+        with pytest.raises(RuntimeError, match="missing 1 shard"):
+            run_stream_request(
+                request, context=ExecutionContext(store=store, merge_only=True)
+            )
+        assert store.stats.writes == 4
+
+    def test_claimed_stream_then_merge_only(self, config, jsq, tmp_path):
+        """A claim-mode host computes and publishes every chunk; a
+        merge-only host then assembles the identical result from the
+        store alone."""
+        from repro.store import ExperimentStore
+
+        request = _four_chunk_request(config, jsq)
+        cold = run_stream_request(request)
+        store = ExperimentStore(tmp_path / "store")
+        claimed = run_stream_request(
+            request, context=ExecutionContext(store=store, claim=True)
+        )
+        assert (store.stats.claims, store.stats.writes) == (4, 4)
+        merged = run_stream_request(
+            request, context=ExecutionContext(store=store, merge_only=True)
+        )
+        assert store.stats.writes == 4
+        for result in (claimed, merged):
+            assert np.array_equal(cold.summaries, result.summaries)
+            assert np.array_equal(cold.window_rows, result.window_rows)
 
     def test_chunking_invariance(self, config, jsq):
         """Replica chunk size never changes the merged summaries —
@@ -366,7 +566,7 @@ class TestStreamRequest:
         assert store.stats.hits == 2
         assert np.array_equal(cold.summaries, fresh.summaries)
         assert np.array_equal(cold.summaries, warm.summaries)
-        assert np.allclose(cold.window_rows, warm.window_rows)
+        assert np.array_equal(cold.window_rows, warm.window_rows)
 
     def test_full_disk_store_write_only_warns(
         self, config, jsq, tmp_path, full_disk
