@@ -103,7 +103,8 @@ def run_fig4(
     shard cache (see :mod:`repro.store`) so repeated or overlapping
     panel runs skip already-computed replica chunks. ``sim_backend``
     picks the epoch kernel (``"numpy"``, ``"numba"``, ``"auto"``; see
-    :mod:`repro.queueing.backends`) without changing any statistic.
+    :mod:`repro.queueing.backends`) without changing any statistic, and
+    ``max_batch_replicas`` the replica chunk size (default 64).
     """
     from repro.experiments.parallel import EvalRequest, SweepExecutor
 
@@ -131,6 +132,7 @@ def run_fig4(
                 num_runs=num_runs,
                 num_epochs=num_epochs,
                 seed=seed,
+                max_batch_replicas=ctx.resolved_max_batch_replicas(),
                 sim_backend=ctx.sim_backend,
             )
         )

@@ -12,10 +12,10 @@ worker count or completion order. :class:`SweepExecutor` decomposes every
 request into the exact same ``(request × replica-chunk)`` shards the
 serial path of
 :func:`repro.experiments.runner.evaluate_policy_finite` iterates over,
-spawns one ``SeedSequence`` child per chunk the same way
-:func:`repro.utils.rng.spawn_generators` does, executes the shards in
-any order on any number of processes, and hands every request its shard
-payloads back in chunk order. Consequently::
+seeds each chunk with its :func:`repro.utils.rng.spawn_seeds` child
+(the seeds behind :func:`repro.utils.rng.spawn_generators`), executes
+the shards in any order on any number of processes, and hands every
+request its shard payloads back in chunk order. Consequently::
 
     SweepExecutor(workers=1).run(reqs)
     == SweepExecutor(workers=4).run(reqs)     # bit-identical
@@ -65,11 +65,10 @@ from repro.queueing.batched_env import (
     check_batched_env_cls,
     run_episodes_batched,
 )
+from repro.utils.rng import spawn_seeds
 from repro.utils.stats import mean_confidence_interval
 
 if TYPE_CHECKING:
-    from multiprocessing.context import BaseContext
-
     from repro.experiments.runner import MonteCarloResult
     from repro.policies.base import UpperLevelPolicy
     from repro.store.store import ExperimentStore
@@ -158,24 +157,6 @@ class _Shard:
     payload_size: int
 
 
-def _spawn_seed_children(seed: "SeedLike", count: int) -> "list[SeedMaterial]":
-    """Children mirroring :func:`repro.utils.rng.spawn_generators`.
-
-    Returns picklable seed material (``SeedSequence`` children, or drawn
-    integers for generators without a seed sequence) such that
-    ``np.random.default_rng(child)`` equals the serial path's generator
-    for the same position.
-    """
-    if isinstance(seed, np.random.Generator):
-        seed_seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-        if seed_seq is None:  # pragma: no cover - exotic bit generators
-            return [int(seed.integers(2**63)) for _ in range(count)]
-        return list(seed_seq.spawn(count))
-    if isinstance(seed, np.random.SeedSequence):
-        return list(seed.spawn(count))
-    return list(np.random.SeedSequence(seed).spawn(count))
-
-
 def _chunk_sizes(runs: int, max_chunk: int) -> list[int]:
     """The serial path's replica chunking (same layout, same order)."""
     return [min(max_chunk, runs - start) for start in range(0, runs, max_chunk)]
@@ -186,7 +167,7 @@ def _decompose(requests: Sequence[Any]) -> list[_Shard]:
     shards: list[_Shard] = []
     for index, request in enumerate(requests):
         sizes = _chunk_sizes(request.resolved_runs(), request.max_batch_replicas)
-        children = _spawn_seed_children(request.seed, len(sizes))
+        children = spawn_seeds(request.seed, len(sizes))
         offset = 0
         for size, child in zip(sizes, children):
             shards.append(
@@ -233,9 +214,6 @@ class SweepExecutor:
         Process count. ``1`` executes every shard in-process (no
         ``multiprocessing`` involvement); ``None`` uses
         ``os.cpu_count()``. Results are independent of this value.
-    mp_context:
-        Optional ``multiprocessing`` context or start-method name
-        (``"fork"``, ``"spawn"``, ...) forwarded to the pool.
     store:
         Optional :class:`repro.store.store.ExperimentStore`. When given,
         every shard is looked up by its content hash before dispatch
@@ -293,7 +271,6 @@ class SweepExecutor:
     def __init__(
         self,
         workers: int | None = None,
-        mp_context: "BaseContext | str | None" = None,
         store: "ExperimentStore | None" = None,
         context: "ExecutionContext | None" = None,
         claim: bool = False,
@@ -325,11 +302,6 @@ class SweepExecutor:
         if claim_timeout is not None and claim_timeout <= 0:
             raise ValueError("claim_timeout must be > 0 (or None)")
         self.workers = int(context.workers)
-        if isinstance(mp_context, str):
-            import multiprocessing
-
-            mp_context = multiprocessing.get_context(mp_context)
-        self._mp_context = mp_context
         self.store = context.store
         self.claim = bool(context.claim)
         self.merge_only = bool(context.merge_only)
@@ -392,9 +364,7 @@ class SweepExecutor:
                 self._persist(requests[shard.request_index], shard, key, payload)
             return
         max_workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=self._mp_context
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = {
                 pool.submit(
                     _run_shard, requests[shard.request_index], shard

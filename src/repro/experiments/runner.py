@@ -4,7 +4,8 @@ The paper evaluates every policy with ``n`` independent simulations of
 the finite system and reports the mean cumulative per-queue packet drops
 with 95% confidence intervals. :func:`evaluate_policy_finite` is that
 loop; :func:`policy_suite` builds the standard comparison set
-(MF / JSQ(2) / RND) used by Figures 5 and 6.
+(MF / JSQ(2) / RND) used by Figures 5 and 6, and
+:class:`ScenarioSweepResult` is the result table of every delay-grid sweep.
 
 The ``n`` replicas run in lock-step through
 :class:`repro.queueing.batched_env.BatchedFiniteSystemEnv` (queue states
@@ -25,11 +26,17 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.execution import ExecutionContext
 from repro.utils.stats import ConfidenceInterval
+from repro.utils.tables import format_table, series_to_csv
 
 if TYPE_CHECKING:
     from repro.policies.base import UpperLevelPolicy
 
-__all__ = ["MonteCarloResult", "evaluate_policy_finite", "policy_suite"]
+__all__ = [
+    "MonteCarloResult",
+    "ScenarioSweepResult",
+    "evaluate_policy_finite",
+    "policy_suite",
+]
 
 
 @dataclass
@@ -44,6 +51,60 @@ class MonteCarloResult:
     @property
     def mean_drops(self) -> float:
         return self.interval.mean
+
+
+@dataclass
+class ScenarioSweepResult:
+    """One delay-grid sweep: drops per ``(Δt, policy)`` with 95% CIs."""
+
+    scenario: str
+    num_queues: int
+    num_clients: int
+    delta_ts: tuple[float, ...]
+    results: dict[str, list[MonteCarloResult]]  # policy name -> per-Δt
+    workers: int
+
+    @property
+    def title(self) -> str:
+        return (
+            f"Scenario {self.scenario} — M={self.num_queues}, "
+            f"N={self.num_clients}, total per-queue drops "
+            f"(workers={self.workers})"
+        )
+
+    def mean_series(self, policy_name: str) -> np.ndarray:
+        return np.asarray([r.mean_drops for r in self.results[policy_name]])
+
+    def winner_at(self, delta_t: float) -> str:
+        idx = self.delta_ts.index(delta_t)
+        return min(
+            self.results, key=lambda name: self.results[name][idx].mean_drops
+        )
+
+    def to_csv(self) -> str:
+        headers = ["delta_t"]
+        for name in self.results:
+            headers += [f"{name}_mean", f"{name}_lo", f"{name}_hi"]
+        rows = []
+        for i, dt in enumerate(self.delta_ts):
+            row: list[object] = [dt]
+            for name in self.results:
+                r = self.results[name][i]
+                row += [r.mean_drops, r.interval.lower, r.interval.upper]
+            rows.append(row)
+        return series_to_csv(headers, rows)
+
+    def format_table(self) -> str:
+        headers = ["Δt", *self.results.keys(), "winner"]
+        rows = []
+        for i, dt in enumerate(self.delta_ts):
+            row: list[object] = [dt]
+            for name in self.results:
+                r = self.results[name][i]
+                row.append(f"{r.mean_drops:.3g}±{r.interval.half_width:.2g}")
+            row.append(self.winner_at(dt))
+            rows.append(row)
+        return format_table(headers, rows, title=self.title)
 
 
 def evaluate_policy_finite(

@@ -14,7 +14,6 @@ from repro.queueing.arrivals import MarkovModulatedRate
 from repro.queueing.backends import (
     available_backends,
     get_backend,
-    runnable_backends,
 )
 from repro.queueing.queue_ctmc import simulate_queues_epoch_batched
 from repro.queueing.clients import (
@@ -90,7 +89,6 @@ __all__ = [
     "MarkovModulatedRate",
     "available_backends",
     "get_backend",
-    "runnable_backends",
     "simulate_queues_epoch_batched",
     "choice_probabilities",
     "committed_counts_multinomial",

@@ -30,7 +30,6 @@ from repro.queueing.backends.registry import (
     get_backend,
     preserves_rng_contract,
     register_backend,
-    runnable_backends,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "get_backend",
     "preserves_rng_contract",
     "register_backend",
-    "runnable_backends",
 ]

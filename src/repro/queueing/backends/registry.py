@@ -22,7 +22,6 @@ __all__ = [
     "get_backend",
     "available_backends",
     "check_sim_backend",
-    "runnable_backends",
     "preserves_rng_contract",
 ]
 
@@ -77,8 +76,7 @@ def available_backends() -> tuple[str, ...]:
     """All registered backend names, in registration order.
 
     Every name is *resolvable* by :func:`get_backend` (unavailable ones
-    resolve to their fallback with a warning); use
-    :func:`runnable_backends` for the names that run natively here.
+    resolve to their fallback with a warning).
     """
     return tuple(_REGISTRY)
 
@@ -94,13 +92,6 @@ def check_sim_backend(name: str) -> None:
             f"unknown sim_backend {name!r}; registered "
             f"kernels: {available_backends()} (or 'auto')"
         )
-
-
-def runnable_backends() -> tuple[str, ...]:
-    """Registered backends that run natively on this host."""
-    return tuple(
-        name for name, spec in _REGISTRY.items() if spec.runnable()
-    )
 
 
 def preserves_rng_contract(name: str) -> bool:

@@ -16,6 +16,7 @@ horizons instead. See ``docs/workloads.md`` for the catalogue and
 ``docs/scaling.md`` for worker guidance.
 """
 
+from repro.experiments.runner import ScenarioSweepResult
 from repro.scenarios import builtin as _builtin  # noqa: F401  (registers the catalogue)
 from repro.scenarios.registry import (
     ScenarioSpec,
@@ -24,7 +25,7 @@ from repro.scenarios.registry import (
     register_scenario,
     scenario_summaries,
 )
-from repro.scenarios.run import ScenarioSweepResult, run_scenario
+from repro.scenarios.run import run_scenario
 
 __all__ = [
     "ScenarioSpec",

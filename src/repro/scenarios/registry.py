@@ -7,7 +7,9 @@ scenario turns a workload into a name —
 ``python -m repro.experiments.cli scenario <name>`` — instead of a fork
 of the figure runners, which is how the related-work directions
 (heterogeneous servers, bursty arrivals, overload stress) plug into the
-same sharded Monte-Carlo machinery as the paper's own Figures 4-6.
+same sharded Monte-Carlo machinery as the paper's own figures. Figures 5
+and 6 are themselves the ``paper-baseline`` scenario, swept at each
+panel's ``M`` and client rule.
 
 Specs are frozen dataclasses: a registered scenario never mutates, so a
 name always denotes the same experiment. Mutable experiment inputs

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn_generators"]
+__all__ = ["as_generator", "spawn_generators", "spawn_seeds"]
 
 SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
 
@@ -32,24 +32,33 @@ def as_generator(seed: int | np.random.Generator | np.random.SeedSequence | None
     return np.random.default_rng(seed)
 
 
-def spawn_generators(
+def spawn_seeds(
     seed: int | np.random.Generator | np.random.SeedSequence | None,
     count: int,
-) -> list[np.random.Generator]:
-    """Spawn ``count`` independent generators from one root seed.
+) -> list[np.random.SeedSequence | int]:
+    """Picklable seed material for ``count`` independent children of ``seed``.
 
-    If ``seed`` is already a generator, children are derived from its
-    bit generator's seed sequence when available, else from integers it
-    draws (still deterministic given the generator's state).
+    ``SeedSequence`` children of the root's sequence; a generator without
+    a retrievable seed sequence yields integers it draws instead (still
+    deterministic given the generator's state). Each child seeds one
+    ``np.random.default_rng``.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if isinstance(seed, np.random.Generator):
         seed_seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
         if seed_seq is None:  # pragma: no cover - exotic bit generators
-            return [as_generator(int(seed.integers(2**63))) for _ in range(count)]
-        return [np.random.default_rng(s) for s in seed_seq.spawn(count)]
+            return [int(seed.integers(2**63)) for _ in range(count)]
+        return list(seed_seq.spawn(count))
     if isinstance(seed, np.random.SeedSequence):
-        return [np.random.default_rng(s) for s in seed.spawn(count)]
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in root.spawn(count)]
+        return list(seed.spawn(count))
+    return list(np.random.SeedSequence(seed).spawn(count))
+
+
+def spawn_generators(
+    seed: int | np.random.Generator | np.random.SeedSequence | None,
+    count: int,
+) -> list[np.random.Generator]:
+    """Spawn ``count`` independent generators from one root seed
+    (one per :func:`spawn_seeds` child)."""
+    return [np.random.default_rng(s) for s in spawn_seeds(seed, count)]

@@ -160,8 +160,9 @@ class TestEntryPointThreading:
             ("evaluate_policy_finite", ("backend", "max_batch_replicas",
                                         "workers", "store", "sim_backend")),
             ("run_fig4", ("workers", "store", "sim_backend")),
-            ("run_fig5", ("workers", "store", "sim_backend")),
-            ("run_fig6", ("workers", "store", "sim_backend")),
+            ("run_fig5", ("workers", "store", "sim_backend", "mf_policies",
+                          "per_packet_randomization")),
+            ("run_fig6", ("workers", "store", "sim_backend", "mf_policies")),
             ("run_scenario", ("workers", "store", "sim_backend")),
             ("run_stream_scenario", ("workers", "store", "sim_backend")),
             ("run_stream_request", ("workers", "store")),

@@ -1,9 +1,12 @@
 """Tests for the experiment harness (tables, runner, figure modules)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.config import paper_system_config
+from repro.execution import ExecutionContext
 from repro.experiments.fig3_training import run_fig3
 from repro.experiments.fig4_convergence import run_fig4
 from repro.experiments.fig5_delay_sweep import run_fig5
@@ -17,6 +20,8 @@ from repro.experiments.tables import (
     table2_matches_config,
 )
 from repro.policies.static import RandomPolicy
+from repro.scenarios import run_scenario
+from repro.store.store import ExperimentStore
 
 
 class TestTables:
@@ -161,7 +166,6 @@ class TestFigureModules:
             num_queues=10,
             delta_ts=(5.0, 10.0),
             num_runs=2,
-            mf_policies={5.0: RandomPolicy(6, 2), 10.0: RandomPolicy(6, 2)},
             seed=0,
         )
         assert set(result.results) == {"MF", "JSQ(2)", "RND"}
@@ -175,7 +179,6 @@ class TestFigureModules:
             num_queues=10,
             delta_ts=(5.0,),
             num_runs=2,
-            mf_policies={5.0: RandomPolicy(6, 2)},
             seed=0,
         )
         assert result.panel_a.num_clients_rule == "M"
@@ -186,3 +189,65 @@ class TestFigureModules:
         cfg_b = result.panel_b.results["RND"][0].config
         assert cfg_a.num_clients == 10
         assert cfg_b.num_clients == 5
+
+
+class TestFigureSweeps:
+    """Figures 5 and 6 run as the ``paper-baseline`` scenario's sweep."""
+
+    @pytest.mark.parametrize(
+        "runner, kwargs, num_requests",
+        [
+            (
+                run_fig4,
+                dict(
+                    delta_t=5.0, m_grid=(10, 20), policy=RandomPolicy(6, 2),
+                    mf_eval_episodes=2,
+                ),
+                2,  # one per M
+            ),
+            (run_fig5, dict(num_queues=10, delta_ts=(5.0,)), 3),  # 3 policies
+            (run_fig6, dict(num_queues=10, delta_ts=(5.0,)), 6),  # 2 panels
+        ],
+        ids=["fig4", "fig5", "fig6"],
+    )
+    def test_context_chunk_size_sets_shard_count(
+        self, tmp_path, runner, kwargs, num_requests
+    ):
+        store = ExperimentStore(tmp_path / "store")
+        runner(
+            num_runs=3,
+            seed=0,
+            context=ExecutionContext(store=store, max_batch_replicas=2),
+            **kwargs,
+        )
+        assert store.stats.writes == num_requests * math.ceil(3 / 2)
+        assert len(store) == store.stats.writes
+
+    def test_fig5_then_paper_baseline_is_all_hits(self, tmp_path):
+        store = ExperimentStore(tmp_path / "store")
+        ctx = ExecutionContext(store=store)
+        kwargs = dict(num_queues=10, delta_ts=(1.0, 5.0), num_runs=3, seed=0)
+        panel = run_fig5(context=ctx, **kwargs)
+        before = store.stats.snapshot()
+        scenario = run_scenario("paper-baseline", context=ctx, **kwargs)
+        delta = store.stats.since(before)
+        assert (delta.hits, delta.misses, delta.writes) == (6, 0, 0)
+        assert list(scenario.results) == list(panel.results)
+        for name, series in panel.results.items():
+            for a, b in zip(series, scenario.results[name]):
+                assert np.array_equal(a.drops, b.drops)
+        assert scenario.to_csv() == panel.to_csv()
+
+    def test_fig5_mf_policy_follows_seed_without_checkpoint(self):
+        """At Δt = 2 (no packaged checkpoint) the MF cell is the CEM
+        stand-in for the panel's seed; the registered scenario's own
+        suite uses seed 0."""
+        result = run_fig5(num_queues=10, delta_ts=(2.0,), num_runs=2, seed=3)
+        policy, source = get_mf_policy(2.0, seed=3)
+        assert source == "cem-fallback"
+        mf = result.results["MF"][0]
+        expected = evaluate_policy_finite(
+            mf.config, policy, num_runs=2, num_epochs=250, seed=3,
+            env_kwargs={"per_packet_randomization": True},
+        )
+        assert np.array_equal(mf.drops, expected.drops)

@@ -13,7 +13,6 @@ from repro.experiments.parallel import (
     EvalRequest,
     SweepExecutor,
     _decompose,
-    _spawn_seed_children,
 )
 from repro.experiments.runner import evaluate_policy_finite
 from repro.policies.static import JoinShortestQueuePolicy, RandomPolicy
@@ -26,6 +25,7 @@ from repro.queueing.heterogeneous import (
     ServerClassSpec,
     sed_policy_suite,
 )
+from repro.utils.rng import spawn_seeds
 
 
 @pytest.fixture
@@ -119,7 +119,7 @@ class TestDeterminism:
         """Same master seed ⇒ identical results across three ways to run
         single-system (E = 1) replicas: one environment per spawned
         seed, in-process unit chunks, and a process pool."""
-        children = _spawn_seed_children(3, 4)
+        children = spawn_seeds(3, 4)
         scalar = np.concatenate(
             [
                 run_episodes_batched(
@@ -293,7 +293,6 @@ class TestFigureWorkers:
             num_queues=10,
             delta_ts=(5.0,),
             num_runs=3,
-            mf_policies={5.0: RandomPolicy(6, 2)},
             seed=0,
         )
         serial = run_fig5(context=ExecutionContext(workers=1), **kwargs)
