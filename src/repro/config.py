@@ -99,6 +99,13 @@ class SystemConfig:
     initial_state: int = 0
 
     def __post_init__(self) -> None:
+        # ``delta_t=1`` and ``delta_t=1.0`` are one experiment: store
+        # float fields as floats so both fingerprint (and cache) alike.
+        for field in dataclasses.fields(self):
+            if field.type == "float":
+                object.__setattr__(
+                    self, field.name, float(getattr(self, field.name))
+                )
         _check_positive("num_clients", self.num_clients)
         _check_positive("num_queues", self.num_queues)
         if self.buffer_size < 1:

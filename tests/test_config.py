@@ -10,6 +10,7 @@ from repro.config import (
     paper_ppo_config,
     paper_system_config,
 )
+from repro.store.keys import fingerprint
 
 
 class TestSystemConfigValidation:
@@ -91,6 +92,15 @@ class TestSystemConfigDerived:
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown"):
             SystemConfig.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("field", ["delta_t", "service_rate"])
+    def test_int_and_float_values_share_a_fingerprint(self, field):
+        """``delta_t=1`` and ``delta_t=1.0`` are one experiment, so they
+        must share a store key rather than simulate and cache twice."""
+        as_int = SystemConfig(**{field: 1})
+        assert type(getattr(as_int, field)) is float
+        assert as_int == SystemConfig(**{field: 1.0})
+        assert fingerprint(as_int) == fingerprint(SystemConfig(**{field: 1.0}))
 
 
 class TestPaperConfigs:
