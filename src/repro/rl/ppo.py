@@ -433,10 +433,13 @@ class PPOTrainer:
                     break
 
         # Adaptive KL coefficient (RLlib's update_kl rule) based on the
-        # post-update divergence over the full batch.
-        *params_new, _ = self.policy.forward(obs)
-        final_kl = float(dist.kl(*params_old_all, *params_new).mean())
-        self.kl_coeff = adapted_kl_coeff(self.kl_coeff, final_kl, cfg)
+        # post-update divergence over the full batch. A critic-only
+        # iteration leaves the policy, and so the coefficient, alone.
+        final_kl = 0.0
+        if update_policy:
+            *params_new, _ = self.policy.forward(obs)
+            final_kl = float(dist.kl(*params_old_all, *params_new).mean())
+            self.kl_coeff = adapted_kl_coeff(self.kl_coeff, final_kl, cfg)
 
         values_pred = self.value(obs)
         self.iteration += 1

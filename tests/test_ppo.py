@@ -74,6 +74,16 @@ class TestLearning:
         assert stats.policy_loss == 0.0
         assert stats.kl == 0.0
 
+    def test_critic_only_iterations_keep_kl_coeff(self, toy_trainer):
+        """With the policy frozen its KL is zero by definition; adapting
+        the coefficient to that zero would shrink it before the first
+        policy update."""
+        for _ in range(3):
+            stats = toy_trainer.train_iteration(update_policy=False)
+            assert stats.kl == 0.0
+            assert stats.kl_coeff == toy_trainer.config.kl_coeff
+        assert toy_trainer.kl_coeff == toy_trainer.config.kl_coeff
+
     def test_value_function_learns(self, toy_trainer):
         stats = [toy_trainer.train_iteration() for _ in range(10)]
         assert stats[-1].explained_variance > stats[0].explained_variance
