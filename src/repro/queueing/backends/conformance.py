@@ -7,11 +7,12 @@ compare against the NumPy reference. Contract-preserving backends
 (:func:`assert_traces_equal` on :func:`episode_trace` output); backends
 that replace the host RNG sequence are held to the statistical
 equivalence band of :func:`drops_z_score` instead. The parametrized
-suite in ``tests/test_backend_conformance.py`` and the backend
-comparison in ``benchmarks/bench_batched_backend.py`` both drive these
-helpers, so registering a backend
+suite in ``tests/test_backend_conformance.py`` drives these helpers over
+every registered backend, so registering a backend
 (:func:`repro.queueing.backends.register_backend`) is all it takes to
-enroll in the full test battery.
+enroll in the full test battery. ``benchmarks/bench_batched_backend.py``
+does not use them; it compares the sweep drops of two backends with
+checks of its own.
 """
 
 from __future__ import annotations

@@ -23,12 +23,15 @@ counts with one host-side multinomial
 (:func:`repro.queueing.clients.committed_counts_multinomial`), and
 :meth:`NumbaEpochKernel.committed_counts` is the shared NumPy reference.
 
-The one buffer the serve stage still allocates is the pre-drawn
-``(max_events, E, M)`` uniform block — drawing it in one host call
-produces the identical byte stream as the reference backend's
-``max_events`` successive ``(E, M)`` draws (NumPy fills uniform doubles
-sequentially in C order), which is what keeps inactive cells consuming
-their draws exactly like the vectorized rounds do.
+The one buffer the serve stage still allocates is the pre-drawn block
+of ``Σ num_events`` event uniforms. The host sorts the cells busiest
+first with the NumPy kernel's own :func:`_busiest_first`, so both
+kernels share one order, and draws the block in one call. Round ``k``
+of the reference kernel draws one uniform for each cell with more than
+``k`` events; the rounds are consecutive slices of the block, because
+NumPy fills uniform doubles sequentially. The loop therefore reads the
+``k``-th event uniform of the rank-``r`` cell at ``offsets[k] + r``,
+where ``offsets`` is the exclusive cumulative sum of the round sizes.
 
 When numba is not installed this module still imports (the kernels stay
 plain Python — used by the conformance tests to pin the algorithm), but
@@ -41,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.queueing.clients import committed_counts_from_samples
-from repro.queueing.queue_ctmc import validate_epoch_inputs
+from repro.queueing.queue_ctmc import _busiest_first, validate_epoch_inputs
 
 __all__ = ["NUMBA_AVAILABLE", "NumbaEpochKernel", "numba_available"]
 
@@ -100,24 +103,31 @@ def _packet_fractions_loop(observed, sampled, table, num_states, fractions):
 
 @njit(cache=True)
 def _serve_epoch_loop(
-    states, p_arrival, num_events, uniforms, buffer_size, new_states, drops
+    states,
+    p_arrival,
+    num_events,
+    order,
+    uniforms,
+    offsets,
+    buffer_size,
+    new_states,
+    drops,
 ):
-    num_replicas, num_queues = states.shape
-    for e in range(num_replicas):
-        for m in range(num_queues):
-            z = states[e, m]
-            dropped = 0
-            p = p_arrival[e, m]
-            for k in range(num_events[e, m]):
-                if uniforms[k, e, m] < p:
-                    if z >= buffer_size:
-                        dropped += 1
-                    else:
-                        z += 1
-                elif z > 0:
-                    z -= 1
-            new_states[e, m] = z
-            drops[e, m] = dropped
+    for r in range(order.size):
+        cell = order[r]
+        z = states[cell]
+        dropped = 0
+        p = p_arrival[cell]
+        for k in range(num_events[cell]):
+            if uniforms[offsets[k] + r] < p:
+                if z >= buffer_size:
+                    dropped += 1
+                else:
+                    z += 1
+            elif z > 0:
+                z -= 1
+        new_states[cell] = z
+        drops[cell] = dropped
 
 
 class NumbaEpochKernel:
@@ -185,25 +195,25 @@ class NumbaEpochKernel:
         states, arrival, service = validate_epoch_inputs(
             states, arrival_rates, service_rates, delta_t, buffer_size
         )
-        e, m = states.shape
         total_rate = arrival + service
         # Contract items (c) and (d): same poisson call as the reference
-        # backend, then all event uniforms in one (K, E, M) block —
-        # byte-identical to K successive (E, M) draws.
-        num_events = rng.poisson(total_rate * delta_t)
-        p_arrival = arrival / total_rate
-        max_events = int(num_events.max(initial=0))
-        uniforms = rng.random((max_events, e, m))
-        new_states = np.empty((e, m), dtype=np.int64)
-        drops = np.empty((e, m), dtype=np.int64)
+        # backend, then its rounds' uniforms in one block of Σ events.
+        num_events = rng.poisson(total_rate * delta_t).ravel()
+        order, busy = _busiest_first(num_events)
+        uniforms = rng.random(int(busy.sum()))
+        offsets = np.cumsum(busy) - busy
+        new_states = np.empty(states.shape, dtype=np.int64)
+        drops = np.empty(states.shape, dtype=np.int64)
         _serve_epoch_loop(
-            states.astype(np.int64),
-            p_arrival,
+            states.ravel().astype(np.int64),
+            (arrival / total_rate).ravel(),
             num_events.astype(np.int64),
+            order,
             uniforms,
+            offsets,
             np.int64(buffer_size),
-            new_states,
-            drops,
+            new_states.ravel(),
+            drops.ravel(),
         )
         return new_states, drops
 

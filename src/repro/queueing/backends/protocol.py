@@ -47,12 +47,16 @@ Then the serve stage draws:
 
 (c) one ``rng.poisson(total_rate · Δt)`` draw of shape ``(E, M)``
     inside ``serve_epoch``;
-(d) ``max_events · E · M`` event-type uniforms inside ``serve_epoch``,
-    where ``max_events`` is the largest count of draw (c): ``E·M`` per
-    event round, one for every cell whether or not it still has events
-    left. A kernel may draw them as ``max_events`` blocks of ``E·M`` or
-    as one ``(max_events, E, M)`` block: NumPy fills uniform doubles
-    sequentially in C order, so both consume the identical stream (and
+(d) one event-type uniform per event inside ``serve_epoch``, ``Σ``
+    of draw (c) in all. Round ``k = 0, …, max_events − 1`` (where
+    ``max_events`` is the largest count of draw (c)) draws one uniform
+    for each of the ``busy_k`` cells with more than ``k`` events, taken
+    in order of decreasing event count with ties in C order
+    (:func:`repro.queueing.queue_ctmc._busiest_first`). The ``k``-th
+    event of a cell is an arrival when its round-``k`` uniform is below
+    ``λ/(λ + α)``. A kernel may draw the rounds as ``max_events``
+    blocks or as one block of ``Σ busy_k`` values: NumPy fills uniform
+    doubles sequentially, so both consume the identical stream (and
     :class:`~repro.queueing.backends.conformance.CountingGenerator`
     logs both as one ``random`` entry).
 
@@ -186,8 +190,9 @@ class EpochKernel(Protocol):
         """Serve stage: advance all ``E·M`` frozen-rate queues by ``Δt``.
 
         Consumes one ``rng.poisson`` draw of shape ``(E, M)`` followed
-        by ``max_events · E · M`` uniforms (contract items *c* and
-        *d*). Input validation is shared across backends
+        by one uniform per event, ``Σ`` of the poisson draw in all,
+        ordered busiest cell first within each event round (contract
+        items *c* and *d*). Input validation is shared across backends
         via :func:`repro.queueing.queue_ctmc.validate_epoch_inputs`.
 
         Returns

@@ -18,13 +18,12 @@ uniformization series.
 :func:`simulate_queues_epoch_batched` advances ``E`` independent
 ``M``-queue replicas at once (queue states shaped ``(E, M)``; a single
 system is the ``E = 1`` case), which is what the batched environments of
-:mod:`repro.queueing.batched_env` build on. It runs in event rounds:
-round ``k`` draws one uniform for every one of the ``E·M`` cells — the
-RNG-draw contract of :mod:`repro.queueing.backends.protocol` — but
-updates only the cells with more than ``k`` events. The cells are sorted
-by event count once per epoch, busiest first, so the cells still busy in
-any round are a prefix of that order, and the rounds together touch one
-cell per event rather than ``max_events · E · M`` cells.
+:mod:`repro.queueing.batched_env` build on. It runs in event rounds.
+The cells are sorted by event count once per epoch, busiest first, so
+the cells with more than ``k`` events are a prefix of that order, and
+round ``k`` draws one uniform for each of them alone — the RNG-draw
+contract of :mod:`repro.queueing.backends.protocol`. The rounds together
+draw one uniform and touch one cell per event.
 """
 
 from __future__ import annotations
@@ -89,11 +88,11 @@ def simulate_queues_epoch_batched(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``E`` independent ``M``-queue replicas by one epoch.
 
-    Draws the event counts with one ``rng.poisson`` call, then
-    ``max_events`` blocks of ``E·M`` uniforms (RNG-contract items *c* and
-    *d*); in round ``k`` only the cells with more than ``k`` events use
-    their uniform. Transient memory is ``O(E·M)`` whatever
-    ``max_events`` is.
+    Draws the event counts with one ``rng.poisson`` call, then one
+    uniform per event (RNG-contract items *c* and *d*): round ``k``
+    draws one for each cell with more than ``k`` events, busiest cell
+    first. Transient memory is ``O(E·M)`` whatever the event counts
+    are.
 
     Parameters
     ----------
@@ -123,7 +122,6 @@ def simulate_queues_epoch_batched(
     drops = _event_rounds(
         z,
         (arrival / total_rate).ravel().take(order),
-        order,
         busy,
         buffer_size,
         rng,
@@ -153,7 +151,6 @@ def _busiest_first(num_events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _event_rounds(
     z: np.ndarray,
     p_arrival: np.ndarray,
-    order: np.ndarray,
     busy: np.ndarray,
     buffer_size: int,
     rng: np.random.Generator,
@@ -161,28 +158,24 @@ def _event_rounds(
     """Play the event rounds of cells sorted busiest first.
 
     ``z`` and ``p_arrival`` are in the sorted order of
-    :func:`_busiest_first`. Round ``k`` draws one uniform per cell in
-    the unsorted order (RNG-contract item *d*), gathers those of the
-    ``busy[k]`` cells still having events, and moves each of them by one
-    event. Updates ``z`` in place and returns the sorted drop counts.
-    The round buffers are freed on return, before the caller allocates
-    its results.
+    :func:`_busiest_first`. Round ``k`` draws one uniform for each of
+    the ``busy[k]`` cells still having events, in that order
+    (RNG-contract item *d*), and moves each of them by one event.
+    Updates ``z`` in place and returns the sorted drop counts. The round
+    buffers are freed on return, before the caller allocates its
+    results.
     """
     size = z.size
     drops = np.zeros(size, dtype=np.int64)
     uniforms = np.empty(size)
-    gathered = np.empty(size)
     is_arrival = np.empty(size, dtype=bool)
     flag = np.empty(size, dtype=bool)
     step = np.empty(size, dtype=bool)
     for c in busy:
-        rng.random(out=uniforms)
         z_k, drops_k, arrival_k, flag_k, step_k = (
             z[:c], drops[:c], is_arrival[:c], flag[:c], step[:c]
         )
-        # mode="clip" gathers straight into ``out`` (the default mode
-        # buffers); every index is in range, so nothing is clipped.
-        u_k = uniforms.take(order[:c], out=gathered[:c], mode="clip")
+        u_k = rng.random(out=uniforms[:c])
         np.less(u_k, p_arrival[:c], out=arrival_k)
         np.greater_equal(z_k, buffer_size, out=flag_k)
         drops_k += np.logical_and(arrival_k, flag_k, out=step_k)

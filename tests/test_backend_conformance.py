@@ -37,6 +37,7 @@ from repro.queueing.backends import (
     register_backend,
 )
 from repro.queueing.backends.conformance import (
+    CountingGenerator,
     assert_traces_equal,
     default_family_builders,
     drops_z_score,
@@ -307,30 +308,57 @@ class TestPurePythonNumbaLoops:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(a.sum(axis=1), 1.0)
 
-    def test_serve_epoch_bit_identical(self, kernels):
+    @pytest.mark.parametrize("delta_t", [0.05, 1.5, 10.0])
+    def test_serve_epoch_bit_identical(self, kernels, delta_t):
         reference, candidate = kernels
         rng = np.random.default_rng(SEED)
         e, m = 4, CONFIG.num_queues
         states = rng.integers(0, CONFIG.buffer_size + 1, size=(e, m))
         arrival = rng.uniform(0.1, 3.0, size=(e, m))
         service = rng.uniform(0.5, 2.0, size=m)
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         sa, da = reference.serve_epoch(
-            states, arrival, service, 1.5, CONFIG.buffer_size,
-            np.random.default_rng(11),
+            states, arrival, service, delta_t, CONFIG.buffer_size, rng_a
         )
         sb, db = candidate.serve_epoch(
-            states, arrival, service, 1.5, CONFIG.buffer_size,
-            np.random.default_rng(11),
+            states, arrival, service, delta_t, CONFIG.buffer_size, rng_b
         )
         np.testing.assert_array_equal(sa, sb)
         np.testing.assert_array_equal(da, db)
         assert sb.dtype == np.int64 and db.dtype == np.int64
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [NumpyEpochKernel(), NumbaEpochKernel(require_numba=False)],
+        ids=["numpy", "numba-loops"],
+    )
+    def test_serve_draws_one_uniform_per_event(self, kernel):
+        """Contract items (c) and (d): a serve call draws the ``E·M``
+        event counts, then one uniform per event, not one per cell and
+        event round."""
+        rng = np.random.default_rng(SEED)
+        e, m = 3, CONFIG.num_queues
+        states = rng.integers(0, CONFIG.buffer_size + 1, size=(e, m))
+        arrival = rng.uniform(0.1, 3.0, size=(e, m))
+        counting = CountingGenerator(np.random.default_rng(11))
+        replay = np.random.default_rng(11)
+        expected = []
+        for delta_t in (0.5, 1.5, 4.0):
+            kernel.serve_epoch(
+                states, arrival, 1.0, delta_t, CONFIG.buffer_size, counting
+            )
+            events = int(replay.poisson((arrival + 1.0) * delta_t).sum())
+            replay.random(events)
+            expected += [("poisson", e * m), ("random", events)]
+        assert counting.calls == expected
+        assert counting.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rng_call_log_matches_reference(self, kernels, family):
-        """Contract item (d) on every host: the loops' one ``(K, E, M)``
-        uniform block consumes the stream of the reference kernel's
-        ``K`` blocks of ``E·M``, so both call logs agree."""
+        """Contract item (d) on every host: the loops' one block of
+        ``Σ num_events`` uniforms consumes the stream of the reference
+        kernel's per-round blocks, so both call logs agree."""
         reference, candidate = kernels
         policy = FAMILIES[family].policy
         log = rng_call_log(

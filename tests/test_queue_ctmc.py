@@ -292,3 +292,52 @@ class TestExactEpochLaw:
             (new * width + drops).ravel(), minlength=law.size
         ).astype(float)
         assert g_test_p_value(observed, n * law.ravel()) > ALPHA
+
+
+#: The ``B = 5`` points of :data:`LAW_POINTS`, which the mixed-batch
+#: gate serves in one call.
+MIXED_POINTS = [point for point in LAW_POINTS if point[4] == 5]
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        pytest.param(NumpyEpochKernel(), id="numpy"),
+        pytest.param(NumbaEpochKernel(require_numba=False), id="numba-loops"),
+    ],
+)
+class TestMixedBatchEpochLaw:
+    """The ``B = 5`` law points shuffled together into one serve call.
+
+    :class:`TestExactEpochLaw` gives every cell the same ``(z₀, λ, α)``,
+    so a kernel that pairs a cell's events with another cell's arrival
+    probability, state or drops still passes it. Here neighbouring
+    cells follow different laws, so such a misalignment shows. The
+    epoch law depends on ``λΔt`` and ``αΔt`` alone, so the points share
+    ``Δt = 1`` with rescaled rates and a per-cell ``α``; each point's
+    cells are G-tested against its own law at level ``ALPHA / 4``.
+    """
+
+    CELLS = 20_000
+
+    def test_each_point_passes_g_test(self, kernel):
+        z0, lam, alpha, dt, _ = np.array(MIXED_POINTS).T
+        lam, alpha = lam * dt, alpha * dt
+        num_points = len(MIXED_POINTS)
+        rng = np.random.default_rng(2025)
+        point = rng.permutation(
+            np.repeat(np.arange(num_points), self.CELLS)
+        ).reshape(4, -1)
+        new, drops = kernel.serve_epoch(
+            z0.astype(np.int64)[point], lam[point], alpha[point], 1.0, 5, rng
+        )
+        for i in range(num_points):
+            law = epoch_law(int(z0[i]), lam[i], alpha[i], 1.0, 5)
+            width = law.shape[1]
+            cells = point == i
+            assert drops[cells].max() < width
+            observed = np.bincount(
+                new[cells] * width + drops[cells], minlength=law.size
+            ).astype(float)
+            p_value = g_test_p_value(observed, self.CELLS * law.ravel())
+            assert p_value > ALPHA / num_points, MIXED_POINTS[i]
