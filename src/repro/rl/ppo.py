@@ -384,10 +384,12 @@ class PPOTrainer:
             )
         )
 
-        # Snapshot the old distribution for ratios and KL.
+        # Snapshot the old distribution for ratios and KL, which a
+        # critic-only iteration does not use.
         dist = self.policy.distribution
-        *params_old_all, _ = self.policy.forward(obs)
-        logp_old_all = dist.log_prob(actions, *params_old_all)
+        if update_policy:
+            *params_old_all, _ = self.policy.forward(obs)
+            logp_old_all = dist.log_prob(actions, *params_old_all)
 
         policy_losses: list[float] = []
         value_losses: list[float] = []
