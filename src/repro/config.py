@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -100,12 +101,12 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         # ``delta_t=1`` and ``delta_t=1.0`` are one experiment: store
-        # float fields as floats so both fingerprint (and cache) alike.
+        # numbers in float fields as floats so both fingerprint (and
+        # cache) alike. Anything else still fails the checks below.
         for field in dataclasses.fields(self):
-            if field.type == "float":
-                object.__setattr__(
-                    self, field.name, float(getattr(self, field.name))
-                )
+            value = getattr(self, field.name)
+            if field.type == "float" and isinstance(value, numbers.Real):
+                object.__setattr__(self, field.name, float(value))
         _check_positive("num_clients", self.num_clients)
         _check_positive("num_queues", self.num_queues)
         if self.buffer_size < 1:
