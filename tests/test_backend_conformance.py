@@ -308,25 +308,27 @@ class TestPurePythonNumbaLoops:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(a.sum(axis=1), 1.0)
 
-    @pytest.mark.parametrize("delta_t", [0.05, 1.5, 10.0])
-    def test_serve_epoch_bit_identical(self, kernels, delta_t):
+    def test_serve_epoch_bit_identical(self, kernels):
         reference, candidate = kernels
         rng = np.random.default_rng(SEED)
         e, m = 4, CONFIG.num_queues
         states = rng.integers(0, CONFIG.buffer_size + 1, size=(e, m))
         arrival = rng.uniform(0.1, 3.0, size=(e, m))
         service = rng.uniform(0.5, 2.0, size=m)
-        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-        sa, da = reference.serve_epoch(
-            states, arrival, service, delta_t, CONFIG.buffer_size, rng_a
-        )
-        sb, db = candidate.serve_epoch(
-            states, arrival, service, delta_t, CONFIG.buffer_size, rng_b
-        )
-        np.testing.assert_array_equal(sa, sb)
-        np.testing.assert_array_equal(da, db)
-        assert sb.dtype == np.int64 and db.dtype == np.int64
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        # Cells without events, a typical epoch, and dozens of rounds.
+        for delta_t in (0.05, 1.5, 10.0):
+            rng_a = np.random.default_rng(11)
+            rng_b = np.random.default_rng(11)
+            sa, da = reference.serve_epoch(
+                states, arrival, service, delta_t, CONFIG.buffer_size, rng_a
+            )
+            sb, db = candidate.serve_epoch(
+                states, arrival, service, delta_t, CONFIG.buffer_size, rng_b
+            )
+            np.testing.assert_array_equal(sa, sb)
+            np.testing.assert_array_equal(da, db)
+            assert sb.dtype == np.int64 and db.dtype == np.int64
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize(
         "kernel",
