@@ -30,8 +30,8 @@ class NumpyEpochKernel:
 
     Always available; the fallback target of every optional backend.
     The serve stage runs one array round per event of the busiest
-    queue; each round draws ``E·M`` uniforms but updates only the cells
-    with events left, so the updates cost one cell per event.
+    queue; each round draws uniforms for and updates only the cells
+    with events left, so draws and updates cost one cell per event.
     """
 
     name = "numpy"
