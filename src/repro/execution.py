@@ -22,7 +22,11 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.store.store import ExperimentStore
 
-__all__ = ["ExecutionContext"]
+__all__ = ["ExecutionContext", "MissingShardsError"]
+
+
+class MissingShardsError(RuntimeError):
+    """A ``merge_only`` run found shards missing from the store."""
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,9 @@ class ExecutionContext:
         hosts sharing ``store`` partition a sweep. Requires ``store``.
     merge_only:
         Merge previously completed shards from the store without
-        computing anything; raises if any shard is missing. Requires
-        ``store``; mutually exclusive with ``claim``.
+        computing anything; raises :class:`MissingShardsError` if any
+        shard is missing. Requires ``store``; mutually exclusive with
+        ``claim``.
     """
 
     workers: int = 1

@@ -46,6 +46,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.execution import MissingShardsError
 from repro.experiments.fig3_training import run_fig3
 from repro.experiments.fig4_convergence import run_fig4
 from repro.experiments.fig5_delay_sweep import run_fig5
@@ -272,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_flag(pstream)
     _add_store_flag(pstream)
     _add_sim_backend_flag(pstream)
+    _add_claim_flags(pstream)
 
     pr = sub.add_parser(
         "reproduce",
@@ -399,6 +401,16 @@ def _execution_context(args):
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run_command(parser, args)
+    except MissingShardsError as exc:
+        # --merge-only on an incomplete store is a usage error, not a
+        # traceback; the message names how many shards are missing.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(parser: argparse.ArgumentParser, args) -> int:
     if args.command == "table1":
         print(render_table1())
     elif args.command == "table2":
@@ -530,6 +542,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.delta_t is not None and args.delta_t <= 0:
             parser.error("--delta-t must be > 0")
+        _check_claim_flags(parser, args)
         try:
             result = run_stream_scenario(
                 args.name,

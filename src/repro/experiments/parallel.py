@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.execution import ExecutionContext
+from repro.execution import ExecutionContext, MissingShardsError
 from repro.queueing.backends import check_sim_backend
 from repro.queueing.batched_env import (
     BatchedFiniteSystemEnv,
@@ -247,7 +247,8 @@ class SweepExecutor:
         ``store``.
     merge_only:
         Merge previously completed shards from the store without
-        computing anything; raises ``RuntimeError`` naming the missing
+        computing anything; raises
+        :class:`~repro.execution.MissingShardsError` naming the missing
         shard count if the sweep is incomplete. This is how any host —
         even one that computed nothing — assembles a partitioned
         sweep's final result. Requires ``store``; mutually exclusive
@@ -328,7 +329,7 @@ class SweepExecutor:
         pending = self._resolve_cached(requests, shards, done)
         if self.merge_only:
             if pending:
-                raise RuntimeError(
+                raise MissingShardsError(
                     f"merge-only sweep is missing {len(pending)} shard(s) "
                     "from the store; run the claimants to completion first"
                 )

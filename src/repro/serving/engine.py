@@ -355,7 +355,7 @@ def run_stream_request(
         previous, possibly killed, run are merged from the store
         instead of simulated); ``claim``/``merge_only`` partition the
         chunks between hosts sharing the store, or merge them without
-        computing any (``RuntimeError`` naming the missing count when
+        computing any (``MissingShardsError`` naming the missing count when
         the store is incomplete). None of these changes the result: the
         chunks are folded in chunk order, so summaries and window rows
         are bit-identical. The context's

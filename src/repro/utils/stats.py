@@ -1,9 +1,15 @@
-"""Streaming statistics and confidence intervals for Monte-Carlo runs.
+"""Student-t confidence intervals for Monte-Carlo runs.
 
 The paper reports estimated expected packet drops with 95% confidence
 intervals over ``n`` Monte-Carlo simulations (Figures 4-6). This module
-provides numerically stable accumulators (Welford) plus Student-t based
-interval construction used by every experiment harness.
+builds those intervals for the sweep merge, the stream summaries, the
+policy evaluations and the training campaign.
+
+The t quantile comes from :func:`scipy.special.stdtrit`, the function
+SciPy's Student-t ``ppf`` evaluates, so the intervals are bit-identical
+to SciPy's t distribution without importing SciPy's statistics package,
+which cost every process about a second of start-up and ~38 MiB (see
+"Start-up cost" in ``docs/scaling.md``).
 """
 
 from __future__ import annotations
@@ -12,95 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import stdtrit
 
 __all__ = [
-    "WelfordAccumulator",
     "ConfidenceInterval",
     "mean_confidence_interval",
 ]
-
-
-class WelfordAccumulator:
-    """Numerically stable streaming mean/variance of scalar samples.
-
-    Welford's online algorithm: one pass, O(1) memory, no catastrophic
-    cancellation — the aggregation primitive behind the Monte-Carlo
-    harness and the streaming engine's scalar accumulators.
-
-    Examples
-    --------
-    >>> acc = WelfordAccumulator()
-    >>> acc.extend([1.0, 2.0, 3.0])
-    >>> acc.mean
-    2.0
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the running moments.
-
-        Parameters
-        ----------
-        value : float
-            The sample; must be finite (``ValueError`` otherwise).
-        """
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite sample: {value!r}")
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-
-    def extend(self, values) -> None:
-        """Fold a batch of samples, in iteration order.
-
-        Parameters
-        ----------
-        values : array_like
-            Samples; flattened before folding.
-        """
-        for v in np.asarray(values, dtype=float).ravel():
-            self.add(float(v))
-
-    @property
-    def count(self) -> int:
-        """Number of samples folded so far."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Running sample mean (``ValueError`` with no samples)."""
-        if self._count == 0:
-            raise ValueError("no samples accumulated")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (requires >= 2 samples)."""
-        if self._count < 2:
-            raise ValueError("variance needs at least two samples")
-        return self._m2 / (self._count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation ``sqrt(variance)``."""
-        return math.sqrt(self.variance)
-
-    def standard_error(self) -> float:
-        """Standard error of the mean, ``std / sqrt(count)``.
-
-        Returns
-        -------
-        float
-            The half-width scale the t-based confidence intervals
-            multiply.
-        """
-        return self.std / math.sqrt(self._count)
 
 
 @dataclass(frozen=True)
@@ -166,6 +89,6 @@ def mean_confidence_interval(samples, level: float = 0.95) -> ConfidenceInterval
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     if sem == 0.0:
         return ConfidenceInterval(mean, mean, mean, level, int(arr.size))
-    t_crit = float(sp_stats.t.ppf(0.5 + level / 2.0, df=arr.size - 1))
+    t_crit = float(stdtrit(arr.size - 1, 0.5 + level / 2.0))
     half = t_crit * sem
     return ConfidenceInterval(mean, mean - half, mean + half, level, int(arr.size))

@@ -4,6 +4,14 @@ import pytest
 
 from repro.experiments.cli import build_parser, main
 
+_TINY_STREAM = [
+    "stream", "flash-crowd",
+    "--horizon", "8",
+    "--window", "4",
+    "--replicas", "2",
+    "--queues", "8",
+]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -231,6 +239,23 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "--csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (_TINY_STREAM, 1),
+            (["scenario", "overload", "--queues", "10", "--runs", "2",
+              "--delta-ts", "10"], 3),
+        ],
+        ids=["stream", "scenario"],
+    )
+    def test_merge_only_empty_store_exits_2(
+        self, argv, missing, capsys, tmp_path
+    ):
+        code = main([*argv, "--merge-only", "--store-dir", str(tmp_path)])
+        assert code == 2
+        assert f"missing {missing} shard(s)" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 TINY_MANIFEST = """
 title = "tiny"
@@ -431,6 +456,35 @@ class TestStreamCommand:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second  # warm rerun merges from the cache
+
+    def test_stream_claim_needs_store_dir(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*_TINY_STREAM, "--claim"])
+        assert exc.value.code == 2
+        assert "pass --store-dir as well" in capsys.readouterr().err
+
+    def test_stream_claim_then_merge_only(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        claimed, merged = tmp_path / "claimed.csv", tmp_path / "merged.csv"
+        assert main(
+            [*_TINY_STREAM, "--claim", "--store-dir", str(store),
+             "--csv", str(claimed)]
+        ) == 0
+        files = {
+            path: (path.stat().st_size, path.stat().st_mtime_ns)
+            for path in store.rglob("*")
+        }
+        assert any(path.suffix == ".npz" for path in files)
+        assert main(
+            [*_TINY_STREAM, "--merge-only", "--store-dir", str(store),
+             "--csv", str(merged)]
+        ) == 0
+        assert merged.read_text() == claimed.read_text()
+        # The merge read the store and wrote nothing to it.
+        assert {
+            path: (path.stat().st_size, path.stat().st_mtime_ns)
+            for path in store.rglob("*")
+        } == files
 
     def test_stream_unknown_scenario_exits_2(self, capsys):
         code = main(["stream", "does-not-exist", "--horizon", "5"])

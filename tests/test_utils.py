@@ -4,15 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy import stats
 
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.serialization import load_npz_checkpoint, save_npz_checkpoint
-from repro.utils.stats import (
-    WelfordAccumulator,
-    mean_confidence_interval,
-)
+from repro.utils.stats import mean_confidence_interval
 from repro.utils.tables import format_table, series_to_csv
 
 
@@ -42,41 +38,6 @@ class TestRng:
     def test_spawn_rejects_negative(self):
         with pytest.raises(ValueError):
             spawn_generators(0, -1)
-
-
-class TestWelford:
-    def test_matches_numpy(self, rng):
-        data = rng.standard_normal(500)
-        acc = WelfordAccumulator()
-        acc.extend(data)
-        assert acc.count == 500
-        assert acc.mean == pytest.approx(data.mean())
-        assert acc.variance == pytest.approx(data.var(ddof=1))
-        assert acc.standard_error() == pytest.approx(
-            data.std(ddof=1) / math.sqrt(500)
-        )
-
-    def test_needs_samples(self):
-        acc = WelfordAccumulator()
-        with pytest.raises(ValueError):
-            _ = acc.mean
-        acc.add(1.0)
-        with pytest.raises(ValueError):
-            _ = acc.variance
-
-    def test_rejects_nan(self):
-        acc = WelfordAccumulator()
-        with pytest.raises(ValueError):
-            acc.add(float("nan"))
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_streaming_equals_batch(self, values):
-        acc = WelfordAccumulator()
-        acc.extend(values)
-        arr = np.asarray(values)
-        assert acc.mean == pytest.approx(arr.mean(), rel=1e-9, abs=1e-9)
-        assert acc.variance == pytest.approx(arr.var(ddof=1), rel=1e-6, abs=1e-6)
 
 
 class TestConfidenceIntervals:
@@ -109,6 +70,21 @@ class TestConfidenceIntervals:
             mean_confidence_interval([])
         with pytest.raises(ValueError):
             mean_confidence_interval([1.0, 2.0], level=1.5)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [2, 3, 5, 31, 64, 1000])
+    def test_bit_identical_to_scipy_stats_t(self, n, level, rng):
+        """The endpoints are ``mean ∓ t.ppf(0.5 + level/2, n-1) · SEM`` to
+        the last bit, with ``scipy.stats`` as the oracle of the quantile
+        the module computes without importing it."""
+        data = rng.standard_normal(n) * 3.0 + 1.5
+        ci = mean_confidence_interval(data, level=level)
+        mean = float(data.mean())
+        sem = float(data.std(ddof=1)) / math.sqrt(n)
+        t_crit = float(stats.t.ppf(0.5 + level / 2.0, n - 1))
+        assert ci.mean == mean
+        assert ci.lower == mean - t_crit * sem
+        assert ci.upper == mean + t_crit * sem
 
 
 class TestTables:
