@@ -66,7 +66,6 @@ from repro.queueing.batched_env import (
     run_episodes_batched,
 )
 from repro.utils.rng import spawn_seeds
-from repro.utils.stats import mean_confidence_interval
 
 if TYPE_CHECKING:
     from repro.experiments.runner import MonteCarloResult
@@ -513,7 +512,6 @@ class SweepExecutor:
                 policy_name=request.policy.name,
                 config=request.config,
                 drops=drops,
-                interval=mean_confidence_interval(drops),
             )
             for request, drops in zip(requests, self.run_drops(requests))
         ]

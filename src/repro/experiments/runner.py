@@ -18,6 +18,7 @@ client-sampling buffers stay bounded for the paper's largest
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.execution import ExecutionContext
-from repro.utils.stats import ConfidenceInterval
+from repro.utils.stats import ConfidenceInterval, mean_confidence_interval
 from repro.utils.tables import format_table, series_to_csv
 
 if TYPE_CHECKING:
@@ -41,16 +42,25 @@ __all__ = [
 
 @dataclass
 class MonteCarloResult:
-    """Aggregate of ``n`` finite-system evaluation episodes."""
+    """Aggregate of ``n`` finite-system evaluation episodes.
+
+    ``interval`` (the 95% Student-t interval over ``drops``) is built on
+    first access, not with the result: a sweep that only compares means
+    never computes a t quantile, so it never imports ``scipy.special``.
+    ``mean_drops`` is the same float as ``interval.mean``.
+    """
 
     policy_name: str
     config: SystemConfig
     drops: np.ndarray  # per-run cumulative per-queue drops
-    interval: ConfidenceInterval
 
     @property
     def mean_drops(self) -> float:
-        return self.interval.mean
+        return float(np.asarray(self.drops, dtype=float).mean())
+
+    @functools.cached_property
+    def interval(self) -> ConfidenceInterval:
+        return mean_confidence_interval(self.drops)
 
 
 @dataclass

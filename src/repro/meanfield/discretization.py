@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.meanfield.decision_rule import DecisionRule
 
@@ -314,7 +313,13 @@ def _fallback_rows(
     where the drops exceed ``λΔt``. From about 1e50 the rows are NaN.
     Rows off by more than :data:`_MAX_FALLBACK_ROW_ERROR` raise instead
     of reaching the laws.
+
+    ``scipy.linalg`` is imported here, at the first fallback slice, so
+    a process that never propagates a vanishing or extreme ``λ`` (every
+    finite-system sweep and stream) never loads it.
     """
+    from scipy.linalg import expm
+
     exp_stack = expm(extended_generator(lam, alpha, num_states) * delta_t)
     rows = exp_stack[np.arange(len(exp_stack)), z]
     error = np.abs(rows[:, :num_states].sum(axis=-1) - 1.0)

@@ -20,7 +20,6 @@ either head through the same code.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from repro.utils.rng import as_generator
 
@@ -118,6 +117,10 @@ class DirichletBlocks:
     ``num_blocks`` independent draws ``x_b ~ Dir(alpha_b)``, each of size
     ``block_size`` — i.e. already a valid decision-rule table. There is
     no entropy gradient, so PPO with this head takes no entropy bonus.
+
+    The methods that need ``digamma`` or ``gammaln`` import
+    ``scipy.special`` themselves, so only a process that trains or scores
+    this head loads it.
     """
 
     def __init__(self, num_blocks: int, block_size: int) -> None:
@@ -153,6 +156,8 @@ class DirichletBlocks:
         return x.reshape(*logits.shape[:-1], self.flat_dim)
 
     def log_prob(self, actions: np.ndarray, logits: np.ndarray) -> np.ndarray:
+        from scipy.special import gammaln
+
         alpha = self._blocked(self.concentrations(logits))
         x = np.clip(self._blocked(actions), 1e-12, 1.0)
         per_block = (
@@ -166,6 +171,8 @@ class DirichletBlocks:
         self, actions: np.ndarray, logits: np.ndarray
     ) -> tuple[np.ndarray]:
         """``(d logp / d logits,)`` (chain rule through softplus)."""
+        from scipy.special import digamma
+
         alpha = self._blocked(self.concentrations(logits))
         x = np.clip(self._blocked(actions), 1e-12, 1.0)
         alpha0 = alpha.sum(axis=-1, keepdims=True)
@@ -176,6 +183,8 @@ class DirichletBlocks:
         return (grad.reshape(*logits.shape[:-1], self.flat_dim),)
 
     def entropy(self, logits: np.ndarray) -> np.ndarray:
+        from scipy.special import digamma, gammaln
+
         alpha = self._blocked(self.concentrations(logits))
         alpha0 = alpha.sum(axis=-1)
         k = self.block_size
@@ -189,6 +198,8 @@ class DirichletBlocks:
 
     def kl(self, logits_old: np.ndarray, logits_new: np.ndarray) -> np.ndarray:
         """``KL(old || new)`` summed over blocks."""
+        from scipy.special import digamma, gammaln
+
         a = self._blocked(self.concentrations(logits_old))
         b = self._blocked(self.concentrations(logits_new))
         a0 = a.sum(axis=-1, keepdims=True)
@@ -205,6 +216,8 @@ class DirichletBlocks:
         self, logits_old: np.ndarray, logits_new: np.ndarray
     ) -> tuple[np.ndarray]:
         """``(d KL(old || new) / d logits_new,)``."""
+        from scipy.special import digamma
+
         a = self._blocked(self.concentrations(logits_old))
         b = self._blocked(self.concentrations(logits_new))
         a0 = a.sum(axis=-1, keepdims=True)

@@ -7,8 +7,10 @@ policy evaluations and the training campaign.
 
 The t quantile comes from :func:`scipy.special.stdtrit`, the function
 SciPy's Student-t ``ppf`` evaluates, so the intervals are bit-identical
-to SciPy's t distribution without importing SciPy's statistics package,
-which cost every process about a second of start-up and ~38 MiB (see
+to SciPy's t distribution without importing SciPy's statistics package.
+:func:`mean_confidence_interval` imports ``scipy.special`` when it first
+needs a quantile, so a process that builds no interval (a sweep or
+stream that only reads drops, means and winners) never loads it (see
 "Start-up cost" in ``docs/scaling.md``).
 """
 
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 __all__ = [
     "ConfidenceInterval",
@@ -89,6 +90,8 @@ def mean_confidence_interval(samples, level: float = 0.95) -> ConfidenceInterval
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     if sem == 0.0:
         return ConfidenceInterval(mean, mean, mean, level, int(arr.size))
+    from scipy.special import stdtrit
+
     t_crit = float(stdtrit(arr.size - 1, 0.5 + level / 2.0))
     half = t_crit * sem
     return ConfidenceInterval(mean, mean - half, mean + half, level, int(arr.size))

@@ -22,6 +22,7 @@ from repro.experiments.tables import (
 from repro.policies.static import RandomPolicy
 from repro.scenarios import run_scenario
 from repro.store.store import ExperimentStore
+from repro.utils.stats import mean_confidence_interval
 
 
 class TestTables:
@@ -53,6 +54,24 @@ class TestRunner:
         assert result.interval.n == 3
         assert result.mean_drops >= 0
         assert result.policy_name == "RND"
+
+    def test_interval_is_built_on_first_read(self):
+        """A sweep builds no interval: means and winners read ``drops``.
+        The first ``interval`` is the one ``mean_confidence_interval``
+        gives, around the same mean."""
+        sweep = run_scenario(
+            "paper-baseline", delta_ts=(1.0, 5.0), num_queues=10, num_runs=3
+        )
+        results = [r for series in sweep.results.values() for r in series]
+        sweep.mean_series("RND")
+        sweep.winner_at(5.0)
+        means = [r.mean_drops for r in results]
+        assert all("interval" not in vars(r) for r in results)
+        for result, mean in zip(results, means):
+            interval = result.interval
+            assert interval == mean_confidence_interval(result.drops)
+            assert mean == interval.mean
+            assert result.interval is interval
 
     def test_policy_suite_contents(self, small_config):
         suite = policy_suite(small_config, mf_policy=RandomPolicy(6, 2))
