@@ -8,12 +8,15 @@ the confidence intervals comes from ``scipy.special.stdtrit``.
 inside the functions that call it (an interval's t quantile, the
 propagator's ``expm`` fallback, the Dirichlet head). These tests run
 fresh interpreters through the package's modules, CLI commands and
-tiny sweeps and streams, then check which modules were loaded. They
-never measure a time (see "Start-up cost" in ``docs/scaling.md``).
+tiny sweeps and streams, then check which modules were loaded; one
+more parses the source for ``scipy.stats`` imports on paths those runs
+do not reach. They never measure a time (see "Start-up cost" in
+``docs/scaling.md``).
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -171,8 +174,7 @@ def test_simulation_loads_no_scipy():
     assert report["stream_windows"] > 0
     assert report["before_interval"] == []
     assert report["interval_n"] == 3
-    assert "scipy.special" in report["after_interval"]
-    assert "scipy.stats" not in report["after_interval"]
+    assert report["after_interval"] == ["scipy.special"]
 
 
 def _imported_modules(importtime_stderr: str) -> set[str]:
@@ -194,3 +196,26 @@ def test_cli_command_loads_no_scipy(command):
     assert "repro.experiments" in modules
     assert "numpy" in modules
     assert sorted(modules & set(_SCIPY)) == []
+
+
+def _imports_scipy_stats(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        return False
+    return any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names)
+
+
+def test_src_never_imports_scipy_stats():
+    """No module imports ``scipy.stats``, at the top or inside a
+    function: the guards above only see the code paths they run."""
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(package.parent)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path)))
+        if _imports_scipy_stats(node)
+    ]
+    assert offenders == []
