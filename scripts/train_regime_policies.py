@@ -10,28 +10,28 @@ fine-tune on the *finite* deployment system
 (``repro.queueing.finite_mdp.FiniteRegimeEnv``), the graph/diurnal
 regimes on the mean-field proxy. Finished regimes are persisted as
 content-addressed training shards in an experiment store, so an
-interrupted campaign resumes bit-identically and multiple hosts sharing
-``--store`` partition the regime list with ``--claim``.
+interrupted campaign resumes bit-identically. Hosts sharing ``--store``
+partition the regime list with ``--claim``, and each waits for the
+regimes the others claimed; ``--merge-only`` packages the campaign
+without training and exits 2 if a regime is missing from the store.
 
 Usage:
     python scripts/train_regime_policies.py [--regimes dt5,dt7] \
         [--iterations 120] [--num-envs 4] [--store DIR] [--workers 2] \
-        [--claim] [--out DIR] [--quick]
+        [--claim | --merge-only] [--out DIR] [--quick]
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import socket
 import sys
 import time
 from pathlib import Path
 
+from repro.execution import ExecutionContext, MissingShardsError
 from repro.experiments.campaign import (
     TrainingBudget,
     campaign_ppo_config,
-    collect_cached,
     default_regimes,
     package_policies,
     run_campaign,
@@ -62,26 +62,24 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers", type=int, default=1, help="regime-level process pool"
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--claim",
         action="store_true",
-        help="claim regimes in the store (multi-host partitioning)",
+        help="claim regimes in the store and wait for those other hosts "
+        "claimed (multi-host partitioning)",
     )
-    parser.add_argument(
-        "--owner",
-        default=None,
-        help="claim owner id (default: host:pid)",
+    mode.add_argument(
+        "--merge-only",
+        action="store_true",
+        help="package every regime from the store without training "
+        "(exit 2 if one is missing)",
     )
     parser.add_argument(
         "--stale-after",
         type=float,
         default=None,
-        help="steal claims idle for this many seconds",
-    )
-    parser.add_argument(
-        "--merge-only",
-        action="store_true",
-        help="package finished shards from the store without training",
+        help="take over claims idle for this many seconds",
     )
     parser.add_argument(
         "--out",
@@ -136,25 +134,26 @@ def main(argv=None) -> int:
     if (args.claim or args.merge_only) and store is None:
         parser.error("--claim/--merge-only require --store")
 
+    context = ExecutionContext(
+        workers=args.workers,
+        store=store,
+        claim=args.claim,
+        merge_only=args.merge_only,
+    )
     t0 = time.perf_counter()
-    if args.merge_only:
-        results = collect_cached(
-            regimes, store, ppo=ppo, budget=budget, seed=args.seed
-        )
-    else:
-        owner = args.owner or f"{socket.gethostname()}:{os.getpid()}"
+    try:
         results = run_campaign(
             regimes,
             ppo=ppo,
             budget=budget,
             seed=args.seed,
-            store=store,
-            workers=args.workers,
-            claim=args.claim,
-            owner=owner,
+            context=context,
             stale_after=args.stale_after,
             verbose=True,
         )
+    except MissingShardsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
 
     for name in sorted(results):
@@ -166,16 +165,12 @@ def main(argv=None) -> int:
             if res.meta.get("trained_return") is not None
             else f"[{name}] {src}"
         )
-    pending = [r.name for r in regimes if r.name not in results]
-    if pending:
-        print(f"pending (claimed elsewhere or unfinished): {pending}")
-
-    if results and not args.no_package:
+    if not args.no_package:
         paths = package_policies(results, args.out)
         for name in sorted(paths):
             print(f"packaged {paths[name]}")
     print(f"campaign finished in {elapsed:.1f}s ({len(results)} regimes)")
-    return 0 if results or args.merge_only else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,21 @@
 """One frozen bundle for the execution knobs threaded through the harness.
 
-Every sweep/stream entry point — :mod:`repro.experiments.runner`, the
-figure runners, :mod:`repro.scenarios.run`, :mod:`repro.serving.engine`
-and the CLI — takes its execution knobs as one
-``context=ExecutionContext(...)``: ``workers`` (process count),
-``store`` (the content-addressed shard cache), ``sim_backend`` (the
-epoch kernel), ``max_batch_replicas`` (the replica chunk size) and the
-multi-node ``claim``/``merge_only`` modes.
+Every sweep, stream and campaign entry point —
+:mod:`repro.experiments.runner`, the figure runners,
+:mod:`repro.scenarios.run`, :mod:`repro.serving.engine`,
+:func:`repro.experiments.campaign.run_campaign` and the CLI — takes its
+execution knobs as one ``context=ExecutionContext(...)``: ``workers``
+(process count), ``store`` (the content-addressed shard cache),
+``sim_backend`` (the epoch kernel), ``max_batch_replicas`` (the replica
+chunk size) and the multi-node ``claim``/``merge_only`` modes.
+
+All of them run on :class:`repro.experiments.parallel.SweepExecutor`,
+which applies the context to *requests*: a request says what one shard
+computes and how its result is stored (``run_shard``, ``store_key``,
+``load``, ``save``; see that module), the context says how the shards
+run. ``sim_backend`` and ``max_batch_replicas`` shape what a shard
+computes, so the entry points copy them into their requests; the
+executor itself reads the other four.
 
 None of these knobs ever changes a merged result — worker count, cache
 hits and contract-preserving kernels are all bit-identity-preserving —

@@ -8,14 +8,18 @@ informative, so each gets a natively trained policy:
 
 * the training environment matches the regime's *fidelity*: the
   :class:`repro.meanfield.delayed_env.DelayedMeanFieldEnv` proxy for
-  regimes whose costs survive the mean-field limit
+  the regimes without snapshot delays, where it is exact
   (``fidelity="meanfield"``: graph, diurnal), and one replica of the
   finite deployment system behind
   :class:`repro.queueing.finite_mdp.FiniteRegimeEnv` for the delayed
-  regimes (``fidelity="finite"``) — in the limit the law drifts
-  smoothly and stale information is nearly free, so the delay cost the
-  leaderboard measures (finite-``M`` fluctuations, dispatcher herding)
-  only exists at finite fidelity; both carry the regime's
+  regimes (``fidelity="finite"``). Stale snapshots are not free in the
+  mean-field limit: dispatchers still herd onto queues that looked
+  short, because the exact limit depends on each queue's recent
+  history. The proxy's first-order delay closure treats a queue as
+  Markov in its current state and drops most of that cost (its drops
+  are 10-35 % low at every delay ``K > 0``, while the finite system
+  sits within 2 % of the exact limit), so the delayed regimes train
+  where the cost is measured; both carry the regime's
   :class:`~repro.meanfield.features.ObservationFeatures`,
 * training warm-starts from the packaged paper checkpoint for the
   regime's ``Δt`` with the first layer widened by zero rows
@@ -29,14 +33,16 @@ informative, so each gets a natively trained policy:
   makes a finished regime a pure function of
   ``(regime, ppo, budget, seed)``.
 
-That purity is what the campaign's durability leans on: each finished
-regime is persisted as one content-addressed *training shard* in the
+That purity is what the campaign's durability leans on: each regime is
+a one-shard request of :class:`repro.experiments.parallel.SweepExecutor`,
+the executor of every sweep and stream, and each finished regime is one
+content-addressed *training shard* in the
 :class:`repro.store.store.ExperimentStore`
-(:func:`repro.store.keys.train_shard_key`), so an interrupted campaign
-resumes bit-identically, results are invariant to the worker count, and
-multiple hosts sharing a store directory partition the regime list via
-the store's claim files — the same coordination discipline as the
-evaluation sweeps in :mod:`repro.experiments.parallel`.
+(:func:`repro.store.keys.train_shard_key`). So an interrupted campaign
+resumes bit-identically, results are invariant to the worker count,
+hosts sharing a store directory partition the regime list through the
+store's claim files and wait for each other's regimes, and a
+``merge_only`` run assembles the campaign without training.
 
 Entry point: ``scripts/train_regime_policies.py``; packaged checkpoints
 land in ``repro/assets/policies/mf_regime_<name>.npz`` and feed the
@@ -45,7 +51,6 @@ land in ``repro/assets/policies/mf_regime_<name>.npz`` and feed the
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -53,6 +58,8 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.config import PPOConfig, SystemConfig, paper_system_config
+from repro.execution import ExecutionContext
+from repro.experiments.parallel import SweepExecutor
 from repro.meanfield.delayed_env import DelayedMeanFieldEnv
 from repro.meanfield.features import ObservationFeatures, age_context
 from repro.policies.learned import NeuralPolicy
@@ -63,6 +70,7 @@ from repro.rl.nn import GaussianPolicyNetwork, widen_input_weights
 from repro.store.keys import train_shard_key
 
 if TYPE_CHECKING:
+    from repro.experiments.parallel import _Shard
     from repro.store.store import ExperimentStore
     from repro.utils.stats import ConfidenceInterval
 
@@ -73,13 +81,11 @@ __all__ = [
     "TrainingBudget",
     "available_regime_checkpoints",
     "campaign_ppo_config",
-    "collect_cached",
     "default_regimes",
     "get_regime_policy",
     "package_policies",
     "regime_checkpoint_path",
     "run_campaign",
-    "train_regime",
 ]
 
 #: The label every campaign checkpoint carries; distinguishes natively
@@ -398,6 +404,12 @@ def get_regime_policy(
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+def _policy_state(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The ``policy/<name>`` arrays of a checkpoint or entry, unprefixed."""
+    prefix = "policy/"
+    return {k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+
 def _warm_start_state(
     regime: RegimeSpec, ppo: PPOConfig
 ) -> dict[str, np.ndarray] | None:
@@ -425,12 +437,7 @@ def _warm_start_state(
         or ObservationFeatures.from_dict(meta.get("features")).extra_dims != 0
     ):
         return None
-    state = {
-        k[len("policy/") :]: v
-        for k, v in arrays.items()
-        if k.startswith("policy/")
-    }
-    return widen_input_weights(state, regime.features.extra_dims)
+    return widen_input_weights(_policy_state(arrays), regime.features.extra_dims)
 
 
 def _build_policy(
@@ -454,34 +461,6 @@ def _build_policy(
         label=REGIME_POLICY_LABEL,
         features=regime.features,
         age_context=regime.age_context(),
-    )
-
-
-def _result_from_entry(
-    regime: RegimeSpec,
-    key: str,
-    arrays: Mapping[str, np.ndarray],
-    meta: Mapping[str, Any],
-) -> CampaignResult:
-    state = {
-        k[len("policy/") :]: v
-        for k, v in arrays.items()
-        if k.startswith("policy/")
-    }
-    policy = _build_policy(
-        state,
-        regime,
-        hidden_sizes=meta["hidden_sizes"],
-        num_modes=int(meta["num_modes"]),
-    )
-    curve = np.asarray(arrays.get("curve", np.empty(0)), dtype=np.float64)
-    return CampaignResult(
-        regime=regime,
-        key=key,
-        policy=policy,
-        curve=curve,
-        meta=dict(meta),
-        from_cache=True,
     )
 
 
@@ -528,26 +507,14 @@ def train_regime(
     ppo: PPOConfig | None = None,
     budget: TrainingBudget | None = None,
     seed: int = 0,
-    store: "ExperimentStore | None" = None,
     verbose: bool = False,
 ) -> CampaignResult:
-    """Train (or resume from the store) one regime's policy.
-
-    With a store, a finished regime is returned from its training shard
-    without consuming any randomness — the resume is bit-identical to
-    the original run's result.
-    """
+    """Train one regime's policy (the body of a campaign shard)."""
     from repro.rl.evaluation import evaluate_policy_mfc
     from repro.rl.ppo import PPOTrainer
 
     ppo = ppo if ppo is not None else campaign_ppo_config(seed)
     budget = budget if budget is not None else TrainingBudget()
-    key = train_shard_key(regime, ppo, budget, seed)
-    if store is not None:
-        cached = store.get_entry(key)
-        if cached is not None:
-            return _result_from_entry(regime, key, *cached)
-
     env = regime.build_env(seed=seed)
     eval_env = regime.build_env(seed=seed + 1)
     trainer = PPOTrainer(
@@ -596,16 +563,13 @@ def train_regime(
                 f"{stats.mean_episode_return:9.2f} kl {stats.kl:.4f}"
             )
 
-    trained_state = trainer.policy.state_dict()
-    policy = _policy(trained_state)
+    policy = _policy(trainer.policy.state_dict())
     trained_eval = _evaluate(policy)
     kept = "trained"
-    final_state = trained_state
     if warm_eval is not None and warm_eval.mean > trained_eval.mean:
         # Keep-best guard: fine-tuning can only help; fall back to the
         # (functionally transplanted) warm start on a regression.
         kept = "warm-start"
-        final_state = warm_state
         policy = warm_policy
     if verbose:
         print(
@@ -637,13 +601,9 @@ def train_regime(
         ),
         "label": REGIME_POLICY_LABEL,
     }
-    if store is not None:
-        arrays = {f"policy/{k}": v for k, v in final_state.items()}
-        arrays["curve"] = np.asarray(curve, dtype=np.float64)
-        store.put_entry(key, arrays, meta)
     return CampaignResult(
         regime=regime,
-        key=key,
+        key=train_shard_key(regime, ppo, budget, seed),
         policy=policy,
         curve=np.asarray(curve, dtype=np.float64),
         meta=meta,
@@ -651,51 +611,77 @@ def train_regime(
     )
 
 
-def _train_claimed(
-    regime: RegimeSpec,
-    ppo: PPOConfig,
-    budget: TrainingBudget,
-    seed: int,
-    store: "ExperimentStore",
-    owner: str,
-    stale_after: float | None,
-    verbose: bool,
-) -> CampaignResult | None:
-    """Claim-gated training: ``None`` when another worker holds the regime."""
-    key = train_shard_key(regime, ppo, budget, seed)
-    cached = store.get_entry(key)
-    if cached is not None:
-        return _result_from_entry(regime, key, *cached)
-    if not store.try_claim(key, owner, stale_after=stale_after):
-        return None
-    try:
+@dataclass(frozen=True)
+class _RegimeRequest:
+    """One regime as a one-shard request of
+    :class:`~repro.experiments.parallel.SweepExecutor`.
+
+    The shard is the whole training run. Its store entry holds the
+    packaged policy state (``policy/<name>`` arrays), the learning curve
+    and the result's metadata.
+    """
+
+    regime: RegimeSpec
+    ppo: PPOConfig
+    budget: TrainingBudget
+    seed: int
+    verbose: bool = False
+    max_batch_replicas = 1
+
+    def resolved_runs(self) -> int:
+        return 1
+
+    def store_key(self, shard: "_Shard") -> str:
+        return train_shard_key(self.regime, self.ppo, self.budget, self.seed)
+
+    def run_shard(self, shard: "_Shard") -> CampaignResult:
         return train_regime(
-            regime, ppo, budget, seed=seed, store=store, verbose=verbose
+            self.regime, self.ppo, self.budget, self.seed, self.verbose
         )
-    finally:
-        store.release_claim(key)
 
-
-def _train_regime_task(
-    regime: RegimeSpec,
-    ppo: PPOConfig,
-    budget: TrainingBudget,
-    seed: int,
-    store_root: str | None,
-    claim: bool,
-    owner: str | None,
-    stale_after: float | None,
-) -> CampaignResult | None:
-    """Worker-process entry: rebuilds the store from its root path."""
-    from repro.store.store import ExperimentStore
-
-    store = ExperimentStore(store_root) if store_root is not None else None
-    if claim:
-        assert store is not None and owner is not None
-        return _train_claimed(
-            regime, ppo, budget, seed, store, owner, stale_after, False
+    def load(
+        self, store: "ExperimentStore", key: str, shard: "_Shard"
+    ) -> CampaignResult | None:
+        cached = store.get_entry(key)
+        if cached is None:
+            return None
+        arrays, meta = cached
+        policy = _build_policy(
+            _policy_state(arrays),
+            self.regime,
+            hidden_sizes=meta["hidden_sizes"],
+            num_modes=int(meta["num_modes"]),
         )
-    return train_regime(regime, ppo, budget, seed=seed, store=store)
+        curve = np.asarray(arrays.get("curve", np.empty(0)), dtype=np.float64)
+        if "curve_nan" in arrays:
+            curve = np.where(arrays["curve_nan"], np.nan, curve)
+        return CampaignResult(
+            regime=self.regime,
+            key=key,
+            policy=policy,
+            curve=curve,
+            meta=meta,
+            from_cache=True,
+        )
+
+    def save(
+        self,
+        store: "ExperimentStore",
+        key: str,
+        shard: "_Shard",
+        result: CampaignResult,
+    ) -> None:
+        arrays = {
+            f"policy/{k}": v for k, v in result.policy.network.state_dict().items()
+        }
+        # An iteration in which no episode ends has no mean return (NaN),
+        # and the store quarantines non-finite floats: store those points
+        # as 0 with a mask that restores them.
+        nan = np.isnan(result.curve)
+        arrays["curve"] = np.where(nan, 0.0, result.curve)
+        if nan.any():
+            arrays["curve_nan"] = nan
+        store.put_entry(key, arrays, result.meta)
 
 
 def run_campaign(
@@ -703,107 +689,45 @@ def run_campaign(
     ppo: PPOConfig | None = None,
     budget: TrainingBudget | None = None,
     seed: int = 0,
-    store: "ExperimentStore | None" = None,
-    workers: int = 1,
-    claim: bool = False,
-    owner: str | None = None,
+    context: ExecutionContext | None = None,
     stale_after: float | None = None,
     verbose: bool = False,
 ) -> dict[str, CampaignResult]:
     """Train every regime; returns ``{regime name: result}``.
 
-    Regimes are independent training shards, so the campaign
-    parallelizes trivially: ``workers > 1`` fans the regime list across
-    a process pool, and because each shard's streams are a pure function
-    of its own inputs the results are **bit-identical for every worker
-    count** (tested). With ``claim=True`` (requires a store) regimes
-    claimed by other hosts are skipped — they simply don't appear in the
-    returned mapping; rerun with :func:`collect_cached` once every host
-    finished to merge the full campaign.
+    Each regime is one shard of
+    :class:`~repro.experiments.parallel.SweepExecutor`, run under
+    ``context`` as a sweep is. ``workers > 1`` fans the regimes across
+    a process pool, and because each regime is a pure function of its
+    own inputs the results are **bit-identical for every worker count**
+    (tested). ``store`` replays finished regimes, so a killed campaign
+    resumes where it stopped. ``claim`` partitions the regimes between
+    hosts sharing the store and waits for the regimes other hosts
+    claimed, so every host returns the whole campaign. ``merge_only``
+    trains nothing and raises
+    :class:`~repro.execution.MissingShardsError` when a regime is
+    missing from the store. The context's ``sim_backend`` and
+    ``max_batch_replicas`` are ignored.
+
+    ``stale_after`` (seconds) lets a claimant take over another host's
+    claim that has been idle that long. It defaults to ``None``
+    (never), unlike a sweep's 30 minutes: claims get no heartbeat, and
+    one regime can train for longer than that.
     """
     regime_list = list(regimes if regimes is not None else default_regimes())
     names = [r.name for r in regime_list]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate regime names: {names}")
-    if claim and store is None:
-        raise ValueError("claim mode requires a store")
-    if claim and owner is None:
-        raise ValueError("claim mode requires an owner id")
     budget = budget if budget is not None else TrainingBudget()
-    resolved_ppo = ppo if ppo is not None else campaign_ppo_config(seed)
-
-    results: dict[str, CampaignResult] = {}
-    if workers <= 1 or len(regime_list) <= 1:
-        for regime in regime_list:
-            if claim:
-                assert store is not None and owner is not None
-                res = _train_claimed(
-                    regime,
-                    resolved_ppo,
-                    budget,
-                    seed,
-                    store,
-                    owner,
-                    stale_after,
-                    verbose,
-                )
-            else:
-                res = train_regime(
-                    regime,
-                    resolved_ppo,
-                    budget,
-                    seed=seed,
-                    store=store,
-                    verbose=verbose,
-                )
-            if res is not None:
-                results[regime.name] = res
-        return results
-
-    store_root = str(store.root) if store is not None else None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(
-                _train_regime_task,
-                regime,
-                resolved_ppo,
-                budget,
-                seed,
-                store_root,
-                claim,
-                owner,
-                stale_after,
-            ): regime
-            for regime in regime_list
-        }
-        for future in as_completed(futures):
-            res = future.result()
-            if res is not None:
-                results[futures[future].name] = res
-    return results
-
-
-def collect_cached(
-    regimes: Iterable[RegimeSpec],
-    store: "ExperimentStore",
-    ppo: PPOConfig | None = None,
-    budget: TrainingBudget | None = None,
-    seed: int = 0,
-) -> dict[str, CampaignResult]:
-    """Merge finished training shards from the store (no training).
-
-    The merge step of a multi-host claim-mode campaign; regimes without
-    a stored shard are simply absent from the result.
-    """
-    budget = budget if budget is not None else TrainingBudget()
-    results: dict[str, CampaignResult] = {}
-    for regime in regimes:
-        resolved_ppo = ppo if ppo is not None else campaign_ppo_config(seed)
-        key = train_shard_key(regime, resolved_ppo, budget, seed)
-        cached = store.get_entry(key)
-        if cached is not None:
-            results[regime.name] = _result_from_entry(regime, key, *cached)
-    return results
+    ppo = ppo if ppo is not None else campaign_ppo_config(seed)
+    executor = SweepExecutor(
+        context=context if context is not None else ExecutionContext(),
+        stale_claim_after=stale_after,
+    )
+    payloads = executor.run_payloads(
+        [_RegimeRequest(r, ppo, budget, seed, verbose) for r in regime_list]
+    )
+    return {r.name: result for r, (result,) in zip(regime_list, payloads)}
 
 
 def package_policies(

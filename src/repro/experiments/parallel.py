@@ -1,4 +1,4 @@
-"""Sharded multiprocess execution of Monte-Carlo sweeps and streams.
+"""Sharded multiprocess execution of sweeps, streams and training regimes.
 
 The paper's headline artifacts (Figures 4-6) are embarrassingly parallel:
 independent Monte-Carlo replicas of independent sweep points. This module
@@ -24,14 +24,19 @@ request its shard payloads back in chunk order. Consequently::
 ``workers=1`` never touches ``multiprocessing`` at all — the graceful
 in-process fallback used by tests, single-core boxes and nested callers.
 
-Sweeps (:class:`EvalRequest`) and streams
-(:class:`repro.serving.engine.StreamRequest`) share this one executor.
-Next to its ``config``, ``policy``, ``seed``, ``max_batch_replicas``,
-``env_cls``, ``env_kwargs`` and ``sim_backend``, a request provides
-``resolved_runs()``, ``payload_size(n)`` (the length of an
-``n``-replica shard's flat result), ``shard_payload(env, rng)`` (that
-result, on the shard's environment and generator) and
-``store_key(shard)``.
+Sweeps (:class:`EvalRequest`), streams
+(:class:`repro.serving.engine.StreamRequest`) and the regimes of the
+training campaign (:mod:`repro.experiments.campaign`) share this one
+executor. A request provides ``resolved_runs()``,
+``max_batch_replicas`` and ``seed`` (its chunk layout and the chunks'
+seed children), ``store_key(shard)``, ``run_shard(shard)`` (the
+shard's result) and ``load(store, key, shard)`` /
+``save(store, key, shard, payload)`` (that result read from the store,
+``None`` on a miss, and written to it). The executor builds no
+environment and reads no entry itself. Sweeps and streams take the
+last three from :class:`_ReplicaRequest`: the shard's environment is
+built on the chunk's generator, and its flat result is stored as a
+drops entry (:meth:`repro.store.store.ExperimentStore.get_shard`).
 
 Everything shipped to a worker (config, policy, environment class and
 kwargs, seed material) crosses the process boundary by pickling; the
@@ -44,8 +49,8 @@ Because shard results are a pure function of their request and seed
 material, they are also *cacheable*: pass ``store=`` (a
 :class:`repro.store.store.ExperimentStore`) to reuse previously
 computed shards by content hash and persist fresh ones — the mechanism
-behind resumable sweeps and the ``reproduce`` pipeline (see
-``docs/reproduction.md``).
+behind resumable sweeps, streams and campaigns and the ``reproduce``
+pipeline (see ``docs/reproduction.md``).
 """
 
 from __future__ import annotations
@@ -81,8 +86,62 @@ SeedLike = "int | np.random.SeedSequence | np.random.Generator | None"
 SeedMaterial = "np.random.SeedSequence | int"
 
 
+class _ReplicaRequest:
+    """The executor protocol of requests whose shards are replica chunks.
+
+    :class:`EvalRequest` and :class:`repro.serving.engine.StreamRequest`
+    hold ``config``, ``policy``, ``env_cls``, ``env_kwargs`` and
+    ``sim_backend``, and say how long an ``n``-replica shard's flat
+    result is (``payload_size(n)``) and how to compute it on the
+    shard's environment and generator (``shard_payload(env, rng)``).
+    """
+
+    def run_shard(self, shard: "_Shard") -> np.ndarray:
+        """The shard's payload, on an environment built on its generator."""
+        # The kernel choice travels as a kwarg only when it deviates from
+        # the default, so custom env classes that predate the ``backend``
+        # parameter keep working with the default kernel.
+        env_kwargs = dict(self.env_kwargs)
+        if self.sim_backend != "numpy":
+            env_kwargs.setdefault("backend", self.sim_backend)
+        rng = np.random.default_rng(shard.seeds[0])
+        env_cls = self.env_cls or BatchedFiniteSystemEnv
+        env = env_cls(
+            self.config, num_replicas=shard.num_runs, seed=rng, **env_kwargs
+        )
+        payload = self.shard_payload(env, rng)
+        expected = (self.payload_size(shard.num_runs),)
+        if payload.shape != expected:
+            raise RuntimeError(
+                f"shard returned {payload.shape}, expected {expected}"
+            )
+        return payload
+
+    def load(
+        self, store: "ExperimentStore", key: str, shard: "_Shard"
+    ) -> np.ndarray | None:
+        """The stored payload, or ``None`` (a miss, or an entry of
+        another length, which the store quarantines)."""
+        return store.get_shard(
+            key, expected_runs=self.payload_size(shard.num_runs)
+        )
+
+    def save(
+        self,
+        store: "ExperimentStore",
+        key: str,
+        shard: "_Shard",
+        payload: np.ndarray,
+    ) -> None:
+        """Persist the payload; a failed write only warns (see
+        :meth:`repro.store.store.ExperimentStore.put_entry`)."""
+        store.put_shard(
+            key, payload, meta={"policy": self.policy.name, "offset": shard.offset}
+        )
+
+
 @dataclass(frozen=True)
-class EvalRequest:
+class EvalRequest(_ReplicaRequest):
     """One Monte-Carlo evaluation: a sweep point of Figures 4-6.
 
     Mirrors the signature of
@@ -153,7 +212,6 @@ class _Shard:
     # The chunk generator's seed: a SeedSequence (or an int for exotic
     # generators without a retrievable seed sequence), as a 1-tuple.
     seeds: "tuple[SeedMaterial, ...]"
-    payload_size: int
 
 
 def _chunk_sizes(runs: int, max_chunk: int) -> list[int]:
@@ -169,43 +227,17 @@ def _decompose(requests: Sequence[Any]) -> list[_Shard]:
         children = spawn_seeds(request.seed, len(sizes))
         offset = 0
         for size, child in zip(sizes, children):
-            shards.append(
-                _Shard(index, offset, size, (child,), request.payload_size(size))
-            )
+            shards.append(_Shard(index, offset, size, (child,)))
             offset += size
     return shards
-
-
-def _run_shard(request: Any, shard: _Shard) -> np.ndarray:
-    """Execute one shard of any request kind; returns its payload.
-
-    Builds the shard's environment on the chunk's generator and hands
-    both to ``request.shard_payload``. Must remain a module-level
-    function (pickled by reference when dispatched to worker processes).
-    """
-    # The kernel choice travels as a kwarg only when it deviates from
-    # the default, so custom env classes that predate the ``backend``
-    # parameter keep working with the default kernel.
-    env_kwargs = dict(request.env_kwargs)
-    if request.sim_backend != "numpy":
-        env_kwargs.setdefault("backend", request.sim_backend)
-    rng = np.random.default_rng(shard.seeds[0])
-    env_cls = request.env_cls or BatchedFiniteSystemEnv
-    env = env_cls(
-        request.config,
-        num_replicas=shard.num_runs,
-        seed=rng,
-        **env_kwargs,
-    )
-    return request.shard_payload(env, rng)
 
 
 class SweepExecutor:
     """Shard ``(request × replica-chunk)`` work units across processes.
 
-    Runs sweep points (:class:`EvalRequest`) and streams
-    (:class:`repro.serving.engine.StreamRequest`) alike; see the module
-    docstring for what a request provides.
+    Runs sweep points (:class:`EvalRequest`), streams
+    (:class:`repro.serving.engine.StreamRequest`) and campaign regimes
+    alike; see the module docstring for what a request provides.
 
     Parameters
     ----------
@@ -314,7 +346,7 @@ class SweepExecutor:
         self.claim_poll_interval = float(claim_poll_interval)
         self.claim_timeout = claim_timeout
 
-    def run_payloads(self, requests: Sequence[Any]) -> list[list[np.ndarray]]:
+    def run_payloads(self, requests: Sequence[Any]) -> list[list[Any]]:
         """Every request's shard payloads, in chunk order.
 
         The entry point for any request kind (see the module docstring):
@@ -324,19 +356,19 @@ class SweepExecutor:
         """
         requests = list(requests)
         shards = _decompose(requests)
-        done: dict[_Shard, np.ndarray] = {}
+        done: dict[_Shard, Any] = {}
         pending = self._resolve_cached(requests, shards, done)
         if self.merge_only:
             if pending:
                 raise MissingShardsError(
-                    f"merge-only sweep is missing {len(pending)} shard(s) "
+                    f"merge-only run is missing {len(pending)} shard(s) "
                     "from the store; run the claimants to completion first"
                 )
         elif self.claim:
             self._run_claimed(requests, done, pending)
         else:
             self._execute(requests, done, pending)
-        payloads: list[list[np.ndarray]] = [[] for _ in requests]
+        payloads: list[list[Any]] = [[] for _ in requests]
         for shard in shards:
             payloads[shard.request_index].append(done[shard])
         return payloads
@@ -353,31 +385,30 @@ class SweepExecutor:
     def _execute(
         self,
         requests: list[Any],
-        done: dict[_Shard, np.ndarray],
+        done: dict[_Shard, Any],
         pending: "list[tuple[_Shard, str | None]]",
     ) -> None:
         """Compute ``pending`` shards (serially or pooled) into ``done``."""
         if self.workers == 1 or len(pending) <= 1:
             for shard, key in pending:
-                payload = _run_shard(requests[shard.request_index], shard)
-                self._merge(done, shard, payload)
-                self._persist(requests[shard.request_index], shard, key, payload)
+                request = requests[shard.request_index]
+                done[shard] = request.run_shard(shard)
+                self._persist(request, shard, key, done[shard])
             return
         max_workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = {
                 pool.submit(
-                    _run_shard, requests[shard.request_index], shard
+                    requests[shard.request_index].run_shard, shard
                 ): (shard, key)
                 for shard, key in pending
             }
             try:
                 for future in as_completed(futures):
                     shard, key = futures[future]
-                    payload = future.result()
-                    self._merge(done, shard, payload)
+                    done[shard] = future.result()
                     self._persist(
-                        requests[shard.request_index], shard, key, payload
+                        requests[shard.request_index], shard, key, done[shard]
                     )
             except BaseException:
                 # Fail fast: drop every still-queued shard instead of
@@ -390,7 +421,7 @@ class SweepExecutor:
     def _run_claimed(
         self,
         requests: list[Any],
-        done: dict[_Shard, np.ndarray],
+        done: dict[_Shard, Any],
         pending: "list[tuple[_Shard, str | None]]",
     ) -> None:
         """Claim-partitioned execution of ``pending`` against the store.
@@ -427,9 +458,11 @@ class SweepExecutor:
                 # entry proves nobody computed this shard — duplicates
                 # are impossible outside stale takeover of a live
                 # worker.
-                payload = self.store.get_shard(key, expected_runs=shard.payload_size)
+                payload = requests[shard.request_index].load(
+                    self.store, key, shard
+                )
                 if payload is not None:
-                    self._merge(done, shard, payload)
+                    done[shard] = payload
                     self.store.release_claim(key)
                 else:
                     mine.append((shard, key))
@@ -444,9 +477,11 @@ class SweepExecutor:
                         self.store.release_claim(key)
             remaining = []
             for shard, key in waiting:
-                payload = self.store.get_shard(key, expected_runs=shard.payload_size)
+                payload = requests[shard.request_index].load(
+                    self.store, key, shard
+                )
                 if payload is not None:
-                    self._merge(done, shard, payload)
+                    done[shard] = payload
                 else:
                     remaining.append((shard, key))
             if remaining and not mine:
@@ -461,7 +496,7 @@ class SweepExecutor:
         self,
         requests: list[Any],
         shards: list[_Shard],
-        done: dict[_Shard, np.ndarray],
+        done: dict[_Shard, Any],
     ) -> "list[tuple[_Shard, str | None]]":
         """Merge store hits into ``done``; return the shards left to compute.
 
@@ -473,31 +508,21 @@ class SweepExecutor:
             return [(shard, None) for shard in shards]
         pending: list[tuple[_Shard, str | None]] = []
         for shard in shards:
-            key = requests[shard.request_index].store_key(shard)
-            payload = self.store.get_shard(key, expected_runs=shard.payload_size)
+            request = requests[shard.request_index]
+            key = request.store_key(shard)
+            payload = request.load(self.store, key, shard)
             if payload is not None:
-                self._merge(done, shard, payload)
+                done[shard] = payload
             else:
                 pending.append((shard, key))
         return pending
 
     def _persist(
-        self,
-        request: Any,
-        shard: _Shard,
-        key: str | None,
-        payload: np.ndarray,
+        self, request: Any, shard: _Shard, key: str | None, payload: Any
     ) -> None:
-        """Write one completed shard back to the store (if attached); a
-        failed write only warns (see
-        :meth:`repro.store.store.ExperimentStore.put_entry`)."""
-        if self.store is None or key is None:
-            return
-        self.store.put_shard(
-            key,
-            payload,
-            meta={"policy": request.policy.name, "offset": shard.offset},
-        )
+        """Write one completed shard back to the store (if attached)."""
+        if self.store is not None and key is not None:
+            request.save(self.store, key, shard, payload)
 
     def run(self, requests: Sequence[EvalRequest]) -> "list[MonteCarloResult]":
         """Evaluate every request; returns one merged
@@ -515,13 +540,3 @@ class SweepExecutor:
             )
             for request, drops in zip(requests, self.run_drops(requests))
         ]
-
-    @staticmethod
-    def _merge(
-        done: dict[_Shard, np.ndarray], shard: _Shard, payload: np.ndarray
-    ) -> None:
-        if payload.shape != (shard.payload_size,):
-            raise RuntimeError(
-                f"shard returned {payload.shape}, expected ({shard.payload_size},)"
-            )
-        done[shard] = payload

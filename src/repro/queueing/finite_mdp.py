@@ -1,16 +1,16 @@
 """RL adapter: the finite delayed system as a single-trajectory MDP.
 
 The training campaign's mean-field proxy (``DelayedMeanFieldEnv``) is
-cheap and exact in the ``M -> ∞`` limit — but that limit is also its
-blind spot. In the mean field the queue-state law drifts smoothly, so a
-snapshot from ``k`` epochs ago barely differs from the current law and
-the cost of routing on stale information nearly vanishes from the
-training signal. On the *finite* deployment system the delay cost is
-driven by exactly what the limit integrates out: fluctuations of the
-empirical state, and dispatcher herding onto queues that looked short
-``k`` epochs ago. A policy fine-tuned on the proxy therefore optimizes
-a quantity that is almost flat in the direction the leaderboard
-measures.
+cheap, but under snapshot delays it is not the ``M -> ∞`` limit. Stale
+information is not free in that limit: dispatchers that rank queues on
+``k``-epoch-old states still herd onto queues that looked short, so the
+exact limit depends on each queue's recent history, and the finite
+system sits within 2 % of it. The proxy closes the delay to first
+order, treating a queue as Markov in its current state; its drops are
+10-35 % low at every delay ``K > 0``. The closure, not the limit, drops
+most of the herding cost from the training signal, so a policy
+fine-tuned on the proxy optimizes a quantity that is too flat in the
+direction the leaderboard measures.
 
 :class:`FiniteRegimeEnv` closes that gap by exposing one replica of
 :class:`repro.queueing.delayed_env.BatchedDelayedFiniteEnv` through the

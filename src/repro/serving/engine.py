@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.execution import ExecutionContext
-from repro.experiments.parallel import SweepExecutor
+from repro.experiments.parallel import SweepExecutor, _ReplicaRequest
 from repro.queueing.backends import check_sim_backend
 from repro.queueing.batched_env import (
     _BatchedQueueSystemBase,
@@ -63,7 +63,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StreamRequest:
+class StreamRequest(_ReplicaRequest):
     """One streaming evaluation: env × policy × horizon × windowing.
 
     The streaming analogue of

@@ -43,7 +43,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -138,17 +138,9 @@ class ExperimentStore:
         A present-but-invalid entry (corruption, schema or shape
         mismatch) is quarantined and reported as a miss.
         """
-        path = self.path_for(key)
-        if not path.exists():
-            self.stats.misses += 1
-            return None
-        try:
-            arrays, meta = load_npz_checkpoint(path)
+
+        def drops_of(arrays: dict[str, np.ndarray], meta: dict) -> np.ndarray:
             drops = np.asarray(arrays[_DROPS_KEY], dtype=np.float64)
-            if meta.get("schema") != STORE_SCHEMA_VERSION:
-                raise ValueError(f"schema mismatch: {meta.get('schema')!r}")
-            if meta.get("key") != key:
-                raise ValueError("stored key does not match file name")
             if drops.ndim != 1 or not np.all(np.isfinite(drops)):
                 raise ValueError(f"malformed drops array: {drops.shape}")
             if expected_runs is not None and drops.shape != (expected_runs,):
@@ -156,15 +148,9 @@ class ExperimentStore:
                     f"entry holds {drops.shape[0]} runs, expected "
                     f"{expected_runs}"
                 )
-        except Exception:
-            # Corrupted or stale entry: recover by quarantining it and
-            # recomputing the shard (a cache can always afford a miss).
-            self._quarantine(path)
-            self.stats.invalid += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return drops
+            return drops
+
+        return self._read(key, drops_of)
 
     def put_shard(
         self,
@@ -194,6 +180,31 @@ class ExperimentStore:
         A present-but-invalid entry (corruption, schema or key mismatch,
         non-finite floats) is quarantined and reported as a miss.
         """
+
+        def finite_entry(
+            arrays: dict[str, np.ndarray], meta: dict
+        ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+            for name, arr in arrays.items():
+                if np.issubdtype(arr.dtype, np.floating) and not np.all(
+                    np.isfinite(arr)
+                ):
+                    raise ValueError(f"non-finite values in array {name!r}")
+            return dict(arrays), meta
+
+        return self._read(key, finite_entry)
+
+    def _read(
+        self,
+        key: str,
+        check: Callable[[dict[str, np.ndarray], dict[str, Any]], Any],
+    ) -> Any:
+        """``check(arrays, meta)`` of ``key``'s entry, or ``None`` on a miss.
+
+        The one read path of both entry kinds: it loads the entry and
+        checks its schema and key; ``check`` validates the arrays and
+        returns what the caller gets. An entry that fails any of these
+        is quarantined and reported as a miss.
+        """
         path = self.path_for(key)
         if not path.exists():
             self.stats.misses += 1
@@ -204,11 +215,7 @@ class ExperimentStore:
                 raise ValueError(f"schema mismatch: {meta.get('schema')!r}")
             if meta.get("key") != key:
                 raise ValueError("stored key does not match file name")
-            for name, arr in arrays.items():
-                if np.issubdtype(arr.dtype, np.floating) and not np.all(
-                    np.isfinite(arr)
-                ):
-                    raise ValueError(f"non-finite values in array {name!r}")
+            value = check(arrays, meta)
         except Exception:
             # Corrupted or stale entry: recover by quarantining it and
             # recomputing the shard (a cache can always afford a miss).
@@ -217,7 +224,7 @@ class ExperimentStore:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return dict(arrays), meta
+        return value
 
     def put_entry(
         self,

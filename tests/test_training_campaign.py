@@ -3,16 +3,21 @@
 The campaign's contract: a finished regime is a pure function of
 ``(regime, ppo, budget, seed)``. Everything here leans on that —
 store resume after a kill is bit-identical, results are invariant to
-the worker count, and multi-host claim partitioning never recomputes a
-finished shard.
+the worker count, and a claimant that waits for another host's regime
+merges exactly what that host trained.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import PPOConfig, SystemConfig
+from repro.execution import ExecutionContext, MissingShardsError
 from repro.experiments.campaign import (
     CAMPAIGN_DELTA_TS,
     REGIME_POLICY_LABEL,
@@ -20,7 +25,6 @@ from repro.experiments.campaign import (
     TrainingBudget,
     available_regime_checkpoints,
     campaign_ppo_config,
-    collect_cached,
     default_regimes,
     package_policies,
     regime_checkpoint_path,
@@ -69,6 +73,13 @@ def _tiny_regime(name="tiny", **overrides):
     )
     kwargs.update(overrides)
     return RegimeSpec(**kwargs)
+
+
+def _run_one(regime, context, seed=2, ppo=_PPO, budget=_BUDGET):
+    """One regime's campaign result under ``context``."""
+    return run_campaign([regime], ppo, budget, seed=seed, context=context)[
+        regime.name
+    ]
 
 
 def _states_equal(a: NeuralPolicy, b: NeuralPolicy) -> bool:
@@ -243,20 +254,20 @@ class TestCampaignResume:
         # Reference: one uninterrupted run without a store.
         ref = run_campaign(regimes, _PPO, _BUDGET, seed=1)
         # "Killed" campaign: only regime a finished before the kill.
-        store = ExperimentStore(tmp_path)
-        run_campaign(regimes[:1], _PPO, _BUDGET, seed=1, store=store)
+        context = ExecutionContext(store=ExperimentStore(tmp_path))
+        run_campaign(regimes[:1], _PPO, _BUDGET, seed=1, context=context)
         # Resumed campaign: a replays from the store, b trains fresh.
-        resumed = run_campaign(regimes, _PPO, _BUDGET, seed=1, store=store)
+        resumed = run_campaign(regimes, _PPO, _BUDGET, seed=1, context=context)
         assert resumed["a"].from_cache and not resumed["b"].from_cache
         for name in ("a", "b"):
             assert _states_equal(ref[name].policy, resumed[name].policy)
             assert np.array_equal(ref[name].curve, resumed[name].curve)
 
     def test_cached_result_restores_metadata(self, tmp_path):
-        store = ExperimentStore(tmp_path)
+        context = ExecutionContext(store=ExperimentStore(tmp_path))
         regime = _tiny_regime()
-        first = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
-        again = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
+        first = _run_one(regime, context)
+        again = _run_one(regime, context)
         assert again.from_cache
         assert again.key == first.key
         assert again.meta["kept"] == first.meta["kept"]
@@ -266,12 +277,29 @@ class TestCampaignResume:
 
     def test_corrupted_shard_recomputes(self, tmp_path):
         store = ExperimentStore(tmp_path)
+        context = ExecutionContext(store=store)
         regime = _tiny_regime()
-        first = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
+        first = _run_one(regime, context)
         store.path_for(first.key).write_bytes(b"garbage")
-        redone = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
+        redone = _run_one(regime, context)
         assert not redone.from_cache
         assert _states_equal(first.policy, redone.policy)
+
+    def test_nan_curve_point_resumes(self, tmp_path):
+        """An iteration in which no episode ends has no mean return, so
+        the curve holds a NaN. The store quarantines non-finite floats,
+        yet the regime must still replay, NaN included."""
+        # 60 steps per iteration over 2 envs: no 40-epoch episode ends in
+        # the first iteration.
+        regime = _tiny_regime(horizon=40)
+        store = ExperimentStore(tmp_path)
+        context = ExecutionContext(store=store)
+        first = _run_one(regime, context)
+        assert np.isnan(first.curve[0]) and np.isfinite(first.curve[1:]).all()
+        again = _run_one(regime, context)
+        assert again.from_cache and store.stats.invalid == 0
+        assert np.array_equal(again.curve, first.curve, equal_nan=True)
+        assert _states_equal(first.policy, again.policy)
 
     def test_full_disk_store_write_only_warns(self, tmp_path, full_disk):
         """A regime whose store cannot be written still returns its
@@ -281,7 +309,7 @@ class TestCampaignResume:
         ref = train_regime(regime, _PPO, _BUDGET, seed=2)
         store = ExperimentStore(tmp_path)
         with pytest.warns(RuntimeWarning, match="store write failed"):
-            result = train_regime(regime, _PPO, _BUDGET, seed=2, store=store)
+            result = _run_one(regime, ExecutionContext(store=store))
         assert not result.from_cache
         assert _states_equal(ref.policy, result.policy)
         assert np.array_equal(ref.curve, result.curve)
@@ -301,14 +329,15 @@ class TestWorkerInvariance:
                 features=ObservationFeatures(occupancy=True),
             ),
         ]
-        seq = run_campaign(regimes, _PPO, _BUDGET, seed=1, workers=1)
+        seq = run_campaign(
+            regimes, _PPO, _BUDGET, seed=1, context=ExecutionContext(workers=1)
+        )
         par = run_campaign(
             regimes,
             _PPO,
             _BUDGET,
             seed=1,
-            store=ExperimentStore(tmp_path),
-            workers=2,
+            context=ExecutionContext(workers=2, store=ExperimentStore(tmp_path)),
         )
         assert set(seq) == set(par) == {"a", "b", "c"}
         for name in seq:
@@ -316,55 +345,101 @@ class TestWorkerInvariance:
 
 
 class TestClaimMode:
-    def test_claimed_regimes_are_skipped_then_resumed(self, tmp_path):
+    def test_claimed_regime_is_waited_for_then_merged(self, tmp_path):
+        """A regime another host has claimed is waited for, then merged
+        from the store once that host publishes it: every claimant
+        returns the whole campaign."""
         store = ExperimentStore(tmp_path)
         regimes = [_tiny_regime("a"), _tiny_regime("b", horizon=12)]
         key_b = train_shard_key(regimes[1], _PPO, _BUDGET, 1)
         assert store.try_claim(key_b, "other-host")
-        partial = run_campaign(
-            regimes,
-            _PPO,
-            _BUDGET,
-            seed=1,
-            store=store,
-            claim=True,
-            owner="me",
-        )
-        assert set(partial) == {"a"}
-        store.release_claim(key_b)
-        full = run_campaign(
-            regimes,
-            _PPO,
-            _BUDGET,
-            seed=1,
-            store=store,
-            claim=True,
-            owner="me",
-        )
-        assert set(full) == {"a", "b"}
-        assert full["a"].from_cache and not full["b"].from_cache
-        # Claims are released after computing: nothing left behind.
-        assert store.claim_owner(key_b) is None
 
-    def test_claim_mode_requires_store_and_owner(self):
-        with pytest.raises(ValueError, match="store"):
-            run_campaign([_tiny_regime()], _PPO, _BUDGET, claim=True)
-        with pytest.raises(ValueError, match="owner"):
-            run_campaign(
-                [_tiny_regime()],
+        def other_host():
+            other = ExperimentStore(tmp_path)
+            try:
+                # Train once the claimant has found b claimed and had
+                # time to train a and start polling for b.
+                deadline = time.monotonic() + 60.0
+                while not store.stats.claim_conflicts:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                time.sleep(0.5)
+                run_campaign(
+                    regimes[1:],
+                    _PPO,
+                    _BUDGET,
+                    seed=1,
+                    context=ExecutionContext(store=other),
+                )
+            finally:
+                other.release_claim(key_b)
+
+        host = threading.Thread(target=other_host)
+        host.start()
+        try:
+            merged = run_campaign(
+                regimes,
                 _PPO,
                 _BUDGET,
-                claim=True,
-                store=ExperimentStore("/tmp/unused-claim-store"),
+                seed=1,
+                context=ExecutionContext(store=store, claim=True),
             )
+        finally:
+            host.join(timeout=120)
+        assert not host.is_alive()
+        assert set(merged) == {"a", "b"}
+        assert not merged["a"].from_cache and merged["b"].from_cache
+        ref = run_campaign(regimes, _PPO, _BUDGET, seed=1)
+        for name in ("a", "b"):
+            assert _states_equal(ref[name].policy, merged[name].policy)
+        # Claims are released after computing: nothing left behind.
+        assert store.claim_owner(key_b) is None
+        assert store.claim_owner(merged["a"].key) is None
 
-    def test_collect_cached_merges_only_finished(self, tmp_path):
+    def test_aged_claim_taken_over_only_with_stale_after(
+        self, tmp_path, monkeypatch
+    ):
+        """A claim gets no heartbeat and a regime may train for hours, so
+        an aged claim is taken over only when stale_after is set."""
+        store = ExperimentStore(tmp_path)
+        context = ExecutionContext(store=store, claim=True)
+        regime = _tiny_regime()
+        key = train_shard_key(regime, _PPO, _BUDGET, 2)
+        assert store.try_claim(key, "killed-host")
+        old = time.time() - 3600.0
+        os.utime(store.claim_path_for(key), (old, old))
+
+        class Polled(Exception):
+            pass
+
+        def poll(seconds):
+            raise Polled
+
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "sleep", poll)
+            with pytest.raises(Polled):
+                _run_one(regime, context)
+        assert store.claim_owner(key) == "killed-host"
+
+        result = run_campaign(
+            [regime], _PPO, _BUDGET, seed=2, context=context, stale_after=60.0
+        )[regime.name]
+        assert not result.from_cache
+        assert store.stats.claims_stolen == 1
+        assert store.claim_owner(key) is None
+
+    def test_merge_only_needs_every_regime(self, tmp_path):
         store = ExperimentStore(tmp_path)
         regimes = [_tiny_regime("a"), _tiny_regime("b", horizon=12)]
-        run_campaign(regimes[:1], _PPO, _BUDGET, seed=1, store=store)
-        merged = collect_cached(regimes, store, _PPO, _BUDGET, seed=1)
-        assert set(merged) == {"a"}
+        trained = run_campaign(
+            regimes[:1], _PPO, _BUDGET, seed=1, context=ExecutionContext(store=store)
+        )
+        merge = ExecutionContext(store=store, merge_only=True)
+        with pytest.raises(MissingShardsError, match="missing 1 shard"):
+            run_campaign(regimes, _PPO, _BUDGET, seed=1, context=merge)
+        merged = run_campaign(regimes[:1], _PPO, _BUDGET, seed=1, context=merge)
         assert merged["a"].from_cache
+        assert _states_equal(merged["a"].policy, trained["a"].policy)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +522,9 @@ class TestKeepBest:
         warm_state = _warm_start_state(regime, ppo)
         assert warm_state is not None
         store = ExperimentStore(tmp_path)
-        res = train_regime(regime, ppo, budget, seed=0, store=store)
+        res = _run_one(
+            regime, ExecutionContext(store=store), seed=0, ppo=ppo, budget=budget
+        )
         assert res.meta["kept"] == "warm-start"
         assert res.meta["trained_return"] < res.meta["warm_return"]
 
