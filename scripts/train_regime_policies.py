@@ -79,7 +79,8 @@ def main(argv=None) -> int:
         "--stale-after",
         type=float,
         default=None,
-        help="take over claims idle for this many seconds",
+        help="take over claims idle for this many seconds "
+        "(longer than any one regime trains)",
     )
     parser.add_argument(
         "--out",

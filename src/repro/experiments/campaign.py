@@ -724,6 +724,9 @@ def run_campaign(
         context=context if context is not None else ExecutionContext(),
         stale_claim_after=stale_after,
     )
+    # Pooled regimes train silently, so their progress lines don't
+    # interleave.
+    verbose = verbose and executor.workers == 1
     payloads = executor.run_payloads(
         [_RegimeRequest(r, ppo, budget, seed, verbose) for r in regime_list]
     )

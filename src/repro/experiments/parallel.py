@@ -264,9 +264,10 @@ class SweepExecutor:
         rejected. The context's ``sim_backend``/``max_batch_replicas``
         are per-request knobs and are ignored here.
     claim:
-        Multi-node mode: before computing a pending shard, claim it
-        through the store's atomic claim files
-        (:meth:`~repro.store.store.ExperimentStore.try_claim`).
+        Multi-node mode: just before computing a pending shard, claim
+        it through the store's atomic claim files
+        (:meth:`~repro.store.store.ExperimentStore.try_claim`); a host
+        holds at most one claim per worker at a time.
         Independent hosts pointing at one shared store directory then
         partition a sweep between them without a coordinator: each host
         computes the shards it wins, polls the store for shards claimed
@@ -426,9 +427,12 @@ class SweepExecutor:
     ) -> None:
         """Claim-partitioned execution of ``pending`` against the store.
 
-        Each round claims whatever shards are unowned (including stale
-        claims of dead workers), computes them, then sweeps the store
-        for shards other hosts finished in the meantime. The loop
+        Each round claims at most one unowned shard per worker
+        (including stale claims of dead workers), computes them, then
+        sweeps the store for shards other hosts finished in the
+        meantime. A host thus claims a shard just before computing it:
+        a host that starts later still finds unclaimed shards, and a
+        live host holds claims only on shards it is computing. The loop
         terminates because every shard is either claimable here
         eventually (stale takeover) or completed — and published —
         elsewhere; merged output is bit-identical to a single-host run
@@ -446,8 +450,12 @@ class SweepExecutor:
         while remaining:
             mine: list[tuple[_Shard, str | None]] = []
             waiting: list[tuple[_Shard, str | None]] = []
+            unclaimed: list[tuple[_Shard, str | None]] = []
             for shard, key in remaining:
                 assert key is not None  # claim mode requires a store
+                if len(mine) == self.workers:
+                    unclaimed.append((shard, key))
+                    continue
                 if not self.store.try_claim(
                     key, self.claim_owner, stale_after=self.stale_claim_after
                 ):
@@ -484,6 +492,7 @@ class SweepExecutor:
                     done[shard] = payload
                 else:
                     remaining.append((shard, key))
+            remaining.extend(unclaimed)
             if remaining and not mine:
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutError(

@@ -18,6 +18,7 @@ import pytest
 
 from repro.config import PPOConfig, SystemConfig
 from repro.execution import ExecutionContext, MissingShardsError
+from repro.experiments import campaign
 from repro.experiments.campaign import (
     CAMPAIGN_DELTA_TS,
     REGIME_POLICY_LABEL,
@@ -345,7 +346,9 @@ class TestWorkerInvariance:
 
 
 class TestClaimMode:
-    def test_claimed_regime_is_waited_for_then_merged(self, tmp_path):
+    def test_claimed_regime_is_waited_for_then_merged(
+        self, tmp_path, monkeypatch
+    ):
         """A regime another host has claimed is waited for, then merged
         from the store once that host publishes it: every claimant
         returns the whole campaign."""
@@ -353,17 +356,24 @@ class TestClaimMode:
         regimes = [_tiny_regime("a"), _tiny_regime("b", horizon=12)]
         key_b = train_shard_key(regimes[1], _PPO, _BUDGET, 1)
         assert store.try_claim(key_b, "other-host")
+        claimant = threading.current_thread()
+        polled = threading.Event()
+        polls = []
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            if threading.current_thread() is claimant:
+                polls.append(seconds)
+                polled.set()
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", sleep)
 
         def other_host():
             other = ExperimentStore(tmp_path)
             try:
-                # Train once the claimant has found b claimed and had
-                # time to train a and start polling for b.
-                deadline = time.monotonic() + 60.0
-                while not store.stats.claim_conflicts:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
-                time.sleep(0.5)
+                # Train b only once the claimant has polled for it.
+                polled.wait(timeout=60)
                 run_campaign(
                     regimes[1:],
                     _PPO,
@@ -387,6 +397,7 @@ class TestClaimMode:
         finally:
             host.join(timeout=120)
         assert not host.is_alive()
+        assert polls, "the claimant never waited for regime b"
         assert set(merged) == {"a", "b"}
         assert not merged["a"].from_cache and merged["b"].from_cache
         ref = run_campaign(regimes, _PPO, _BUDGET, seed=1)
@@ -395,6 +406,58 @@ class TestClaimMode:
         # Claims are released after computing: nothing left behind.
         assert store.claim_owner(key_b) is None
         assert store.claim_owner(merged["a"].key) is None
+
+    def test_late_claimant_trains_unclaimed_regimes(
+        self, tmp_path, monkeypatch
+    ):
+        """A host claims a regime just before training it, so a host
+        that starts after another has begun training still gets a share
+        of the campaign, and both return all of it."""
+        regimes = [_tiny_regime(name) for name in "abcd"]
+        late_trains = threading.Event()
+        late_result = {}
+
+        def host():
+            context = ExecutionContext(
+                store=ExperimentStore(tmp_path), claim=True
+            )
+            return run_campaign(regimes, _PPO, _BUDGET, seed=1, context=context)
+
+        late = threading.Thread(
+            target=lambda: late_result.update(host())
+        )
+        train = campaign.train_regime
+
+        def train_then_start_late_host(*args, **kwargs):
+            if threading.current_thread() is late:
+                late_trains.set()
+            elif late.ident is None:
+                # The early host has claimed its first regime: start the
+                # late host, and hold this regime until it trains one.
+                late.start()
+                late_trains.wait(timeout=20)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(
+            campaign, "train_regime", train_then_start_late_host
+        )
+        try:
+            early_result = host()
+        finally:
+            if late.ident is not None:
+                late.join(timeout=120)
+        assert not late.is_alive()
+        assert set(early_result) == set(late_result) == set("abcd")
+        early, late_ = (
+            {name for name, r in result.items() if not r.from_cache}
+            for result in (early_result, late_result)
+        )
+        assert early and late_, f"early trained {early}, late {late_}"
+        assert early.isdisjoint(late_) and early | late_ == set("abcd")
+        for name in "abcd":
+            assert _states_equal(
+                early_result[name].policy, late_result[name].policy
+            )
 
     def test_aged_claim_taken_over_only_with_stale_after(
         self, tmp_path, monkeypatch
